@@ -7,7 +7,6 @@ weighted hilbertian tree: path vectors, inverse series, Gram estimates) ->
 (certified series and inequality checks), with `cli`/`verify` on top.
 """
 
-from ._core import BACKEND as KERNEL_BACKEND
 from .errors import GateError, QCayleyError, SpecSyntaxError, TreeSizeError
 from .fusion import (
     Direction,
@@ -30,7 +29,6 @@ from .scalars import QQ, RATIONAL_BACKEND, Interval, Radical
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND",
     "RATIONAL_BACKEND",
     "QQ",
     "Interval",

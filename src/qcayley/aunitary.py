@@ -10,14 +10,15 @@ two-sided bounds for the squared cocycle norms, growing linearly in n.
 Everything is per unit source vector; only norms are materialized, never the
 chain vectors themselves (their norms are pinned, their ambient spaces are
 not needed).  The exhaustive multi-index enumerations are the definitional
-route and double as the oracle for the closed-form summations.
+route and double as the oracle for the closed-form summations; they run as
+exact integer loops, scaled by powers of m1 = N (see _ql_scaled_one).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from . import _core
 from .errors import GateError
 from .scalars import QQ
 
@@ -101,11 +102,40 @@ def ql_norm_sq(i_idx, k_idx, l: int, N: int):
     return out
 
 
+# Per leg p the components of the rank-one e_i e_k^* under x = x0 + (Tr x/N) id,
+# in the normalized Hilbert-Schmidt norm, scaled by N^2:
+#   scalar part   -> delta_{ik}
+#   traceless part-> N - delta_{ik}
+#   full leg      -> N
+# so ql_norm_sq(i, k, l) * N^(2n) is the integer product
+#   prod_{p<l} N  *  (N - delta_l)  *  prod_{p>l} delta_p      (l >= 1)
+#   prod_p delta_p                                             (l = 0).
+
+def _ql_scaled_one(i_idx, k_idx, l, N):
+    n = len(i_idx)
+    if l == 0:
+        out = 1
+        for p in range(n):
+            if i_idx[p] != k_idx[p]:
+                return 0
+        return out
+    out = N ** (l - 1)
+    out *= N - (1 if i_idx[l - 1] == k_idx[l - 1] else 0)
+    for p in range(l, n):
+        if i_idx[p] != k_idx[p]:
+            return 0
+    return out
+
+
 def ql_sums(i_idx, N: int):
     """[sum over all k of ql_norm_sq(i, k, l) for l = 0..n], by enumeration."""
     _check_n(N)
     n = len(i_idx)
-    scaled = _core.ql_sums_scaled(N, n, tuple(i_idx))
+    i_idx = tuple(i_idx)
+    scaled = [0] * (n + 1)
+    for k_idx in product(range(1, N + 1), repeat=n):
+        for l in range(n + 1):
+            scaled[l] += _ql_scaled_one(i_idx, k_idx, l, N)
     scale = QQ(N) ** (2 * n)
     return [QQ(s) / scale for s in scaled]
 
@@ -166,7 +196,15 @@ def cn_lower(n: int, N: int, i_idx=None, method: str = "enumerate"):
         i_idx = (1,) * n
     _validate_indices(i_idx, i_idx, N)
     if method == "enumerate":
-        scaled = _core.cn_lower_scaled(N, n, tuple(i_idx))
+        # sum_k sum_l (N^(2(n-l)) - 1) * ql_norm_sq(i,k,l) * N^(2n), in integers
+        i_idx = tuple(i_idx)
+        weights = [N ** (2 * (n - l)) - 1 for l in range(n + 1)]
+        scaled = 0
+        for k_idx in product(range(1, N + 1), repeat=n):
+            for l in range(n + 1):
+                w = weights[l]
+                if w:
+                    scaled += w * _ql_scaled_one(i_idx, k_idx, l, N)
         return QQ(scaled) / (2 * (QQ(N) ** 2 - 1) * QQ(N) ** (2 * n))
     if method == "closed":
         m1sq = QQ(N) ** 2
@@ -185,8 +223,6 @@ def cn_lower(n: int, N: int, i_idx=None, method: str = "enumerate"):
 
 def check_index_independence(n: int, N: int) -> bool:
     """Exhaustively confirm cn_lower is the same for every source multi-index."""
-    from itertools import product
-
     values = {cn_lower(n, N, i_idx=i) for i in product(range(1, N + 1), repeat=n)}
     return len(values) == 1
 
@@ -198,4 +234,14 @@ def parseval_violations(n: int, N: int) -> int:
     normalized Hilbert-Schmidt norm m1^{-n} of the rank-one monomial.
     """
     _check_n(N)
-    return _core.parseval_violations(N, n)
+    bad = 0
+    target = N ** n  # the scaled norm m1^{-n} * m1^{2n}
+    rng = range(1, N + 1)
+    for i_idx in product(rng, repeat=n):
+        for k_idx in product(rng, repeat=n):
+            s = 0
+            for l in range(n + 1):
+                s += _ql_scaled_one(i_idx, k_idx, l, N)
+            if s != target:
+                bad += 1
+    return bad

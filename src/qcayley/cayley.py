@@ -7,15 +7,15 @@ the big acceptance sweeps only need ids and dimensions.
 
 Every vertex has exactly one ascending child per direction and one parent;
 the descending summand of any generator fusion is the parent, which is what
-makes the incremental dimension recursion in the BFS kernel exact.
+makes the incremental dimension recursion in `_bfs_tree` exact.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
-from . import _core
 from .errors import TreeSizeError
 from .scalars import QQ
 from .fusion import (
@@ -69,8 +69,7 @@ def _direction_steps(spec: QuantumGroupSpec, alpha: Irrep) -> list[Direction]:
 class CayleyTree:
     """Rooted, direction-labelled tree of irreducibles up to a radius."""
 
-    def __init__(self, spec, radius, parent, pdir, length, dims, last_factor,
-                 last_code, cap):
+    def __init__(self, spec, radius, parent, pdir, length, dims, cap):
         self.spec = spec
         self.radius = radius
         self.cap = cap
@@ -79,8 +78,6 @@ class CayleyTree:
         self._pdir = pdir
         self._length = length
         self._dims = dims
-        self._last_factor = last_factor
-        self._last_code = last_code
         n = len(dims)
         ndir = len(self.directions)
         children = [-1] * (n * ndir)
@@ -205,6 +202,68 @@ class CayleyTree:
             yield Edge(cw, pw, dual_direction(self.spec, d), False)
 
 
+def _bfs_tree(spec: QuantumGroupSpec, factor_m1, radius: int, cap: int):
+    """Breadth-first structural closure of the Cayley tree.
+
+    Per-vertex outputs (index = BFS id, root = 0):
+      parent, pdir      -- parent id and the direction index of the parent edge
+      length            -- distance to the root
+      dims              -- quantum dimension, in the arithmetic type of `factor_m1`
+
+    Every vertex has exactly one ascending child per direction; the
+    descending summand of any fusion is the parent, which gives the dimension
+    recursion  m_child = m1 * m_v - m_parent  when the generator is absorbed
+    and  m_child = m1 * m_v  otherwise.  The recursion needs the factor and
+    the code (Ao: the letter's k; Au: the last symbol +-1) of each vertex's
+    last letter, kept here and dropped on return.
+    """
+    dir_factor = [d.factor for d in spec.directions]
+    dir_bar = [d.bar for d in spec.directions]
+    factor_is_ao = [f.kind == ORTHOGONAL for f in spec.factors]
+    ndir = len(dir_factor)
+    parent = array("q", [-1])
+    pdir = array("h", [-1])
+    length = array("i", [0])
+    last_factor = array("h", [-1])
+    last_code = array("q", [0])
+    dims = [factor_m1[0] * 0 + 1]  # 1 in the caller's arithmetic type
+
+    v = 0
+    while v < len(dims):
+        if length[v] >= radius:
+            break  # BFS order: all later vertices are at least this deep
+        lf = last_factor[v]
+        lc = last_code[v]
+        dv = dims[v]
+        dpar = dims[parent[v]] if v else None
+        for d in range(ndir):
+            f = dir_factor[d]
+            b = dir_bar[d]
+            m1 = factor_m1[f]
+            if lf != f:
+                child_dim = dv * m1
+                code = 1 if factor_is_ao[f] else b
+            elif factor_is_ao[f]:
+                child_dim = dv * m1 - dpar
+                code = lc + 1
+            else:
+                child_dim = dv * m1 - dpar if lc == -b else dv * m1
+                code = b
+            if len(dims) >= cap:
+                raise TreeSizeError(
+                    f"tree for {spec} at radius {radius} exceeds the vertex cap "
+                    f"{cap}; raise max_vertices explicitly if intended"
+                )
+            parent.append(v)
+            pdir.append(d)
+            length.append(length[v] + 1)
+            last_factor.append(f)
+            last_code.append(code)
+            dims.append(child_dim)
+        v += 1
+    return parent, pdir, length, dims
+
+
 def build_tree(spec: QuantumGroupSpec, radius: int,
                max_vertices: int = DEFAULT_VERTEX_CAP) -> CayleyTree:
     """Breadth-first closure of generator fusion from the root.
@@ -214,35 +273,13 @@ def build_tree(spec: QuantumGroupSpec, radius: int,
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    dirs = spec.directions
-    dir_factor = [d.factor for d in dirs]
-    dir_bar = [d.bar for d in dirs]
-    factor_is_ao = [f.kind == ORTHOGONAL for f in spec.factors]
-
+    # integer dimensions recurse in int and become rationals once at the end
     all_int = all(f.dimq.denominator == 1 for f in spec.factors)
-    if all_int:
-        m1s = [int(f.dimq) for f in spec.factors]
-        # compiled twin is int64-only; geometric bound keeps it safe
-        max_dim_bound = (max(m1s) if m1s else 1) ** max(radius, 1)
-        kernel = _core.bfs_tree if max_dim_bound < 2**62 else _core.pure.bfs_tree
-    else:
-        m1s = [QQ(f.dimq) for f in spec.factors]
-        kernel = _core.pure.bfs_tree
-
-    try:
-        parent, pdir, length, dims, last_factor, last_code = kernel(
-            dir_factor, dir_bar, factor_is_ao, m1s, radius, max_vertices)
-    except ValueError as exc:
-        if "vertex cap" in str(exc):
-            raise TreeSizeError(
-                f"tree for {spec} at radius {radius} exceeds the vertex cap "
-                f"{max_vertices}; raise max_vertices explicitly if intended"
-            ) from None
-        raise
+    m1s = [int(f.dimq) if all_int else QQ(f.dimq) for f in spec.factors]
+    parent, pdir, length, dims = _bfs_tree(spec, m1s, radius, max_vertices)
     if all_int:
         dims = [QQ(d) for d in dims]
-    return CayleyTree(spec, radius, parent, pdir, length, dims, last_factor,
-                      last_code, max_vertices)
+    return CayleyTree(spec, radius, parent, pdir, length, dims, max_vertices)
 
 
 def geodesic(tree: CayleyTree, alpha: Union[Irrep, int]) -> list[Edge]:

@@ -461,7 +461,8 @@ class Radical:
     def __hash__(self):
         if self.is_rational:
             return hash(self.as_rational() if self._terms else QQ(0))
-        return hash(frozenset((r, c) for r, c in self._terms.items()))
+        # c*sqrt(r) is fixed by (sign c, c^2 r) whichever square factors r keeps
+        return hash(frozenset((c > 0, c * c * r) for r, c in self._terms.items()))
 
     def __lt__(self, other):
         return (self - other).sign() < 0

@@ -4,7 +4,6 @@ from itertools import product
 
 import pytest
 
-from qcayley._core import backends
 from qcayley.aunitary import (
     LegDecomposition,
     cg_bounds,
@@ -132,16 +131,3 @@ def test_dimension_two_gates():
         cn_lower(3, 2)
     # the grade decomposition itself is dimension-agnostic
     assert parseval_violations(3, 2) == 0
-
-
-def test_kernel_twins_agree():
-    impls = backends()
-    if "compiled" not in impls:
-        pytest.skip("compiled kernels unavailable")
-    for N, n, idx in ((3, 5, (1, 2, 3, 1, 2)), (4, 4, (4, 3, 2, 1))):
-        assert impls["compiled"].ql_sums_scaled(N, n, idx) == \
-            impls["python"].ql_sums_scaled(N, n, idx)
-        assert impls["compiled"].cn_lower_scaled(N, n, idx) == \
-            impls["python"].cn_lower_scaled(N, n, idx)
-        assert impls["compiled"].parseval_violations(N, n) == \
-            impls["python"].parseval_violations(N, n)

@@ -1,5 +1,7 @@
 """Tree construction, queries, rays, validation."""
 
+from itertools import islice
+
 import pytest
 
 from qcayley.cayley import (
@@ -7,12 +9,12 @@ from qcayley.cayley import (
     build_tree,
     canonical_ray_pattern,
     geodesic,
+    iter_ray,
     sphere,
     validate,
 )
 from qcayley.errors import TreeSizeError
 from qcayley.fusion import Direction, TRIVIAL, ao_irrep, au_word, parse_spec, quantum_dim
-from qcayley._core import backends
 
 
 def test_half_line_shape():
@@ -132,11 +134,13 @@ def test_iter_ray_is_unbounded_and_lazy():
     assert [int(d) for _, d in steps] == [1, 3, 8, 21, 55, 144]
 
 
-def test_kernel_twins_agree_on_bfs():
-    impls = backends()
-    if "compiled" not in impls:
-        pytest.skip("compiled kernels unavailable")
-    args = ([0, 0, 1], [1, -1, 0], [False, True], [3, 4], 6, 10**6)
-    outs = {name: impl.bfs_tree(*args) for name, impl in impls.items()}
-    a, b = outs["compiled"], outs["python"]
-    assert all(list(x) == list(y) for x, y in zip(a, b))
+def test_half_line_beyond_127_levels():
+    spec = parse_spec("Ao(3)")
+    tree = build_tree(spec, 150)
+    assert tree.n_vertices == 151
+    assert [tree.dim(v) for v in range(151)] == [d for _, d in islice(iter_ray(spec), 151)]
+
+
+def test_more_than_127_directions():
+    tree = build_tree(parse_spec("*".join(["Au(3)"] * 65)), 1)
+    assert tree.n_vertices == 131

@@ -111,3 +111,12 @@ def test_radical_binomial_square(p, q):
     s = sqrt_rational(QQ(p)) + sqrt_rational(QQ(q))
     expected = Radical.from_rational(QQ(p) + QQ(q)) + 2 * sqrt_rational(QQ(p) * QQ(q))
     assert s * s == expected
+
+
+def test_radical_equal_values_hash_equal():
+    # 289 = 17^2 is beyond the small-prime square stripping
+    a, b = Radical.sqrt_of(578), 17 * Radical.sqrt_of(2)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert hash(Radical.from_rational(QQ(7, 3))) == hash(QQ(7, 3))
