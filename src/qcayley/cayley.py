@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import cycle, islice
 from typing import Iterator, Union
 
 from .errors import TreeSizeError
@@ -362,17 +363,22 @@ def iter_ray(spec: QuantumGroupSpec, pattern=None):
     """
     if pattern is None:
         pattern = canonical_ray_pattern(spec)
-    prev_dim = None
+    if not pattern:
+        raise ValueError("empty direction pattern")
+    prev_word = prev_dim = None
     word, dim = Irrep(()), QQ(1)
-    i = 0
-    while True:
+    for d in cycle(pattern):
         yield word, dim
-        d = pattern[i % len(pattern)]
         summands = fuse_generator(spec, word, d)
         m1 = QQ(spec.factors[d.factor].dimq)
-        nxt = m1 * dim - prev_dim if len(summands) == 2 else m1 * dim
-        word, dim, prev_dim = summands[-1], nxt, dim
-        i += 1
+        if len(summands) == 2:
+            # descending summand is the previous ray vertex by construction
+            if summands[0] != prev_word:
+                raise ValueError("pattern does not trace a geodesic")
+            nxt = m1 * dim - prev_dim
+        else:
+            nxt = m1 * dim
+        prev_word, prev_dim, word, dim = word, dim, summands[-1], nxt
 
 
 class GeodesicRay:
@@ -384,31 +390,12 @@ class GeodesicRay:
     """
 
     def __init__(self, spec: QuantumGroupSpec, pattern, steps: int):
-        if not pattern:
-            raise ValueError("empty direction pattern")
         self.spec = spec
         self.pattern = tuple(pattern)
         self.directions = spec.directions
-        words = [Irrep(())]
-        dims = [QQ(1)]
-        dirs = []
-        for i in range(steps):
-            d = self.pattern[i % len(self.pattern)]
-            summands = fuse_generator(spec, words[-1], d)
-            ascending = summands[-1]
-            m1 = QQ(spec.factors[d.factor].dimq)
-            if len(summands) == 2:
-                # descending summand is the previous ray vertex by construction
-                if i == 0 or summands[0] != words[-2]:
-                    raise ValueError("pattern does not trace a geodesic")
-                dims.append(m1 * dims[-1] - dims[-2])
-            else:
-                dims.append(m1 * dims[-1])
-            words.append(ascending)
-            dirs.append(d)
-        self._words = words
-        self._dims = dims
-        self._dirs = dirs
+        walk = list(islice(iter_ray(spec, self.pattern), max(steps, 0) + 1))
+        self._words = [w for w, _ in walk]
+        self._dims = [m for _, m in walk]
 
     @property
     def n_vertices(self) -> int:
@@ -423,7 +410,7 @@ class GeodesicRay:
     def parent(self, vid: int):
         if vid == 0:
             return None
-        return vid - 1, self._dirs[vid - 1]
+        return vid - 1, self.pattern[(vid - 1) % len(self.pattern)]
 
     def dir_dim(self, d: Direction):
         return QQ(self.spec.factors[d.factor].dimq)

@@ -29,9 +29,10 @@ from .fusion import (
     ORTHOGONAL,
     a_param,
     ao_dims,
+    dual_direction,
     format_irrep,
-    format_spec,
     parse_spec,
+    single_ao_dimq,
 )
 from .scalars import QQ, Interval
 
@@ -99,19 +100,13 @@ class Reporter:
         self.row(quantity, iv.lo, iv.hi, tail=tail, anchor=anchor, **params)
 
 
-def _single_ao_dimq(spec):
-    if len(spec.factors) == 1 and spec.factors[0].kind == ORTHOGONAL:
-        return spec.factors[0].dimq
-    raise QCayleyError(f"this command needs a single Ao factor, got {format_spec(spec)}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_dims(args, out) -> int:
     spec = parse_spec(args.spec)
-    dimq = _single_ao_dimq(spec)
+    dimq = single_ao_dimq(spec)
     dims = ao_dims(dimq, args.count)
     if args.format == "csv":
         out.write(",".join(_exact_str(d) for d in dims) + "\n")
@@ -137,7 +132,6 @@ def cmd_tree(args, out) -> int:
     for p, c, d in tree.ascending_edges():
         out.write(json.dumps({"src": p, "dst": c, "dir": dir_name[d], "ascending": True},
                              sort_keys=True) + "\n")
-        from .fusion import dual_direction
         out.write(json.dumps({"src": c, "dst": p, "dir": dir_name[dual_direction(spec, d)],
                               "ascending": False}, sort_keys=True) + "\n")
     return 0
@@ -148,16 +142,9 @@ def cmd_paths(args, out) -> int:
     tree = build_tree(spec, args.radius, max_vertices=args.max_vertices)
     rep = Reporter(args.format, out, "paths", args.spec)
     for v in range(tree.n_vertices):
-        if args.mode == "float":
-            val = sum(2.0 / float(tree.dir_dim(tree.directions[tree._pdir[c]]))
-                      / float(tree.dim(tree._parent[c])) / float(tree.dim(c))
-                      for c in tree.geodesic_ids(v)[1:])
-            rep.row("path_norm_sq", Fraction(val), anchor="path-norm",
-                    vertex=v, length=tree.length(v))
-        else:
-            nsq = qt.path_norm_sq(tree, v, unit_weights=args.unit_weights)
-            rep.row("path_norm_sq", nsq, exact=nsq, anchor="path-norm",
-                    vertex=v, length=tree.length(v))
+        nsq = qt.path_norm_sq(tree, v, unit_weights=args.unit_weights)
+        rep.row("path_norm_sq", nsq, exact=nsq, anchor="path-norm",
+                vertex=v, length=tree.length(v))
     return 0
 
 
@@ -222,7 +209,7 @@ def cmd_growth(args, out) -> int:
 
 def cmd_rd_norm(args, out) -> int:
     spec = parse_spec(args.spec)
-    dimq = _single_ao_dimq(spec)
+    dimq = single_ao_dimq(spec)
     s = QQ(Fraction(args.s))
     rep = Reporter(args.format, out, "rd-norm", args.spec)
     if args.r is not None:
@@ -231,13 +218,6 @@ def cmd_rd_norm(args, out) -> int:
         quantity = "weighted_norm_sq"
         anchor = "weighted-decay-series"
         params = dict(s=str(s), r=str(r), radius=args.radius)
-    elif args.mode == "float":
-        dims = [float(d) for d in ao_dims(dimq, args.radius + 2)]
-        val = 2 / dims[1] * sum((i + 2) ** (2 * float(Fraction(args.s)))
-                                / (dims[i] * dims[i + 1]) for i in range(args.radius + 1))
-        rep.row("rd_norm_sq", Fraction(val), anchor="rapid-decay-series",
-                s=str(s), radius=args.radius, mode="float")
-        return 0
     else:
         res = est.rd_norm_sq(dimq, s, args.radius)
         quantity = "rd_norm_sq"
@@ -302,41 +282,44 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file with default option values; flags win")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, spec=True):
-        sp.add_argument("--format", choices=("json", "csv"), default=None)
-        sp.add_argument("--output", default=None, help="write the report to this path")
-        sp.add_argument("--mode", choices=("exact", "float"), default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tolerance", default=None,
-                        help="growth-parameter enclosure width, e.g. 1e-30")
-        if spec:
-            sp.add_argument("--spec", default=None, help='e.g. "Ao(3)" or "Ao(3)*Au(3)"')
+    shared = {
+        "format": dict(choices=("json", "csv")),
+        "seed": dict(type=int),
+        "tolerance": dict(help="growth-parameter enclosure width, e.g. 1e-30"),
+        "spec": dict(help='e.g. "Ao(3)" or "Ao(3)*Au(3)"'),
+    }
+
+    def common(sp, *flags):
+        """--output plus the shared flags this subcommand reads."""
+        sp.add_argument("--output", help="write the report to this path")
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **shared[flag])
 
     sp = sub.add_parser("dims", help="quantum dimension sequence of an Ao factor")
-    common(sp)
+    common(sp, "format", "spec")
     sp.add_argument("--count", type=int)
     sp.set_defaults(fn=cmd_dims, _defaults={"count": 10})
 
     sp = sub.add_parser("tree", help="dump vertices and directed edges as JSON lines")
-    common(sp)
+    common(sp, "spec")
     sp.add_argument("--radius", type=int)
     sp.add_argument("--max-vertices", type=int)
     sp.set_defaults(fn=cmd_tree, _defaults={"radius": 4, "max_vertices": 200_000})
 
     sp = sub.add_parser("paths", help="squared path-vector norms per vertex")
-    common(sp)
+    common(sp, "format", "spec")
     sp.add_argument("--radius", type=int)
     sp.add_argument("--max-vertices", type=int)
     sp.add_argument("--unit-weights", action="store_true")
     sp.set_defaults(fn=cmd_paths, _defaults={"radius": 6, "max_vertices": 200_000})
 
     sp = sub.add_parser("fixed-vector", help="truncated infinite-geodesic path vector")
-    common(sp)
+    common(sp, "format", "spec")
     sp.add_argument("--radius", type=int)
     sp.set_defaults(fn=cmd_fixed_vector, _defaults={"radius": 40})
 
     sp = sub.add_parser("gram", help="certified Gram entries of the inverse series")
-    common(sp)
+    common(sp, "format", "spec")
     sp.add_argument("--kmax", type=int)
     sp.add_argument("--k", type=int)
     sp.add_argument("--l", type=int)
@@ -344,43 +327,43 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_gram, _defaults={"kmax": 10, "radius": 40})
 
     sp = sub.add_parser("growth", help="linear-growth lower bounds for Au powers")
-    common(sp)
+    common(sp, "format", "spec")
     sp.add_argument("--n-max", type=int)
     sp.set_defaults(fn=cmd_growth, _defaults={"n_max": 8})
 
     sp = sub.add_parser("rd-norm", help="rapid-decay norm series (weighted with --r)")
-    common(sp)
+    common(sp, "format", "spec")
     sp.add_argument("--s", help="Sobolev exponent; 2s must be an integer")
     sp.add_argument("--r", help="weight base for the non-unimodular variant")
     sp.add_argument("--radius", type=int)
     sp.set_defaults(fn=cmd_rd_norm, _defaults={"s": "3", "radius": 60})
 
     sp = sub.add_parser("schur", help="Toeplitz decay-matrix norm vs the Schur bound")
-    common(sp, spec=False)
+    common(sp, "format", "tolerance")
     sp.add_argument("--a", help="rational like 3/2, or growth:DIMQ")
     sp.add_argument("--size", type=int)
     sp.set_defaults(fn=cmd_schur, _defaults={"a": "2", "size": 50})
 
     sp = sub.add_parser("chain-check", help="randomized summation-inequality checks")
-    common(sp, spec=False)
+    common(sp, "format", "seed", "tolerance")
     sp.add_argument("--a")
     sp.add_argument("--count", type=int)
     sp.set_defaults(fn=cmd_chain_check, _defaults={"a": "2", "count": 200})
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
-    common(sp, spec=False)
+    common(sp, "seed")
     sp.add_argument("--profile", choices=tuple(verify_mod.PROFILES))
     sp.set_defaults(fn=cmd_verify, _defaults={"profile": "quick"})
     return p
 
 
-_CONFIG_KEYS = ("format", "output", "mode", "seed", "spec", "radius", "count",
+_CONFIG_KEYS = ("format", "output", "seed", "spec", "radius", "count",
                 "kmax", "n_max", "s", "r", "a", "size", "profile", "max_vertices",
                 "tolerance")
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    defaults = {"format": "json", "mode": "exact", "seed": verify_mod.DEFAULT_SEED}
+    defaults = {"format": "json", "seed": verify_mod.DEFAULT_SEED}
     defaults.update(getattr(args, "_defaults", {}))
     if args.config:
         with open(args.config) as fh:
@@ -392,6 +375,8 @@ def _apply_config(args: argparse.Namespace) -> None:
     for key, value in defaults.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
+    if hasattr(args, "spec") and args.spec is None:
+        raise QCayleyError("--spec is required")
     if getattr(args, "tolerance", None) is not None \
             and QQ(Fraction(str(args.tolerance))) <= 0:
         raise QCayleyError("tolerance must be positive")

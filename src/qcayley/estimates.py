@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GateError
-from .fusion import GrowthParam, a_param, ao_dims, growth_floor
+from .fusion import GrowthParam, a_param, ao_dims, growth_floor, single_ao_dimq
 from .scalars import QQ, Interval, Radical
 
 __all__ = [
@@ -115,22 +115,12 @@ def nonuni_norm_sq(s, r, dimq, radius: int) -> SeriesResult:
     dimq = QQ(dimq)
     if r <= 0:
         raise ValueError("r must be positive")
-    if dimq <= 2:
-        raise GateError(f"dimq = {dimq} <= 2 has growth parameter <= 1; series diverges")
-    growth = a_param(dimq)
-    if not (growth.exact > Radical.from_rational(r)):
+    if not (a_param(dimq).exact > Radical.from_rational(r)):
         raise GateError(
             f"weight base r = {r} is not below the growth parameter a of dimq = {dimq}; "
             "the weighted series is not summable"
         )
-    # a rational floor strictly above r: refine the enclosure until it separates
-    tol = QQ(1, 10**12)
-    rho = a_param(dimq, tol).interval.lo
-    while rho <= r:
-        tol /= QQ(10**6)
-        rho = a_param(dimq, tol).interval.lo
-    if not (rho > 1 and rho + 1 / rho <= dimq):
-        raise RuntimeError(f"growth floor certification failed for dimq = {dimq}")
+    rho = growth_floor(dimq, above=r)  # a rational floor strictly above r
 
     dims = ao_dims(dimq, radius + 4)
     m1 = dims[1]
@@ -282,18 +272,9 @@ def orientation_chain_check(a, xs: Sequence, tighten=QQ(1)) -> ChainCheckResult:
 # shift-norm scalars on the half line
 # ---------------------------------------------------------------------------
 
-def _half_line_dimq(source):
-    from .fusion import ORTHOGONAL, QuantumGroupSpec
-
-    spec = source if isinstance(source, QuantumGroupSpec) else source.spec
-    if len(spec.factors) != 1 or spec.factors[0].kind != ORTHOGONAL:
-        raise GateError("half-line scalars require a single orthogonal factor")
-    return spec.factors[0].dimq
-
-
 def s_norm_ratio(source, l: int, j: int) -> Radical:
     """Exact norm sqrt(m_l m_{l-1} / (m_j m_{j+1})) of the orientation shift block."""
-    dimq = _half_line_dimq(source)
+    dimq = single_ao_dimq(source)
     if not 1 <= l <= j + 1:
         raise ValueError(f"need 1 <= l <= j+1, got l={l}, j={j}")
     dims = ao_dims(dimq, j + 2)

@@ -42,6 +42,7 @@ __all__ = [
     "GrowthParam",
     "parse_spec",
     "format_spec",
+    "single_ao_dimq",
     "a_param",
     "growth_floor",
     "ao_dims",
@@ -240,6 +241,15 @@ def format_spec(spec: QuantumGroupSpec) -> str:
     return "*".join(f"{f.kind}({_format_rational(f.dimq)})" for f in spec.factors)
 
 
+def single_ao_dimq(source) -> object:
+    """Generator dimension of a single Ao factor, the domain of every half-line
+    operation; `source` is a spec or anything with a `.spec` (a tree, a ray)."""
+    spec = source if isinstance(source, QuantumGroupSpec) else source.spec
+    if len(spec.factors) != 1 or spec.factors[0].kind != ORTHOGONAL:
+        raise GateError(f"half-line operations need a single Ao factor, got {format_spec(spec)}")
+    return spec.factors[0].dimq
+
+
 # ---------------------------------------------------------------------------
 # growth parameter and dimension sequences
 # ---------------------------------------------------------------------------
@@ -276,13 +286,16 @@ def a_param(dimq, tol=_DEFAULT_TOL) -> GrowthParam:
         bits *= 2
 
 
-def growth_floor(dimq) -> object:
+def growth_floor(dimq, above=None) -> object:
     """Rational rho with 1 < rho <= a used as a certified per-step growth ratio.
 
     Every ascending tree edge inside a factor of generator dimension dimq
     multiplies the quantum dimension by at least rho: the base step has
     ratio dimq >= rho, and ratio r >= rho forces the next ratio
     dimq - 1/r >= dimq - 1/rho >= rho because rho + 1/rho <= dimq.
+
+    With `above`, the enclosure of a is refined until rho > above; the
+    caller must have shown above < a, or the refinement never ends.
     """
     dimq = QQ(dimq)
     if dimq <= 2:
@@ -290,7 +303,11 @@ def growth_floor(dimq) -> object:
             f"generator quantum dimension {dimq} <= 2 excluded: the exceptional "
             "generators of dimension 1 and 2 have no geometric dimension growth"
         )
-    rho = a_param(dimq, tol=QQ(1, 10**12)).interval.lo
+    tol = QQ(1, 10**12)
+    rho = a_param(dimq, tol).interval.lo
+    while above is not None and rho <= above:
+        tol /= QQ(10**6)
+        rho = a_param(dimq, tol).interval.lo
     # certified inductive step; both hold because rho < a
     if not (rho > 1 and rho + 1 / rho <= dimq):
         raise RuntimeError(f"growth floor certification failed for dimq = {dimq}")
@@ -349,10 +366,6 @@ def quantum_dim(spec: QuantumGroupSpec, alpha: Irrep):
     for letter in alpha.word:
         out *= letter_dim(spec, letter)
     return out
-
-
-def direction_dim(spec: QuantumGroupSpec, d: Direction):
-    return QQ(spec.factors[d.factor].dimq)
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,7 @@ from typing import Optional
 
 from .cayley import CayleyTree, GeodesicRay, canonical_ray_pattern
 from .errors import GateError
-from .fusion import (
-    ORTHOGONAL,
-    Irrep,
-    QuantumGroupSpec,
-    a_param,
-    ao_dims,
-    growth_floor,
-)
+from .fusion import Irrep, a_param, ao_dims, growth_floor, single_ao_dimq
 from .scalars import QQ, Interval, Radical, sqrt_rational
 
 __all__ = [
@@ -185,32 +178,33 @@ def _edge_data(tree, child_vid: int, unit_weights: bool):
     return tree.dim(pvid), tree.dim(child_vid), tree.dir_dim(direction), pvid
 
 
+def _bump(out: dict, key, value) -> None:
+    """out[key] += value, dropping the key when the sum cancels."""
+    cur = out.get(key)
+    s = value if cur is None else cur + value
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
 def e2(tree, vec, unit_weights: bool = False) -> VertexVector:
     """Target map: antisymmetric or oriented edge vectors to vertex vectors."""
     out: dict = {}
-
-    def bump(vid, value):
-        cur = out.get(vid)
-        s = value if cur is None else cur + value
-        if s.is_zero():
-            out.pop(vid, None)
-        else:
-            out[vid] = s
-
     if isinstance(vec, GeomEdgeVector):
         for c, coeff in vec.items():
             ma, mb, mg, p = _edge_data(tree, c, unit_weights)
             factor = sqrt_rational(mg * _HALF)
-            bump(c, coeff * factor * sqrt_rational(ma / mb))
-            bump(p, -(coeff * factor * sqrt_rational(mb / ma)))
+            _bump(out, c, coeff * factor * sqrt_rational(ma / mb))
+            _bump(out, p, -(coeff * factor * sqrt_rational(mb / ma)))
         return VertexVector(out)
     if isinstance(vec, OrientedEdgeVector):
         for (c, sign), coeff in vec.items():
             ma, mb, mg, p = _edge_data(tree, c, unit_weights)
             if sign > 0:  # edge (parent -> child): target is the child
-                bump(c, coeff * sqrt_rational(ma * mg / mb))
+                _bump(out, c, coeff * sqrt_rational(ma * mg / mb))
             else:  # reversed edge: target is the parent
-                bump(p, coeff * sqrt_rational(mb * mg / ma))
+                _bump(out, p, coeff * sqrt_rational(mb * mg / ma))
         return VertexVector(out)
     raise TypeError("e2 expects a GeomEdgeVector or OrientedEdgeVector")
 
@@ -220,21 +214,12 @@ def o_source(tree, vec: OrientedEdgeVector, unit_weights: bool = False) -> Verte
     if not isinstance(vec, OrientedEdgeVector):
         raise TypeError("o_source expects an OrientedEdgeVector")
     out: dict = {}
-
-    def bump(vid, value):
-        cur = out.get(vid)
-        s = value if cur is None else cur + value
-        if s.is_zero():
-            out.pop(vid, None)
-        else:
-            out[vid] = s
-
     for (c, sign), coeff in vec.items():
         ma, mb, mg, p = _edge_data(tree, c, unit_weights)
         if sign > 0:  # source is the parent
-            bump(p, coeff * sqrt_rational(mb * mg / ma))
+            _bump(out, p, coeff * sqrt_rational(mb * mg / ma))
         else:
-            bump(c, coeff * sqrt_rational(ma * mg / mb))
+            _bump(out, c, coeff * sqrt_rational(ma * mg / mb))
     return VertexVector(out)
 
 
@@ -254,13 +239,7 @@ def antisymmetrize(tree, vec: OrientedEdgeVector) -> GeomEdgeVector:
     """Orthogonal projection onto antisymmetric vectors, in the geometric basis."""
     out: dict = {}
     for (c, sign), coeff in vec.items():
-        term = coeff * _SQRT_HALF if sign > 0 else -(coeff * _SQRT_HALF)
-        cur = out.get(c)
-        s = term if cur is None else cur + term
-        if s.is_zero():
-            out.pop(c, None)
-        else:
-            out[c] = s
+        _bump(out, c, coeff * _SQRT_HALF if sign > 0 else -(coeff * _SQRT_HALF))
     return GeomEdgeVector(out)
 
 
@@ -336,8 +315,19 @@ class TailCertificate:
     growth_floor: object
 
 
-def _spec_of(source) -> QuantumGroupSpec:
-    return source if isinstance(source, QuantumGroupSpec) else source.spec
+def _geometric_tail(first, rho, start: int):
+    """(bound, certificate) for a tail whose terms shrink by 1/rho^2 per step from `first`."""
+    ratio = 1 / (rho * rho)
+    return first / (1 - ratio), TailCertificate(ratio=ratio, start=start, growth_floor=rho)
+
+
+def _deep_tree(source, steps: int):
+    """`source` when it is a CayleyTree at least `steps` deep, else None.
+
+    A truncated vector lives on such a tree (keyed by its vertex ids) and on
+    a GeodesicRay (keyed by ray ids) otherwise.
+    """
+    return source if isinstance(source, CayleyTree) and source.radius >= steps else None
 
 
 @dataclass
@@ -349,10 +339,6 @@ class FixedVectorResult:
     radius: int
     basis: object
     certificate: TailCertificate
-
-    def __iter__(self):
-        yield self.vector
-        yield self.tail_bound
 
     @property
     def norm_sq_interval(self) -> Interval:
@@ -369,19 +355,18 @@ def fixed_vector(source, radius: int, pattern=None) -> FixedVectorResult:
     grow too slowly for the defining series to converge (the exceptional
     generators of quantum dimension 1 and 2).
     """
-    spec = _spec_of(source)
+    spec = getattr(source, "spec", source)
     if pattern is None:
         pattern = canonical_ray_pattern(spec)
     used = sorted({d.factor for d in pattern})
     rho = min(growth_floor(spec.factors[f].dimq) for f in used)
     ray = GeodesicRay(spec, pattern, radius + 1)
-
-    basis = source if isinstance(source, CayleyTree) and source.radius >= radius + 1 else ray
-    if basis is not ray and isinstance(source, CayleyTree):
-        # ray ids == tree ids only for the half line; map explicitly otherwise
-        id_of = [source.vertex_id(ray.word(i)) for i in range(radius + 1)]
-    else:
+    basis = _deep_tree(source, radius + 1) or ray
+    if basis is ray:
         id_of = list(range(radius + 1))
+    else:
+        # ray ids == tree ids only for the half line; map explicitly otherwise
+        id_of = [basis.vertex_id(ray.word(i)) for i in range(radius + 1)]
 
     coeffs = {}
     norm_sq = QQ(0)
@@ -396,8 +381,7 @@ def fixed_vector(source, radius: int, pattern=None) -> FixedVectorResult:
 
     mg_min = min(ray.dir_dim(d) for d in pattern)
     m_r, m_r1 = ray.dim(radius), ray.dim(radius + 1)
-    tail = (2 / (mg_min * m_r * m_r1)) / (1 - 1 / (rho * rho))
-    cert = TailCertificate(ratio=1 / (rho * rho), start=radius, growth_floor=rho)
+    tail, cert = _geometric_tail(2 / (mg_min * m_r * m_r1), rho, radius)
 
     # sign audit: termwise E2 sends the truncation to xt_{a_R}/m_R - xi_0,
     # so the truncation approximates a preimage of -xi_0; report the exact
@@ -409,17 +393,16 @@ def fixed_vector(source, radius: int, pattern=None) -> FixedVectorResult:
     return FixedVectorResult(vector, tail, norm_sq, QQ(1) / m_r, radius, basis, cert)
 
 
-def _half_line_dims(source, count: int):
-    spec = _spec_of(source)
-    if len(spec.factors) != 1 or spec.factors[0].kind != ORTHOGONAL:
-        raise GateError("half-line operations require a single orthogonal factor")
-    dimq = spec.factors[0].dimq
+def _invertible_dimq(source):
+    """Generator dimension of a single Ao factor with dimq >= 3, the setting of
+    the half-line inverse series."""
+    dimq = single_ao_dimq(source)
     if dimq < 3:
         raise GateError(
             f"generator quantum dimension {dimq} < 3: the invertibility estimates "
             "assume geometric dimension growth (dimension-2 generators are excluded)"
         )
-    return dimq, ao_dims(dimq, count)
+    return dimq
 
 
 @dataclass
@@ -432,10 +415,6 @@ class InverseResult:
     basis: object
     certificate: TailCertificate
 
-    def __iter__(self):
-        yield self.vector
-        yield self.tail_bound
-
 
 def e2_inverse_ao(source, k: int, radius: int) -> InverseResult:
     """Truncation of the half-line inverse series for E2.
@@ -446,13 +425,12 @@ def e2_inverse_ao(source, k: int, radius: int) -> InverseResult:
     """
     if k < 0 or radius < k:
         raise ValueError("need 0 <= k <= radius")
-    spec = _spec_of(source)
-    dimq, dims = _half_line_dims(source, radius + 3)
+    dimq = _invertible_dimq(source)
+    dims = ao_dims(dimq, radius + 3)
     rho = growth_floor(dimq)
-    if isinstance(source, CayleyTree) and source.radius >= radius + 1:
-        basis = source
-    else:
-        basis = GeodesicRay(spec, canonical_ray_pattern(spec), radius + 1)
+    spec = getattr(source, "spec", source)
+    basis = _deep_tree(source, radius + 1) \
+        or GeodesicRay(spec, canonical_ray_pattern(spec), radius + 1)
 
     m1, mk = dims[1], dims[k]
     coeffs = {}
@@ -460,8 +438,8 @@ def e2_inverse_ao(source, k: int, radius: int) -> InverseResult:
         coeffs[i + 1] = -(mk * sqrt_rational(2 / (m1 * dims[i] * dims[i + 1])))
     vector = GeomEdgeVector(coeffs)
 
-    tail = (2 * mk * mk / (m1 * dims[radius + 1] * dims[radius + 2])) / (1 - 1 / (rho * rho))
-    cert = TailCertificate(ratio=1 / (rho * rho), start=radius, growth_floor=rho)
+    tail, cert = _geometric_tail(2 * mk * mk / (m1 * dims[radius + 1] * dims[radius + 2]),
+                                 rho, radius)
 
     residual = e2(basis, vector) - VertexVector({k: QQ(1)})
     expected = VertexVector({radius + 1: -(mk / dims[radius + 1])})
@@ -478,14 +456,15 @@ def gram(source, k: int, l: int, radius: int) -> Interval:
     j = max(k, l)
     if min(k, l) < 0 or radius < j:
         raise ValueError("need 0 <= k, l <= radius")
-    dimq, dims = _half_line_dims(source, radius + 3)
+    dimq = _invertible_dimq(source)
+    dims = ao_dims(dimq, radius + 3)
     rho = growth_floor(dimq)
     m1 = dims[1]
     weight = 2 * dims[k] * dims[l] / m1
     partial = QQ(0)
     for i in range(j, radius + 1):
         partial += weight / (dims[i] * dims[i + 1])
-    tail = (weight / (dims[radius + 1] * dims[radius + 2])) / (1 - 1 / (rho * rho))
+    tail, _ = _geometric_tail(weight / (dims[radius + 1] * dims[radius + 2]), rho, radius)
     return Interval(partial, partial + tail)
 
 
@@ -497,9 +476,7 @@ def gram_bound(source, kmax: int, radius: Optional[int] = None):
     """
     if radius is None:
         radius = kmax + 40
-    spec = _spec_of(source)
-    dimq, _ = _half_line_dims(source, 2)
-    a_hi = a_param(dimq).interval.hi
+    a_hi = a_param(_invertible_dimq(source)).interval.hi
     best = QQ(0)
     for k in range(kmax + 1):
         for l in range(k, kmax + 1):

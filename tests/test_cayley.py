@@ -122,6 +122,33 @@ def test_ray_patterns_for_mixed_products():
     assert [int(ray.dim(i)) for i in range(5)] == [1, 3, 9, 27, 81]
 
 
+MIXED = parse_spec("Ao(3)*Au(3)")
+PERIOD_LE_2 = [(d,) for d in MIXED.directions] + [
+    (d, e) for d in MIXED.directions for e in MIXED.directions]
+
+
+@pytest.mark.parametrize("pattern", PERIOD_LE_2, ids=str)
+def test_rays_match_tree_vertices(pattern):
+    tree = build_tree(MIXED, 8)
+    ray = GeodesicRay(MIXED, pattern, 8)
+    assert ray.n_vertices == 9
+    v = 0
+    for i in range(9):
+        if i:
+            d = pattern[(i - 1) % len(pattern)]
+            assert ray.parent(i) == (i - 1, d)
+            v = tree.child(v, d)
+        assert ray.word(i) == tree.word(v)
+        assert ray.dim(i) == tree.dim(v)
+
+
+def test_ray_refuses_empty_pattern():
+    with pytest.raises(ValueError, match="empty direction pattern"):
+        GeodesicRay(MIXED, (), 3)
+    with pytest.raises(ValueError, match="empty direction pattern"):
+        next(iter_ray(MIXED, ()))
+
+
 def test_iter_ray_is_unbounded_and_lazy():
     from itertools import islice
 

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from qcayley.cli import main
 
 
@@ -93,10 +95,19 @@ def test_chain_check_command(capsys):
     assert rows[0]["exact"] == "0"
 
 
-def test_float_mode_paths(capsys):
-    code, out, _ = run_cli(capsys, "paths", "--spec", "Ao(3)", "--radius", "4",
-                           "--mode", "float")
-    assert code == 0 and len(out.splitlines()) == 5
+@pytest.mark.parametrize("command", ["dims", "tree", "paths", "fixed-vector", "gram",
+                                     "growth", "rd-norm"])
+def test_missing_spec_is_usage_error(command, capsys):
+    code, out, err = run_cli(capsys, command)
+    assert code == 2 and out == "" and "--spec is required" in err
+
+
+def test_spec_may_come_from_config(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"spec": "Ao(3)"}))
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "dims", "--count", "3",
+                           "--format", "csv")
+    assert code == 0 and out == "1,3,8\n"
 
 
 def test_bad_spec_is_usage_error(capsys):

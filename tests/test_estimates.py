@@ -1,5 +1,6 @@
 """Certified series, Toeplitz bounds, summation-inequality chain."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,20 @@ def test_nonuni_modular_example():
     # Tr F = 7/2 with weight base 2: the growth root ~3.186 clears the gate
     res = nonuni_norm_sq(QQ(3), QQ(2), QQ(7, 2), 80)
     assert res.tail_bound < QQ(1, 10**10)
+
+
+def test_nonuni_frozen_certificate():
+    # recorded when nonuni_norm_sq refined its growth floor inline; the
+    # partial sum (3317 digits) and the tail are pinned by their sha256
+    res = nonuni_norm_sq(3, 2, QQ(7, 2), 80)
+
+    def digest(q):
+        return hashlib.sha256(str(q).encode()).hexdigest()
+
+    assert digest(res.partial) == "095de3be5f205472fba8a16f89907ba807305ec29847cfc56f43860ac83a7042"
+    assert digest(res.tail_bound) == "186654943cf45421e6d28d0684902ee150ac6c4c894323009714521de01db8d4"
+    assert res.ratio == QQ(17348284907821736476756032101531703976178309136384,
+                           40975030229781639707726712525357694401460206674569)
 
 
 def test_nonuni_weight_one_reduces_to_rd():

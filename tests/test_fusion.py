@@ -20,11 +20,15 @@ from qcayley.fusion import (
     format_irrep,
     format_spec,
     fuse_generator,
+    growth_floor,
     irrep_length,
     parse_spec,
     quantum_dim,
 )
 from qcayley.cayley import build_tree
+from qcayley.cli import main
+from qcayley.estimates import s_norm_ratio
+from qcayley.qctree import e2_inverse_ao, gram, gram_bound
 from qcayley.scalars import QQ, Interval
 
 
@@ -124,6 +128,40 @@ def test_a_param_non_unimodular_case():
 def test_a_param_gate():
     with pytest.raises(GateError):
         a_param(QQ(3, 2))
+
+
+@pytest.mark.parametrize("dimq", [QQ(3), QQ(7, 2), QQ(4)])
+def test_growth_floor_above_refines_past_the_bound(dimq):
+    # a lower end of a tighter enclosure than the default floor's forces refinement
+    r = a_param(dimq, QQ(1, 10**20)).interval.lo
+    assert growth_floor(dimq) <= r
+    rho = growth_floor(dimq, above=r)
+    assert rho > r
+    assert rho + 1 / rho <= dimq
+
+
+# -- the single-Ao gate ----------------------------------------------------------
+
+SINGLE_AO_ENTRY_POINTS = {
+    "e2_inverse_ao": lambda spec: e2_inverse_ao(spec, 0, 10),
+    "gram": lambda spec: gram(spec, 0, 0, 10),
+    "gram_bound": lambda spec: gram_bound(spec, 2, 10),
+    "s_norm_ratio": lambda spec: s_norm_ratio(spec, 1, 1),
+    "cli dims": ["dims"],
+    "cli rd-norm": ["rd-norm"],
+}
+
+
+@pytest.mark.parametrize("text", ["Au(3)", "Ao(3)*Ao(3)"])
+@pytest.mark.parametrize("entry", sorted(SINGLE_AO_ENTRY_POINTS))
+def test_single_ao_gate_refuses(entry, text, capsys):
+    target = SINGLE_AO_ENTRY_POINTS[entry]
+    if isinstance(target, list):
+        assert main(target + ["--spec", text]) == 2
+        assert "single Ao factor" in capsys.readouterr().err
+    else:
+        with pytest.raises(GateError, match="single Ao factor"):
+            target(parse_spec(text))
 
 
 # -- dimension sequences -------------------------------------------------------
