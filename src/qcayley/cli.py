@@ -164,8 +164,14 @@ def cmd_fixed_vector(args, out) -> int:
 
 def cmd_gram(args, out) -> int:
     spec = parse_spec(args.spec)
+    if (args.k is None) != (args.l is None):
+        raise QCayleyError("--k and --l must be given together")
+    if args.kmax < 0:
+        raise QCayleyError("--kmax must be >= 0")
+    if args.k is None and args.radius < args.kmax:
+        raise QCayleyError("--radius must be >= --kmax")  # else the table stops half printed
     rep = Reporter(args.format, out, "gram", args.spec)
-    if args.k is not None and args.l is not None:
+    if args.k is not None:
         iv = qt.gram(spec, args.k, args.l, args.radius)
         rep.interval_row("gram_entry", iv, tail=iv.width, anchor="gram-entry-series",
                          k=args.k, l=args.l, radius=args.radius)

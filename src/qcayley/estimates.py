@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import GateError
 from .fusion import GrowthParam, a_param, ao_dims, growth_floor, single_ao_dimq
 from .scalars import QQ, Interval, Radical
@@ -171,6 +169,8 @@ def truncated_toeplitz_norm(a, size: int, power_iters: int = 200) -> Interval:
     eigenvalue bounds min/max of (Ax)_i / x_i for entrywise nonnegative
     symmetric matrices).
     """
+    import numpy as np  # here, not at module level: ~14 MB that only this search needs
+
     ia = _as_interval(a)
     if not ia.lo > 1:
         raise ValueError(f"need a > 1, got enclosure {ia}")

@@ -73,8 +73,8 @@ class FactorSpec:
         if self.kind not in (ORTHOGONAL, UNITARY):
             raise ValueError(f"unknown factor kind {self.kind!r}")
         object.__setattr__(self, "dimq", QQ(self.dimq))
-        if self.dimq < 1:
-            raise ValueError("dimq below 1")
+        if self.dimq < 2:
+            raise ValueError("dimq below 2: Ao and Au generators have quantum dimension >= 2")
 
 
 @dataclass(frozen=True)
@@ -220,8 +220,8 @@ def parse_spec(text: str) -> QuantumGroupSpec:
             dimq = rational(number)
         except (ValueError, ZeroDivisionError):
             raise SpecSyntaxError(f"bad rational literal {number!r}", i) from None
-        if dimq < 1:
-            raise SpecSyntaxError("dimq below 1", i)
+        if dimq < 2:
+            raise SpecSyntaxError("dimq below 2", i)
         factors.append(FactorSpec(kind, dimq))
         i = skip_ws(close + 1)
         if i >= n:

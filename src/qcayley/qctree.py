@@ -55,7 +55,7 @@ __all__ = [
     "gram_bound",
 ]
 
-_HALF = QQ(1, 2)
+_MINUS_ONE = Radical.from_rational(-1)
 
 
 class _SparseVector:
@@ -73,6 +73,13 @@ class _SparseVector:
             self._coeffs = cleaned
         else:
             self._coeffs = {}
+
+    @classmethod
+    def _of(cls, coeffs: dict):
+        """Wrap `coeffs` as it is: every value must already be a nonzero Radical."""
+        new = cls.__new__(cls)
+        new._coeffs = coeffs
+        return new
 
     @classmethod
     def unit(cls, key):
@@ -108,14 +115,10 @@ class _SparseVector:
                     del out[k]
                 else:
                     out[k] = s
-        new = type(self).__new__(type(self))
-        new._coeffs = out
-        return new
+        return self._of(out)
 
     def __neg__(self):
-        new = type(self).__new__(type(self))
-        new._coeffs = {k: -v for k, v in self._coeffs.items()}
-        return new
+        return self._of({k: -v for k, v in self._coeffs.items()})
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -126,9 +129,7 @@ class _SparseVector:
         f = factor if isinstance(factor, Radical) else Radical.from_rational(factor)
         if f.is_zero():
             return type(self)()
-        new = type(self).__new__(type(self))
-        new._coeffs = {k: v * f for k, v in self._coeffs.items()}
-        return new
+        return self._of({k: v * f for k, v in self._coeffs.items()})
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -188,24 +189,33 @@ def _bump(out: dict, key, value) -> None:
         out[key] = s
 
 
+def _edge_ratios(tree, child_vid: int, unit_weights: bool):
+    """(parent_vid, gn, gd, u, v) of the edge below child_vid, all positive ints:
+    m_gamma = gn/gd and m_parent/m_child = u/v.
+    """
+    ma, mb, mg, p = _edge_data(tree, child_vid, unit_weights)
+    return (p, mg.numerator, mg.denominator,
+            ma.numerator * mb.denominator, ma.denominator * mb.numerator)
+
+
 def e2(tree, vec, unit_weights: bool = False) -> VertexVector:
     """Target map: antisymmetric or oriented edge vectors to vertex vectors."""
     out: dict = {}
     if isinstance(vec, GeomEdgeVector):
         for c, coeff in vec.items():
-            ma, mb, mg, p = _edge_data(tree, c, unit_weights)
-            factor = sqrt_rational(mg * _HALF)
-            _bump(out, c, coeff * factor * sqrt_rational(ma / mb))
-            _bump(out, p, -(coeff * factor * sqrt_rational(mb / ma)))
-        return VertexVector(out)
+            p, gn, gd, u, v = _edge_ratios(tree, c, unit_weights)
+            # sqrt(m_g/2) * sqrt(m_a/m_b) and sqrt(m_g/2) * sqrt(m_b/m_a)
+            _bump(out, c, coeff.times_sqrt(gn * u, 2 * gd * v))
+            _bump(out, p, -coeff.times_sqrt(gn * v, 2 * gd * u))
+        return VertexVector._of(out)
     if isinstance(vec, OrientedEdgeVector):
         for (c, sign), coeff in vec.items():
-            ma, mb, mg, p = _edge_data(tree, c, unit_weights)
+            p, gn, gd, u, v = _edge_ratios(tree, c, unit_weights)
             if sign > 0:  # edge (parent -> child): target is the child
-                _bump(out, c, coeff * sqrt_rational(ma * mg / mb))
+                _bump(out, c, coeff.times_sqrt(gn * u, gd * v))
             else:  # reversed edge: target is the parent
-                _bump(out, p, coeff * sqrt_rational(mb * mg / ma))
-        return VertexVector(out)
+                _bump(out, p, coeff.times_sqrt(gn * v, gd * u))
+        return VertexVector._of(out)
     raise TypeError("e2 expects a GeomEdgeVector or OrientedEdgeVector")
 
 
@@ -215,12 +225,12 @@ def o_source(tree, vec: OrientedEdgeVector, unit_weights: bool = False) -> Verte
         raise TypeError("o_source expects an OrientedEdgeVector")
     out: dict = {}
     for (c, sign), coeff in vec.items():
-        ma, mb, mg, p = _edge_data(tree, c, unit_weights)
+        p, gn, gd, u, v = _edge_ratios(tree, c, unit_weights)
         if sign > 0:  # source is the parent
-            _bump(out, p, coeff * sqrt_rational(mb * mg / ma))
+            _bump(out, p, coeff.times_sqrt(gn * v, gd * u))
         else:
-            _bump(out, c, coeff * sqrt_rational(ma * mg / mb))
-    return VertexVector(out)
+            _bump(out, c, coeff.times_sqrt(gn * u, gd * v))
+    return VertexVector._of(out)
 
 
 def theta(tree, vec):
@@ -232,7 +242,7 @@ def theta(tree, vec):
     raise TypeError("theta expects an edge vector")
 
 
-_SQRT_HALF = sqrt_rational(_HALF)
+_SQRT_HALF = sqrt_rational(QQ(1, 2))
 
 
 def antisymmetrize(tree, vec: OrientedEdgeVector) -> GeomEdgeVector:
@@ -240,7 +250,7 @@ def antisymmetrize(tree, vec: OrientedEdgeVector) -> GeomEdgeVector:
     out: dict = {}
     for (c, sign), coeff in vec.items():
         _bump(out, c, coeff * _SQRT_HALF if sign > 0 else -(coeff * _SQRT_HALF))
-    return GeomEdgeVector(out)
+    return GeomEdgeVector._of(out)
 
 
 def embed_oriented(tree, vec: GeomEdgeVector) -> OrientedEdgeVector:
@@ -299,7 +309,9 @@ def path_target(tree, alpha, unit_weights: bool = False) -> VertexVector:
     """xt_a / m_a - xt_root: what E2 of the path vector must equal exactly."""
     vid = _resolve_vid(tree, alpha)
     m = QQ(1) if unit_weights else tree.dim(vid)
-    return VertexVector({vid: QQ(1) / m}) - VertexVector({0: QQ(1)})
+    if vid == 0:
+        return VertexVector({0: QQ(1) / m - 1})
+    return VertexVector._of({vid: Radical({1: QQ(m.denominator, m.numerator)}), 0: _MINUS_ONE})
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +367,8 @@ def fixed_vector(source, radius: int, pattern=None) -> FixedVectorResult:
     grow too slowly for the defining series to converge (the exceptional
     generators of quantum dimension 1 and 2).
     """
+    if radius < 0:
+        raise ValueError("need radius >= 0")
     spec = getattr(source, "spec", source)
     if pattern is None:
         pattern = canonical_ray_pattern(spec)

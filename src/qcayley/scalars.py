@@ -279,7 +279,8 @@ class Radical:
     @classmethod
     def sqrt_of(cls, q) -> "Radical":
         """sqrt of a nonnegative rational, exact."""
-        q = QQ(q)
+        if not isinstance(q, QQ):
+            q = QQ(q)
         if q < 0:
             raise ValueError("sqrt of negative rational")
         if q == 0:
@@ -295,6 +296,22 @@ class Radical:
         if r * r == m:
             return cls({1: coeff * r})
         return cls({m: coeff})
+
+    def times_sqrt(self, num: int, den: int) -> "Radical":
+        """self * sqrt(num/den) for positive ints num and den.
+
+        When self is one term c*sqrt(r) and r*num*den = s^2 is a perfect
+        square, the product is the rational c*s/den, found with one integer
+        square root; anything else takes the general product.
+        """
+        terms = self._terms
+        if len(terms) == 1:
+            ((r, c),) = terms.items()
+            n = r * num * den
+            s = isqrt(n)
+            if s * s == n:
+                return Radical({1: QQ(c.numerator * s, c.denominator * den)})
+        return self * Radical.sqrt_of(QQ(num, den))
 
     @staticmethod
     def _coerce(value) -> "Radical":
@@ -454,6 +471,8 @@ class Radical:
     # -- comparisons (exact) ----------------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, Radical) and self._terms == other._terms:
+            return True  # radicands are not canonical, so unequal dicts prove nothing
         if isinstance(other, (Radical, int, Fraction)) or isinstance(other, Rational):
             return (self - other).is_zero()
         return NotImplemented

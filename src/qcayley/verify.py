@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from . import aunitary as au
 from . import estimates as est
 from . import qctree as qt
@@ -248,6 +246,8 @@ def criterion_4(profile: dict, seed: int) -> CriterionResult:
 
     # PSD with interval-safe rounding: eigenvalues of the midpoint matrix,
     # perturbed by the Frobenius bound on the interval half-widths
+    import numpy as np  # here, not at module level: ~14 MB that only this check needs
+
     size = kmax + 1
     mid = np.empty((size, size))
     half_w = np.empty((size, size))

@@ -1,10 +1,14 @@
 """Command-line surface: formats, determinism, exit codes."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qcayley.cli import main
 
@@ -113,7 +117,30 @@ def test_spec_may_come_from_config(tmp_path, capsys):
 def test_bad_spec_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "dims", "--spec", "Ao(0.5)", "--count", "3")
     assert code == 2
-    assert "dimq below 1" in err
+    assert "dimq below 2" in err
+
+
+@pytest.mark.parametrize("dimq", ["1", "3/2", "1.99"])
+def test_dimq_below_two_is_usage_error(dimq, capsys):
+    code, out, err = run_cli(capsys, "paths", "--spec", f"Ao({dimq})", "--radius", "5")
+    assert code == 2 and out == "" and "dimq below 2" in err
+
+
+def test_dimq_two_still_accepted(capsys):
+    code, out, _ = run_cli(capsys, "dims", "--spec", "Ao(2)", "--count", "4", "--format", "csv")
+    assert code == 0 and out == "1,2,3,4\n"
+
+
+def test_fixed_vector_negative_radius_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "fixed-vector", "--spec", "Ao(3)", "--radius", "-1")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("flags", [["--k", "2"], ["--l", "2"], ["--kmax", "-1"],
+                                   ["--kmax", "2", "--radius", "1"]])
+def test_gram_flag_misuse_is_usage_error(flags, capsys):
+    code, out, err = run_cli(capsys, "gram", "--spec", "Ao(3)", *flags)
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_gate_error_surfaced_verbatim(capsys):
@@ -163,3 +190,49 @@ def test_verify_deterministic_bytes():
     second = subprocess.run(cmd, capture_output=True, timeout=600)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
+
+
+_DIMQ_LITERALS = ["0", "1", "3/2", "2", "3", "7/2", "4.5", "-3", "1/0", "x", ""]
+_FUZZ_SPECS = st.one_of(
+    st.lists(st.tuples(st.sampled_from(["Ao", "Au"]), st.sampled_from(_DIMQ_LITERALS)),
+             min_size=1, max_size=2).map(lambda fs: "*".join(f"{k}({d})" for k, d in fs)),
+    st.text(alphabet="Aou()*/.-0123456789 ", max_size=12),
+)
+_SMALL = st.integers(-3, 4)
+
+
+@st.composite
+def _fuzz_argv(draw):
+    spec = draw(_FUZZ_SPECS)
+    command = draw(st.sampled_from(["dims", "tree", "paths", "fixed-vector", "gram",
+                                    "growth", "rd-norm"]))
+    argv = [command, "--spec", spec]
+    if command == "dims":
+        argv += ["--count", str(draw(_SMALL))]
+    elif command == "growth":
+        argv += ["--n-max", str(draw(_SMALL))]
+    elif command == "gram":
+        argv += ["--kmax", str(draw(_SMALL)), "--radius", str(draw(st.integers(-3, 12)))]
+        if draw(st.booleans()):
+            argv += ["--k", str(draw(_SMALL))]
+        if draw(st.booleans()):
+            argv += ["--l", str(draw(_SMALL))]
+    elif command == "rd-norm":
+        argv += ["--radius", str(draw(st.integers(-3, 12)))]
+    else:
+        argv += ["--radius", str(draw(_SMALL))]
+    return argv
+
+
+@given(_fuzz_argv())
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_fuzz_exits_cleanly(argv):
+    """Any spec, radius or dimq literal is computed or refused: exit 0, 1 or 2, no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

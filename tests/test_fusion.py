@@ -52,7 +52,7 @@ def test_parse_rational_and_decimal():
 
 
 def test_parse_dimq_below_one_rejected():
-    with pytest.raises(SpecSyntaxError, match="dimq below 1"):
+    with pytest.raises(SpecSyntaxError, match="dimq below 2"):
         parse_spec("Ao(0.5)")
 
 
@@ -76,7 +76,7 @@ def test_parse_tolerates_whitespace():
 
 
 @given(st.lists(st.tuples(st.sampled_from(["Ao", "Au"]),
-                          st.fractions(min_value=1, max_value=50, max_denominator=12)),
+                          st.fractions(min_value=2, max_value=50, max_denominator=12)),
                 min_size=1, max_size=4))
 @settings(max_examples=50)
 def test_round_trip_property(factors):

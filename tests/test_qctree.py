@@ -72,6 +72,49 @@ def test_e2_matches_unnormalized_oracle_everywhere():
             assert e2(tree, GeomEdgeVector.unit(child)) == _oracle_e2_unit_edge(tree, child)
 
 
+def _coefficient_cases(tree, child):
+    """A path coefficient (every image rational), a single-term coefficient whose
+    images stay irrational, and a multi-term coefficient."""
+    pvid, d = tree.parent(child)
+    ma, mb, mg = tree.dim(pvid), tree.dim(child), tree.dir_dim(d)
+    return (sqrt_rational(2 / (mg * ma * mb)),
+            QQ(3, 7) * sqrt_rational(QQ(5, 11)),
+            1 + QQ(2, 3) * sqrt_rational(2))
+
+
+@pytest.mark.parametrize("text", ["Ao(3)*Au(3)", "Ao(7/2)*Au(3)"])
+def test_edge_maps_match_general_product(text):
+    tree = build_tree(parse_spec(text), 3)
+    for child in range(1, tree.n_vertices):
+        pvid, d = tree.parent(child)
+        ma, mb, mg = tree.dim(pvid), tree.dim(child), tree.dir_dim(d)
+        up, down = mg * ma / mb, mg * mb / ma
+        for n, coeff in enumerate(_coefficient_cases(tree, child)):
+            img = e2(tree, GeomEdgeVector({child: coeff}))
+            assert img == VertexVector({child: coeff * Radical.sqrt_of(up / 2),
+                                        pvid: -(coeff * Radical.sqrt_of(down / 2))})
+            assert (n == 0) == all(v.is_rational for _, v in img.items())
+            ascending = OrientedEdgeVector({(child, 1): coeff})
+            descending = OrientedEdgeVector({(child, -1): coeff})
+            assert e2(tree, ascending) == VertexVector({child: coeff * Radical.sqrt_of(up)})
+            assert e2(tree, descending) == VertexVector({pvid: coeff * Radical.sqrt_of(down)})
+            assert o_source(tree, ascending) == VertexVector({pvid: coeff * Radical.sqrt_of(down)})
+            assert o_source(tree, descending) == VertexVector({child: coeff * Radical.sqrt_of(up)})
+        half = Radical.sqrt_of(QQ(1, 2))
+        assert e2(tree, GeomEdgeVector.unit(child), unit_weights=True) \
+            == VertexVector({child: half, pvid: -half})
+
+
+def test_path_target_entries():
+    tree = build_tree(parse_spec("Ao(7/2)*Au(3)"), 2)
+    assert path_target(tree, 0).is_zero()
+    for vid in range(1, tree.n_vertices):
+        target = path_target(tree, vid)
+        assert dict(target.items()) == {vid: Radical.from_rational(1 / QQ(tree.dim(vid))),
+                                        0: Radical.from_rational(-1)}
+        assert path_target(tree, vid, unit_weights=True) == VertexVector({vid: 1, 0: -1})
+
+
 # -- reversal, antisymmetrization, source map ----------------------------------
 
 def test_theta_swaps_orientations_and_squares_to_identity():
@@ -178,6 +221,11 @@ def test_fixed_vector_half_line_bounds():
 def test_fixed_vector_dimension_two_refused():
     with pytest.raises(GateError, match="dimension"):
         fixed_vector(parse_spec("Ao(2)"), 10)
+
+
+def test_fixed_vector_negative_radius_refused():
+    with pytest.raises(ValueError, match="radius"):
+        fixed_vector(AO3, -1)
 
 
 def test_fixed_vector_unitary_ray_converges():

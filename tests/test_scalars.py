@@ -120,3 +120,76 @@ def test_radical_equal_values_hash_equal():
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
     assert hash(Radical.from_rational(QQ(7, 3))) == hash(QQ(7, 3))
+
+
+def _general_product(x, num, den):
+    return x * Radical.sqrt_of(QQ(num, den))
+
+
+@pytest.mark.parametrize("x, num, den", [
+    (Radical.sqrt_of(QQ(2, 3)), 3, 2),          # sqrt(2/3) * sqrt(3/2) = 1
+    (QQ(5, 7) * Radical.sqrt_of(6), 3, 8),      # (5/7) sqrt(6) * sqrt(3/8) = 15/14
+    (Radical.sqrt_of(578), 2, 9),               # radicand 578 = 17^2 * 2 kept unstripped
+    (Radical.from_rational(QQ(-4, 3)), 9, 4),   # a rational coefficient, radicand 1
+    (Radical.sqrt_of(2), 1, 2),                 # sqrt(2) * sqrt(1/2) = 1
+    (QQ(2, 5) * Radical.sqrt_of(3), 3, 1),      # (2/5) sqrt(3) * sqrt(3) = 6/5
+])
+def test_times_sqrt_single_term_collapses(x, num, den):
+    got = x.times_sqrt(num, den)
+    assert got.is_rational
+    assert got == _general_product(x, num, den)
+    assert repr(got) == repr(_general_product(x, num, den))
+
+
+@pytest.mark.parametrize("x, num, den", [
+    (Radical.sqrt_of(2), 3, 1),
+    (QQ(-3, 5) * Radical.sqrt_of(7), 2, 5),
+    (Radical.from_rational(QQ(1, 2)), 5, 3),
+])
+def test_times_sqrt_single_term_irrational(x, num, den):
+    got = x.times_sqrt(num, den)
+    assert not got.is_rational
+    assert repr(got) == repr(_general_product(x, num, den))
+
+
+@pytest.mark.parametrize("x, num, den", [
+    (1 + Radical.sqrt_of(2), 2, 1),
+    (Radical.sqrt_of(3) - QQ(2, 7) * Radical.sqrt_of(5), 15, 4),
+    (Radical.sqrt_of(2) + Radical.sqrt_of(3), 6, 1),
+])
+def test_times_sqrt_multi_term(x, num, den):
+    assert repr(x.times_sqrt(num, den)) == repr(_general_product(x, num, den))
+
+
+def test_times_sqrt_of_zero():
+    assert Radical({}).times_sqrt(3, 2).is_zero()
+
+
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=30).filter(bool),
+       st.integers(1, 60), st.integers(1, 400), st.integers(1, 400))
+@settings(max_examples=80)
+def test_times_sqrt_matches_general_product(c, rad, num, den):
+    x = QQ(c) * Radical.sqrt_of(rad)
+    got = x.times_sqrt(num, den)
+    assert got == _general_product(x, num, den)
+    assert repr(got) == repr(_general_product(x, num, den))
+
+
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=30).filter(bool),
+       st.integers(1, 60), st.integers(1, 12), st.integers(1, 40))
+@settings(max_examples=80)
+def test_times_sqrt_collapse_property(c, rad, k, den):
+    x = QQ(c) * Radical.sqrt_of(rad)
+    ((r, _),) = x._terms.items()
+    got = x.times_sqrt(r * k * k * den, den)  # r * num * den = (r*k*den)^2
+    assert got.is_rational
+    assert got == _general_product(x, r * k * k * den, den)
+
+
+def test_eq_identical_terms_and_uncanonical_radicands():
+    a = QQ(3, 4) * Radical.sqrt_of(5) + 1
+    assert a == Radical(dict(a._terms))
+    # unequal term dicts with equal values still compare equal
+    assert Radical.sqrt_of(578) == 17 * Radical.sqrt_of(2)
+    assert Radical.sqrt_of(578) != 17 * Radical.sqrt_of(3)
+    assert Radical.sqrt_of(578) != Radical.sqrt_of(2)
