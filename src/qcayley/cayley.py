@@ -68,12 +68,12 @@ def _direction_steps(spec: QuantumGroupSpec, alpha: Irrep) -> list[Direction]:
 
 
 class CayleyTree:
-    """Rooted, direction-labelled tree of irreducibles up to a radius."""
+    """Rooted, direction-labelled tree of irreducibles up to a radius: the whole
+    ball (`build_tree`) or the path along one geodesic (`GeodesicRay`)."""
 
-    def __init__(self, spec, radius, parent, pdir, length, dims, cap):
+    def __init__(self, spec, radius, parent, pdir, length, dims):
         self.spec = spec
         self.radius = radius
-        self.cap = cap
         self.directions = spec.directions
         self._parent = parent
         self._pdir = pdir
@@ -118,7 +118,7 @@ class CayleyTree:
         return self._parent[vid], self.directions[self._pdir[vid]]
 
     def dir_dim(self, d: Direction):
-        return QQ(self.spec.factors[d.factor].dimq)
+        return self.spec.factors[d.factor].dimq  # already an exact rational
 
     def child(self, vid: int, d: Direction) -> int:
         idx = self.directions.index(d)
@@ -280,7 +280,7 @@ def build_tree(spec: QuantumGroupSpec, radius: int,
     parent, pdir, length, dims = _bfs_tree(spec, m1s, radius, max_vertices)
     if all_int:
         dims = [QQ(d) for d in dims]
-    return CayleyTree(spec, radius, parent, pdir, length, dims, max_vertices)
+    return CayleyTree(spec, radius, parent, pdir, length, dims)
 
 
 def geodesic(tree: CayleyTree, alpha: Union[Irrep, int]) -> list[Edge]:
@@ -381,45 +381,23 @@ def iter_ray(spec: QuantumGroupSpec, pattern=None):
         prev_word, prev_dim, word, dim = word, dim, summands[-1], nxt
 
 
-class GeodesicRay:
-    """Finite prefix of an infinite geodesic, shaped like a path tree.
+class GeodesicRay(CayleyTree):
+    """Finite prefix of an infinite geodesic: the path tree of its first `steps` edges.
 
-    Vertex ids are 0..steps; exposes the same accessors the vector operations
-    need (dim, parent, length, word), so path and fixed-vector computations
-    can run far beyond any materializable tree radius.
+    Vertex i is the ray vertex at distance i from the root, so path and
+    fixed-vector computations can run far beyond any materializable tree radius.
     """
 
     def __init__(self, spec: QuantumGroupSpec, pattern, steps: int):
-        self.spec = spec
         self.pattern = tuple(pattern)
-        self.directions = spec.directions
         walk = list(islice(iter_ray(spec, self.pattern), max(steps, 0) + 1))
+        n = len(walk)
+        codes = [spec.directions.index(d) for d in self.pattern]
+        pdir = array("h", [-1])
+        pdir.extend(islice(cycle(codes), n - 1))
+        super().__init__(spec, n - 1, array("q", range(-1, n - 1)), pdir,
+                         array("i", range(n)), [m for _, m in walk])
         self._words = [w for w, _ in walk]
-        self._dims = [m for _, m in walk]
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self._words)
-
-    def dim(self, vid: int):
-        return self._dims[vid]
-
-    def length(self, vid: int) -> int:
-        return vid
-
-    def parent(self, vid: int):
-        if vid == 0:
-            return None
-        return vid - 1, self.pattern[(vid - 1) % len(self.pattern)]
-
-    def dir_dim(self, d: Direction):
-        return QQ(self.spec.factors[d.factor].dimq)
-
-    def word(self, vid: int) -> Irrep:
-        return self._words[vid]
-
-    def geodesic_ids(self, vid: int) -> list[int]:
-        return list(range(vid + 1))
 
     def words(self) -> list:
         return list(self._words)

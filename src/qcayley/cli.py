@@ -56,6 +56,14 @@ def _dec(q, digits: int, round_up: bool) -> str:
     return f"{sign}{whole}.{frac:0{digits}d}".rstrip("0").rstrip(".") or "0"
 
 
+def _rational(value):
+    """A rational option value such as 3, 7/2 or 3.5; anything else is a usage error."""
+    try:
+        return QQ(value)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise QCayleyError(f"not a rational number: {value!r}") from None
+
+
 def _exact_str(q) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
@@ -193,6 +201,8 @@ def cmd_growth(args, out) -> int:
     dimq = spec.factors[0].dimq
     if dimq.denominator != 1:
         raise QCayleyError("growth needs an integer generator dimension")
+    if args.n_max < 1:
+        raise QCayleyError("--n-max must be >= 1")
     N = int(dimq)
     values = [cn_lower(n, N) for n in range(1, args.n_max + 1)]
     if args.format == "csv":
@@ -216,10 +226,10 @@ def cmd_growth(args, out) -> int:
 def cmd_rd_norm(args, out) -> int:
     spec = parse_spec(args.spec)
     dimq = single_ao_dimq(spec)
-    s = QQ(Fraction(args.s))
+    s = _rational(args.s)
     rep = Reporter(args.format, out, "rd-norm", args.spec)
     if args.r is not None:
-        r = QQ(Fraction(args.r))
+        r = _rational(args.r)
         res = est.nonuni_norm_sq(s, r, dimq, args.radius)
         quantity = "weighted_norm_sq"
         anchor = "weighted-decay-series"
@@ -237,9 +247,9 @@ def cmd_rd_norm(args, out) -> int:
 
 def _parse_a(text: str, tolerance=None):
     if text.startswith("growth:"):
-        tol = QQ(Fraction(tolerance)) if tolerance else QQ(1, 10**30)
-        return a_param(QQ(Fraction(text[len("growth:"):])), tol).interval
-    return QQ(Fraction(text))
+        tol = _rational(tolerance) if tolerance else QQ(1, 10**30)
+        return a_param(_rational(text[len("growth:"):]), tol).interval
+    return _rational(text)
 
 
 def cmd_schur(args, out) -> int:
@@ -384,7 +394,7 @@ def _apply_config(args: argparse.Namespace) -> None:
     if hasattr(args, "spec") and args.spec is None:
         raise QCayleyError("--spec is required")
     if getattr(args, "tolerance", None) is not None \
-            and QQ(Fraction(str(args.tolerance))) <= 0:
+            and _rational(str(args.tolerance)) <= 0:
         raise QCayleyError("tolerance must be positive")
 
 

@@ -54,7 +54,7 @@ class SeriesResult:
         return Interval(self.partial, self.hi)
 
     def __float__(self):
-        return float(Fraction(self.partial))
+        return float(self.partial)
 
 
 def _even_exponent(s) -> int:
@@ -70,36 +70,19 @@ def _even_exponent(s) -> int:
 
 
 def rd_norm_sq(dimq, s, radius: int) -> SeriesResult:
-    """Rapid-decay norm series (2/m_1) * sum_i (i+2)^{2s} / (m_i m_{i+1}).
+    """Rapid-decay norm series (2/m_1) * sum_i (i+2)^{2s} / (m_i m_{i+1}): the
+    weight r = 1 case of `nonuni_norm_sq`.
 
     Requires generator dimension >= 3 so the dimensions grow geometrically;
     the tail is dominated by ratio ((R+4)/(R+3))^{2s} / rho^2 < 1.
     """
-    e = _even_exponent(s)
     dimq = QQ(dimq)
     if dimq < 3:
         raise GateError(
             f"generator quantum dimension {dimq} < 3: series convergence needs "
             "geometric dimension growth (dimension-2 generators are excluded)"
         )
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    rho = growth_floor(dimq)
-    dims = ao_dims(dimq, radius + 4)
-    m1 = dims[1]
-    partial = QQ(0)
-    for i in range(radius + 1):
-        partial += QQ((i + 2) ** e) / (dims[i] * dims[i + 1])
-    partial *= QQ(2) / m1
-    ratio = QQ((radius + 4) ** e, (radius + 3) ** e) / (rho * rho)
-    if ratio >= 1:
-        raise ValueError(
-            f"radius {radius} too small to certify the tail (ratio {ratio} >= 1); "
-            "increase it"
-        )
-    t_next = (QQ(2) / m1) * QQ((radius + 3) ** e) / (dims[radius + 1] * dims[radius + 2])
-    tail = t_next / (1 - ratio)
-    return SeriesResult(partial, tail, radius + 1, ratio, radius + 1)
+    return nonuni_norm_sq(s, 1, dimq, radius)
 
 
 def nonuni_norm_sq(s, r, dimq, radius: int) -> SeriesResult:
@@ -113,6 +96,8 @@ def nonuni_norm_sq(s, r, dimq, radius: int) -> SeriesResult:
     dimq = QQ(dimq)
     if r <= 0:
         raise ValueError("r must be positive")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     if not (a_param(dimq).exact > Radical.from_rational(r)):
         raise GateError(
             f"weight base r = {r} is not below the growth parameter a of dimq = {dimq}; "
@@ -123,8 +108,9 @@ def nonuni_norm_sq(s, r, dimq, radius: int) -> SeriesResult:
     dims = ao_dims(dimq, radius + 4)
     m1 = dims[1]
     partial = QQ(0)
+    wn, wd = r.numerator ** 2, r.denominator ** 2  # r^2 = wn/wd, kept in integers
     for i in range(radius + 1):
-        partial += r ** (2 * i + 2) * QQ((i + 2) ** e) / (dims[i] * dims[i + 1])
+        partial += QQ(wn ** (i + 1) * (i + 2) ** e, wd ** (i + 1)) / (dims[i] * dims[i + 1])
     partial *= QQ(2) / m1
     ratio = (r / rho) ** 2 * QQ((radius + 4) ** e, (radius + 3) ** e)
     if ratio >= 1:
@@ -189,7 +175,7 @@ def truncated_toeplitz_norm(a, size: int, power_iters: int = 200) -> Interval:
     for _ in range(power_iters):
         y = fmat @ x
         x = y / np.linalg.norm(y)
-    xr = [QQ(Fraction(float(v)).limit_denominator(1 << 40)) for v in x]
+    xr = [Fraction(float(v)).limit_denominator(1 << 40) for v in x]
     xr = [v if v > 0 else QQ(1, 1 << 40) for v in xr]
 
     lo = None

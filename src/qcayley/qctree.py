@@ -284,25 +284,24 @@ def _resolve_vid(tree, alpha) -> int:
     raise TypeError("expected a vertex id or an Irrep")
 
 
+def _path_terms(tree, vid: int, unit_weights: bool = False):
+    """(c, 2/(m_g m_p m_c)) for each edge on the geodesic root -> vid, keyed by
+    its upper endpoint c: the squared path-vector coefficients."""
+    for c in tree.geodesic_ids(vid)[1:]:
+        ma, mb, mg, _ = _edge_data(tree, c, unit_weights)
+        yield c, 2 / (mg * ma * mb)
+
+
 def path_vector(tree, alpha, unit_weights: bool = False) -> GeomEdgeVector:
     """Canonical preimage of xt_a/m_a - xt_root under E2, summed along the geodesic."""
     vid = _resolve_vid(tree, alpha)
-    coeffs = {}
-    ids = tree.geodesic_ids(vid)
-    for c in ids[1:]:
-        ma, mb, mg, _ = _edge_data(tree, c, unit_weights)
-        coeffs[c] = sqrt_rational(2 / (mg * ma * mb))
-    return GeomEdgeVector(coeffs)
+    return GeomEdgeVector({c: sqrt_rational(t) for c, t in _path_terms(tree, vid, unit_weights)})
 
 
 def path_norm_sq(tree, alpha, unit_weights: bool = False):
     """Exact rational ||path_vector||^2 without building the vector."""
     vid = _resolve_vid(tree, alpha)
-    total = QQ(0)
-    for c in tree.geodesic_ids(vid)[1:]:
-        ma, mb, mg, _ = _edge_data(tree, c, unit_weights)
-        total += 2 / (mg * ma * mb)
-    return total
+    return sum((t for _, t in _path_terms(tree, vid, unit_weights)), QQ(0))
 
 
 def path_target(tree, alpha, unit_weights: bool = False) -> VertexVector:
@@ -334,12 +333,13 @@ def _geometric_tail(first, rho, start: int):
 
 
 def _deep_tree(source, steps: int):
-    """`source` when it is a CayleyTree at least `steps` deep, else None.
+    """`source` when it is a tree from `build_tree` at least `steps` deep, else None.
 
     A truncated vector lives on such a tree (keyed by its vertex ids) and on
-    a GeodesicRay (keyed by ray ids) otherwise.
+    a GeodesicRay (keyed by ray ids) otherwise.  A ray passed as `source`
+    gives only its spec: its ids follow its own pattern, not the one asked for.
     """
-    return source if isinstance(source, CayleyTree) and source.radius >= steps else None
+    return source if type(source) is CayleyTree and source.radius >= steps else None
 
 
 @dataclass
@@ -360,12 +360,13 @@ class FixedVectorResult:
 def fixed_vector(source, radius: int, pattern=None) -> FixedVectorResult:
     """Truncated infinite-geodesic path vector with a certified tail.
 
-    `source` is a CayleyTree (vector keyed by its vertex ids when it is deep
-    enough) or a QuantumGroupSpec (vector keyed by ray ids).  The default
-    geodesic is `canonical_ray_pattern`.  Refused when a factor used by the
-    pattern has generator dimension <= 2: the dimensions along the ray then
-    grow too slowly for the defining series to converge (the exceptional
-    generators of quantum dimension 1 and 2).
+    `source` is a tree from `build_tree` (vector keyed by its vertex ids when
+    it is deep enough), a QuantumGroupSpec or a GeodesicRay (vector keyed by
+    the ids of a fresh ray along `pattern`).  The default geodesic is
+    `canonical_ray_pattern`.  Refused when a factor used by the pattern has
+    generator dimension <= 2: the dimensions along the ray then grow too
+    slowly for the defining series to converge (the exceptional generators
+    of quantum dimension 1 and 2).
     """
     if radius < 0:
         raise ValueError("need radius >= 0")
@@ -376,33 +377,20 @@ def fixed_vector(source, radius: int, pattern=None) -> FixedVectorResult:
     rho = min(growth_floor(spec.factors[f].dimq) for f in used)
     ray = GeodesicRay(spec, pattern, radius + 1)
     basis = _deep_tree(source, radius + 1) or ray
-    if basis is ray:
-        id_of = list(range(radius + 1))
-    else:
-        # ray ids == tree ids only for the half line; map explicitly otherwise
-        id_of = [basis.vertex_id(ray.word(i)) for i in range(radius + 1)]
-
-    coeffs = {}
-    norm_sq = QQ(0)
-    for i in range(radius):
-        d = ray.parent(i + 1)[1]
-        mg = ray.dir_dim(d)
-        ma, mb = ray.dim(i), ray.dim(i + 1)
-        t = 2 / (mg * ma * mb)
-        norm_sq += t
-        coeffs[id_of[i + 1]] = sqrt_rational(t)
-    vector = GeomEdgeVector(coeffs)
+    # ray ids == tree ids only for the half line; look the end vertex up otherwise
+    end = radius if basis is ray else basis.vertex_id(ray.word(radius))
+    terms = list(_path_terms(basis, end))
+    vector = GeomEdgeVector({c: sqrt_rational(t) for c, t in terms})
+    norm_sq = sum((t for _, t in terms), QQ(0))
 
     mg_min = min(ray.dir_dim(d) for d in pattern)
     m_r, m_r1 = ray.dim(radius), ray.dim(radius + 1)
     tail, cert = _geometric_tail(2 / (mg_min * m_r * m_r1), rho, radius)
 
-    # sign audit: termwise E2 sends the truncation to xt_{a_R}/m_R - xi_0,
-    # so the truncation approximates a preimage of -xi_0; report the exact
-    # residual against that sign convention.
-    residual = e2(basis, vector) + VertexVector({0: QQ(1)})
-    expected = VertexVector({id_of[radius]: QQ(1) / m_r})
-    if residual != expected:
+    # the truncation is the path vector of the ray's end vertex a_R, so E2
+    # sends it to xt_{a_R}/m_R - xi_0: it approximates a preimage of -xi_0
+    # with residual norm 1/m_R
+    if e2(basis, vector) != path_target(basis, end):
         raise AssertionError("fixed-vector residual audit failed")
     return FixedVectorResult(vector, tail, norm_sq, QQ(1) / m_r, radius, basis, cert)
 
@@ -447,10 +435,9 @@ def e2_inverse_ao(source, k: int, radius: int) -> InverseResult:
         or GeodesicRay(spec, canonical_ray_pattern(spec), radius + 1)
 
     m1, mk = dims[1], dims[k]
-    coeffs = {}
-    for i in range(k, radius + 1):
-        coeffs[i + 1] = -(mk * sqrt_rational(2 / (m1 * dims[i] * dims[i + 1])))
-    vector = GeomEdgeVector(coeffs)
+    # -m_k times the path vector of vertex R+1, restricted to the edges above k
+    vector = GeomEdgeVector({c: -(mk * sqrt_rational(t))
+                             for c, t in _path_terms(basis, radius + 1) if c > k})
 
     tail, cert = _geometric_tail(2 * mk * mk / (m1 * dims[radius + 1] * dims[radius + 2]),
                                  rho, radius)

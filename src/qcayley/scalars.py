@@ -2,9 +2,7 @@
 
 Three layers, from cheap to rich:
 
-* ``QQ`` -- exact rational constructor.  Backed by ``gmpy2.mpq`` when
-  available (2-4x faster on the hot tree sweeps), by ``fractions.Fraction``
-  otherwise.  Set ``QCAYLEY_PURE_PYTHON=1`` to force the stdlib backend.
+* ``QQ`` -- exact rational constructor, ``fractions.Fraction``.
 * ``Interval`` -- closed interval with rational endpoints.  Ring operations
   are exact (no rounding is ever needed for +,-,*,/ of rationals); square
   roots are enclosed via integer square roots, outward.
@@ -22,7 +20,6 @@ terminates: refine the interval enclosure until zero is excluded.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import isqrt
 from numbers import Rational
@@ -38,35 +35,26 @@ __all__ = [
     "sqrt_rational",
 ]
 
-if os.environ.get("QCAYLEY_PURE_PYTHON"):
-    QQ = Fraction
-    RATIONAL_BACKEND = "fractions"
-else:
-    try:
-        from gmpy2 import mpq as QQ  # type: ignore[no-redef]
-
-        RATIONAL_BACKEND = "gmpy2"
-    except ImportError:  # pragma: no cover - environment dependent
-        QQ = Fraction
-        RATIONAL_BACKEND = "fractions"
+QQ = Fraction
+RATIONAL_BACKEND = "fractions"
 
 _ZERO = QQ(0)
 _ONE = QQ(1)
 
 
 def rational(value, den=None):
-    """Coerce to the active rational backend.
+    """Coerce to an exact rational.
 
-    Accepts ints, Fractions, backend rationals, decimal strings ("3.5") and
-    fraction strings ("7/2").  Floats are rejected: every quantity in this
-    package is exact or an interval, never a float in disguise.
+    Accepts ints, Fractions, decimal strings ("3.5") and fraction strings
+    ("7/2").  Floats are rejected: every quantity in this package is exact
+    or an interval, never a float in disguise.
     """
     if den is not None:
         return QQ(value, den)
     if isinstance(value, float):
         raise TypeError("floats are not accepted; pass a Fraction, int or string")
     if isinstance(value, str):
-        return QQ(Fraction(value.strip()))
+        return QQ(value.strip())
     return QQ(value)
 
 
@@ -90,23 +78,23 @@ def sqrt_bounds(q, bits: int = 96):
         return (_ZERO, _ZERO)
     num, den = q.numerator, q.denominator
     # sqrt(num/den) = sqrt(num*den)/den
-    n = int(num) * int(den)
+    n = num * den
     shift = 1 << bits
     s = isqrt(n * shift * shift)
-    lo = QQ(s, shift * int(den))
-    hi = QQ(s + 1, shift * int(den))
+    lo = QQ(s, shift * den)
+    hi = QQ(s + 1, shift * den)
     return (lo, hi)
 
 
 def _round_down(q, bits: int):
     scale = 1 << bits
-    num, den = int(q.numerator), int(q.denominator)
+    num, den = q.numerator, q.denominator
     return QQ(num * scale // den, scale)
 
 
 def _round_up(q, bits: int):
     scale = 1 << bits
-    num, den = int(q.numerator), int(q.denominator)
+    num, den = q.numerator, q.denominator
     return QQ(-((-num) * scale // den), scale)
 
 
@@ -285,7 +273,7 @@ class Radical:
             raise ValueError("sqrt of negative rational")
         if q == 0:
             return cls({})
-        num, den = int(q.numerator), int(q.denominator)
+        num, den = q.numerator, q.denominator
         # sqrt(num/den) = sqrt(num*den) / den
         n = num * den
         s, m = _strip_small_squares(n)

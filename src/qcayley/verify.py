@@ -254,8 +254,8 @@ def criterion_4(profile: dict, seed: int) -> CriterionResult:
     for k in range(size):
         for l in range(size):
             g = entries[(min(k, l), max(k, l))]
-            mid[k, l] = float(Fraction(g.mid))
-            half_w[k, l] = float(Fraction(g.width)) / 2
+            mid[k, l] = float(g.mid)
+            half_w[k, l] = float(g.width) / 2
     eigs = np.linalg.eigvalsh(mid)
     perturbation = float(np.linalg.norm(half_w)) + 1e-12 * float(np.abs(mid).max()) * size
     psd_ok = bool(eigs.min() > -perturbation)
@@ -371,7 +371,7 @@ def criterion_7(profile: dict, seed: int) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def _near_extremal(a_float: float, n: int = 25):
-    return [QQ(Fraction(a_float ** (-j / 2)).limit_denominator(10**7)) for j in range(n)]
+    return [Fraction(a_float ** (-j / 2)).limit_denominator(10**7) for j in range(n)]
 
 
 def criterion_8(profile: dict, seed: int) -> CriterionResult:
@@ -390,7 +390,7 @@ def criterion_8(profile: dict, seed: int) -> CriterionResult:
 
     control_ok = True
     for label, a in cases:
-        a_float = float(a.mid) if isinstance(a, Interval) else float(Fraction(a))
+        a_float = float(a.mid) if isinstance(a, Interval) else float(a)
         near = _near_extremal(a_float)
         if not est.orientation_chain_check(a, near):
             all_ok = False

@@ -142,6 +142,15 @@ def test_rays_match_tree_vertices(pattern):
         assert ray.dim(i) == tree.dim(v)
 
 
+@pytest.mark.parametrize("pattern", PERIOD_LE_2, ids=str)
+def test_rays_are_valid_path_trees(pattern):
+    ray = GeodesicRay(MIXED, pattern, 12)
+    report = validate(ray)
+    assert report.ok, report.issues
+    assert report.n_vertices == 13 and ray.radius == 12
+    assert [len(ray.sphere_ids(n)) for n in range(13)] == [1] * 13
+
+
 def test_ray_refuses_empty_pattern():
     with pytest.raises(ValueError, match="empty direction pattern"):
         GeodesicRay(MIXED, (), 3)

@@ -136,6 +136,20 @@ def test_fixed_vector_negative_radius_is_usage_error(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["rd-norm", "--spec", "Ao(7/2)", "--s", "0", "--r", "2", "--radius", "-2"],
+    ["rd-norm", "--spec", "Ao(3)", "--radius", "-1"],
+    ["growth", "--spec", "Au(3)", "--n-max", "0"],
+    ["growth", "--spec", "Au(3)", "--n-max", "-2"],
+    ["rd-norm", "--spec", "Ao(3)", "--r", "1/0"],
+    ["rd-norm", "--spec", "Ao(3)", "--s", "1/0"],
+    ["schur", "--a", "growth:1/0"],
+])
+def test_out_of_domain_values_are_usage_errors(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 @pytest.mark.parametrize("flags", [["--k", "2"], ["--l", "2"], ["--kmax", "-1"],
                                    ["--kmax", "2", "--radius", "1"]])
 def test_gram_flag_misuse_is_usage_error(flags, capsys):
@@ -219,6 +233,8 @@ def _fuzz_argv(draw):
             argv += ["--l", str(draw(_SMALL))]
     elif command == "rd-norm":
         argv += ["--radius", str(draw(st.integers(-3, 12)))]
+        if draw(st.booleans()):
+            argv += ["--r", draw(st.sampled_from(_DIMQ_LITERALS))]
     else:
         argv += ["--radius", str(draw(_SMALL))]
     return argv
@@ -227,7 +243,8 @@ def _fuzz_argv(draw):
 @given(_fuzz_argv())
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_cli_fuzz_exits_cleanly(argv):
-    """Any spec, radius or dimq literal is computed or refused: exit 0, 1 or 2, no traceback."""
+    """Any spec, radius, weight base or dimq literal is computed or refused: exit 0, 1
+    or 2, no traceback; a negative radius or an --n-max below 1 is always refused."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -236,3 +253,7 @@ def test_cli_fuzz_exits_cleanly(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    if argv[0] in ("rd-norm", "fixed-vector", "tree", "paths") and int(flags["--radius"]) < 0 \
+            or argv[0] == "growth" and int(flags["--n-max"]) < 1:
+        assert code == 2, argv

@@ -78,6 +78,15 @@ def test_nonuni_weight_one_reduces_to_rd():
     assert flat.partial == plain.partial
 
 
+def test_negative_radius_refused():
+    # the tail term would read m_{R+1} m_{R+2} from the wrong end of the
+    # dimension list and certify [0, 0.2694] for a sum of about 1.0347
+    with pytest.raises(ValueError, match="radius"):
+        nonuni_norm_sq(QQ(0), QQ(2), QQ(7, 2), -2)
+    with pytest.raises(ValueError, match="radius"):
+        rd_norm_sq(QQ(7, 2), QQ(0), -2)
+
+
 def test_nonuni_gate_weight_at_or_above_growth():
     with pytest.raises(GateError):
         nonuni_norm_sq(QQ(3), QQ(3), QQ(3), 40)  # a ~ 2.618 < r = 3

@@ -27,12 +27,14 @@ CASES = {
     "paths-unit-weights": ["paths", "--spec", "Au(3)", "--radius", "3", "--unit-weights"],
     "fixed-vector-ao": ["fixed-vector", "--spec", "Ao(3)", "--radius", "40"],
     "fixed-vector-au": ["fixed-vector", "--spec", "Au(3)", "--radius", "25"],
+    "fixed-vector-mixed": ["fixed-vector", "--spec", "Ao(3)*Au(3)", "--radius", "30"],
     "gram-kmax": ["gram", "--spec", "Ao(3)", "--kmax", "5"],
     "gram-entry": ["gram", "--spec", "Ao(3)", "--k", "2", "--l", "4"],
     "growth-csv": ["growth", "--spec", "Au(3)", "--format", "csv"],
     "growth-json": ["growth", "--spec", "Au(3)"],
     "rd-norm": ["rd-norm", "--spec", "Ao(3)"],
     "rd-norm-weighted": ["rd-norm", "--spec", "Ao(7/2)", "--r", "2"],
+    "rd-norm-half": ["rd-norm", "--spec", "Ao(4)", "--s", "1/2", "--radius", "40"],
     "schur": ["schur", "--a", "growth:3"],
     "chain-check": ["chain-check", "--a", "growth:3", "--seed", "11"],
     "verify-quick": ["verify", "--profile", "quick", "--seed", "108"],

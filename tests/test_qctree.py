@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qcayley.cayley import build_tree
+from qcayley.cayley import GeodesicRay, build_tree
 from qcayley.errors import GateError
 from qcayley.fusion import a_param, ao_dims, au_word, parse_spec, quantum_dim
 from qcayley.qctree import (
@@ -29,6 +29,10 @@ from qcayley.scalars import QQ, Radical, sqrt_rational
 
 AO3 = parse_spec("Ao(3)")
 AU3 = parse_spec("Au(3)")
+MIXED = parse_spec("Ao(3)*Au(3)")
+# the infinite geodesics of period two that alternate the two factors
+MIXED_PATTERNS = [(a, b) for a in MIXED.directions for b in MIXED.directions
+                  if a.factor != b.factor]
 
 
 def _oracle_e2_unit_edge(tree, child):
@@ -252,6 +256,27 @@ def test_fixed_vector_keyed_by_unitary_tree():
     words = [tree.word(v) for v in sorted(fv.vector.support)]
     assert words[0] == au_word("u") and words[1] == au_word("uU")
     assert all(tree.length(v) == i + 1 for i, v in enumerate(sorted(fv.vector.support)))
+
+
+@pytest.mark.parametrize("q", MIXED_PATTERNS, ids=str)
+def test_fixed_vector_from_a_ray_uses_the_asked_pattern(q):
+    # a ray passed as source gives only its spec, whichever pattern it follows
+    want = fixed_vector(MIXED, 8, q)
+    for p in MIXED_PATTERNS:
+        fv = fixed_vector(GeodesicRay(MIXED, p, 20), 8, q)
+        assert fv.vector == want.vector and fv.norm_sq == want.norm_sq
+        assert fv.basis.words() == want.basis.words()
+
+
+def test_fixed_vector_on_a_tree_matches_the_ray():
+    tree = build_tree(MIXED, 9)
+    for q in MIXED_PATTERNS:
+        on_tree, on_ray = fixed_vector(tree, 8, q), fixed_vector(MIXED, 8, q)
+        assert on_tree.basis is tree
+        assert (on_tree.norm_sq, on_tree.tail_bound, on_tree.residual_norm) \
+            == (on_ray.norm_sq, on_ray.tail_bound, on_ray.residual_norm)
+        assert {tree.word(c): x for c, x in on_tree.vector.items()} \
+            == {on_ray.basis.word(c): x for c, x in on_ray.vector.items()}
 
 
 def test_fixed_vector_tail_brackets_refinement():
