@@ -85,11 +85,20 @@ def rd_norm_sq(dimq, s, radius: int) -> SeriesResult:
     return nonuni_norm_sq(s, 1, dimq, radius)
 
 
+def _below_growth(r, dimq) -> bool:
+    """Exact r < a for rational r > 0, where a >= 1 solves a + 1/a = dimq >= 2.
+
+    a >= 1 settles r < 1; on t >= 1 the map t + 1/t is increasing, so for
+    r >= 1 the test is r + 1/r < a + 1/a = dimq, in rationals.
+    """
+    return r < 1 or r + 1 / r < dimq
+
+
 def nonuni_norm_sq(s, r, dimq, radius: int) -> SeriesResult:
     """Weighted variant (2/m_1) * sum_i r^{2i+2} (i+2)^{2s} / (m_i m_{i+1}).
 
     Admissible only when the weight base r stays strictly below the growth
-    parameter a of dimq; the gate is decided exactly in the quadratic field.
+    parameter a of dimq; the gate is decided exactly, in rationals.
     """
     e = _even_exponent(s)
     r = QQ(r)
@@ -98,7 +107,7 @@ def nonuni_norm_sq(s, r, dimq, radius: int) -> SeriesResult:
         raise ValueError("r must be positive")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if not (a_param(dimq).exact > Radical.from_rational(r)):
+    if not _below_growth(r, dimq):
         raise GateError(
             f"weight base r = {r} is not below the growth parameter a of dimq = {dimq}; "
             "the weighted series is not summable"
@@ -147,13 +156,23 @@ def toeplitz_schur_bound(a) -> Interval:
     return (Interval.point(1) + inv) / (Interval.point(1) - inv)
 
 
+def _suffix_horner(rho, xs) -> list:
+    """[sum_{j>=k} rho^{j-k} x_j for each k], by s_k = x_k + rho * s_{k+1}."""
+    out = [None] * len(xs)
+    acc = QQ(0)
+    for k in range(len(xs) - 1, -1, -1):
+        acc = xs[k] + rho * acc
+        out[k] = acc
+    return out
+
+
 def truncated_toeplitz_norm(a, size: int, power_iters: int = 200) -> Interval:
     """Certified enclosure of the largest eigenvalue of (a^{-|k-l|})_{k,l < size}.
 
     A float power iteration supplies a candidate positive vector; the
-    enclosure is then a single exact interval mat-vec (the two-sided
-    eigenvalue bounds min/max of (Ax)_i / x_i for entrywise nonnegative
-    symmetric matrices).
+    enclosure is then an exact mat-vec at each end of the enclosure of 1/a
+    (the two-sided eigenvalue bounds min/max of (Ax)_i / x_i for entrywise
+    nonnegative symmetric matrices), O(size) by one-sided recurrences.
     """
     import numpy as np  # here, not at module level: ~14 MB that only this search needs
 
@@ -165,9 +184,6 @@ def truncated_toeplitz_norm(a, size: int, power_iters: int = 200) -> Interval:
     if size == 1:
         return Interval.point(1)
     inv = ia.inverse()
-    powers = [Interval.point(1)]
-    for _ in range(size - 1):
-        powers.append(powers[-1] * inv)
 
     x = np.ones(size)
     mid = float(inv.mid)
@@ -178,15 +194,14 @@ def truncated_toeplitz_norm(a, size: int, power_iters: int = 200) -> Interval:
     xr = [Fraction(float(v)).limit_denominator(1 << 40) for v in x]
     xr = [v if v > 0 else QQ(1, 1 << 40) for v in xr]
 
-    lo = None
-    hi = None
-    for i in range(size):
-        acc = Interval.point(0)
-        for j in range(size):
-            acc = acc + powers[abs(i - j)] * xr[j]
-        ratio = acc / Interval.point(xr[i])
-        lo = ratio.lo if lo is None else min(lo, ratio.lo)
-        hi = ratio.hi if hi is None else max(hi, ratio.hi)
+    # x > 0 and 0 < inv.lo <= inv.hi, so each end of the interval mat-vec is
+    # the exact mat-vec at that end of inv: (Ax)_i = L_i + R_i - x_i
+    ends = []
+    for rho in (inv.lo, inv.hi):
+        left = _suffix_horner(rho, xr[::-1])[::-1]
+        right = _suffix_horner(rho, xr)
+        ends.append([(lt + rt - v) / v for lt, rt, v in zip(left, right, xr)])
+    lo, hi = min(ends[0]), max(ends[1])
     return Interval(max(lo, QQ(1)), hi)  # diagonal alone forces the norm >= 1
 
 
@@ -227,27 +242,26 @@ def orientation_chain_check(a, xs: Sequence, tighten=QQ(1)) -> ChainCheckResult:
     one = Interval.point(1)
     constant = Interval.point(QQ(tighten)) / (one - inv)
 
-    powers = [one]
-    for _ in range(max(n - 1, 0)):
-        powers.append(powers[-1] * inv)
+    # x_j >= 0 and 0 < inv.lo <= inv.hi, so each end of the weighted sums is
+    # the exact sum at that end of inv
+    squares = [x * x for x in xs]
+    s1lo, s1hi = _suffix_horner(inv.lo, xs), _suffix_horner(inv.hi, xs)
+    s2lo, s2hi = _suffix_horner(inv.lo, squares), _suffix_horner(inv.hi, squares)
 
     per_k_ok = []
-    agg_lhs = Interval.point(0)
+    agg_lo = agg_hi = QQ(0)
     detail = ""
     for k in range(n):
-        s1 = Interval.point(0)
-        s2 = Interval.point(0)
-        for j in range(k, n):
-            s1 = s1 + powers[j - k] * xs[j]
-            s2 = s2 + powers[j - k] * (xs[j] * xs[j])
-        lhs = s1 * s1
-        rhs = constant * s2
-        ok = lhs.hi <= rhs.lo
+        lhs_lo, lhs_hi = s1lo[k] * s1lo[k], s1hi[k] * s1hi[k]
+        rhs = constant * Interval(s2lo[k], s2hi[k])
+        ok = lhs_hi <= rhs.lo
         if not ok and not detail:
-            detail = f"per-k bound violated at k={k}: lhs in {lhs}, rhs in {rhs}"
+            detail = f"per-k bound violated at k={k}: lhs in {Interval(lhs_lo, lhs_hi)}, rhs in {rhs}"
         per_k_ok.append(ok)
-        agg_lhs = agg_lhs + lhs
-    agg_rhs = constant * constant * sum((x * x for x in xs), QQ(0))
+        agg_lo += lhs_lo
+        agg_hi += lhs_hi
+    agg_lhs = Interval(agg_lo, agg_hi)
+    agg_rhs = constant * constant * sum(squares, QQ(0))
     aggregate_ok = agg_lhs.hi <= agg_rhs.lo
     if not aggregate_ok and not detail:
         detail = f"aggregate bound violated: lhs in {agg_lhs}, rhs in {agg_rhs}"

@@ -316,17 +316,19 @@ def growth_floor(dimq, above=None) -> object:
 
 def ao_dims(dimq, count: int) -> list:
     """First `count` quantum dimensions of an Ao factor: m_0 = 1, m_1 = dimq,
-    m_{k+1} = dimq*m_k - m_{k-1}.  Exact rationals."""
+    m_{k+1} = dimq*m_k - m_{k-1}.  Exact rationals.
+
+    With dimq = p/q the recurrence runs on integers: m_k = P_k / q^k with
+    P_0 = 1, P_1 = p and P_{k+1} = p*P_k - q^2*P_{k-1}."""
     if count < 1:
         raise ValueError("count must be >= 1")
     dimq = QQ(dimq)
-    dims = [QQ(1)]
-    if count == 1:
-        return dims
-    dims.append(dimq)
+    p, q = dimq.numerator, dimq.denominator
+    q2 = q * q
+    nums = [1, p]
     for _ in range(count - 2):
-        dims.append(dimq * dims[-1] - dims[-2])
-    return dims
+        nums.append(p * nums[-1] - q2 * nums[-2])
+    return [QQ(num, q ** k) for k, num in enumerate(nums[:count])]
 
 
 @lru_cache(maxsize=65536)

@@ -26,6 +26,7 @@ geometric tail bounds (per-step dimension growth >= a floor rho > 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .cayley import CayleyTree, GeodesicRay, canonical_ray_pattern
@@ -361,8 +362,9 @@ def fixed_vector(source, radius: int, pattern=None) -> FixedVectorResult:
     """Truncated infinite-geodesic path vector with a certified tail.
 
     `source` is a tree from `build_tree` (vector keyed by its vertex ids when
-    it is deep enough), a QuantumGroupSpec or a GeodesicRay (vector keyed by
-    the ids of a fresh ray along `pattern`).  The default geodesic is
+    it is at least `radius` deep, so that it holds the end vertex), a
+    QuantumGroupSpec or a GeodesicRay (vector keyed by the ids of a fresh ray
+    along `pattern`).  The default geodesic is
     `canonical_ray_pattern`.  Refused when a factor used by the pattern has
     generator dimension <= 2: the dimensions along the ray then grow too
     slowly for the defining series to converge (the exceptional generators
@@ -376,7 +378,7 @@ def fixed_vector(source, radius: int, pattern=None) -> FixedVectorResult:
     used = sorted({d.factor for d in pattern})
     rho = min(growth_floor(spec.factors[f].dimq) for f in used)
     ray = GeodesicRay(spec, pattern, radius + 1)
-    basis = _deep_tree(source, radius + 1) or ray
+    basis = _deep_tree(source, radius) or ray
     # ray ids == tree ids only for the half line; look the end vertex up otherwise
     end = radius if basis is ray else basis.vertex_id(ray.word(radius))
     terms = list(_path_terms(basis, end))
@@ -449,24 +451,34 @@ def e2_inverse_ao(source, k: int, radius: int) -> InverseResult:
     return InverseResult(vector, tail, mk / dims[radius + 1], k, radius, basis, cert)
 
 
+class _GramTable:
+    """What every Gram entry at one truncation radius shares: the dimensions,
+    the suffix sums S_j = sum_{j <= i <= R} 1/(m_i m_{i+1}) and the tail
+    factor T bounding sum_{i > R} 1/(m_i m_{i+1}).  Entry (k, l) is
+    w [S_j, S_j + T] with w = 2 m_k m_l / m_1 and j = max(k, l)."""
+
+    def __init__(self, dimq, radius: int):
+        self.dims = dims = ao_dims(dimq, radius + 3)
+        terms = [1 / (dims[i] * dims[i + 1]) for i in range(radius, -1, -1)]
+        self.suffix = list(accumulate(terms))[::-1]
+        self.tail, _ = _geometric_tail(1 / (dims[radius + 1] * dims[radius + 2]),
+                                       growth_floor(dimq), radius)
+
+    def entry(self, k: int, l: int) -> Interval:
+        dims = self.dims
+        weight = 2 * dims[k] * dims[l] / dims[1]
+        partial = weight * self.suffix[max(k, l)]
+        return Interval(partial, partial + weight * self.tail)
+
+
 def gram(source, k: int, l: int, radius: int) -> Interval:
     """Certified interval for the Gram entry of the half-line inverse series:
 
         (2/m_1) sum_{i >= max(k,l)} m_k m_l / (m_i m_{i+1}).
     """
-    j = max(k, l)
-    if min(k, l) < 0 or radius < j:
+    if min(k, l) < 0 or radius < max(k, l):
         raise ValueError("need 0 <= k, l <= radius")
-    dimq = _invertible_dimq(source)
-    dims = ao_dims(dimq, radius + 3)
-    rho = growth_floor(dimq)
-    m1 = dims[1]
-    weight = 2 * dims[k] * dims[l] / m1
-    partial = QQ(0)
-    for i in range(j, radius + 1):
-        partial += weight / (dims[i] * dims[i + 1])
-    tail, _ = _geometric_tail(weight / (dims[radius + 1] * dims[radius + 2]), rho, radius)
-    return Interval(partial, partial + tail)
+    return _GramTable(_invertible_dimq(source), radius).entry(k, l)
 
 
 def gram_bound(source, kmax: int, radius: Optional[int] = None):
@@ -477,12 +489,15 @@ def gram_bound(source, kmax: int, radius: Optional[int] = None):
     """
     if radius is None:
         radius = kmax + 40
-    a_hi = a_param(_invertible_dimq(source)).interval.hi
+    dimq = _invertible_dimq(source)
+    a_hi = a_param(dimq).interval.hi
+    if not 0 <= kmax <= radius:
+        raise ValueError("need 0 <= kmax <= radius")
+    table = _GramTable(dimq, radius)
     best = QQ(0)
     for k in range(kmax + 1):
         for l in range(k, kmax + 1):
-            entry_hi = gram(source, k, l, radius).hi
-            cand = entry_hi * a_hi ** (l - k)
+            cand = table.entry(k, l).hi * a_hi ** (l - k)
             if cand > best:
                 best = cand
     return best

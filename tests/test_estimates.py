@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from qcayley.errors import GateError
 from qcayley.estimates import (
+    ChainCheckResult,
+    _as_interval,
+    _below_growth,
     dim_ratio_domination,
     nonuni_norm_sq,
     orientation_chain_check,
@@ -17,9 +20,9 @@ from qcayley.estimates import (
     toeplitz_schur_bound,
     truncated_toeplitz_norm,
 )
-from qcayley.fusion import a_param, parse_spec
-from qcayley.qctree import gram
-from qcayley.scalars import QQ, Interval
+from qcayley.fusion import a_param, ao_dims, parse_spec
+from qcayley.qctree import gram, gram_bound
+from qcayley.scalars import QQ, Interval, Radical
 
 
 # -- rapid-decay series ---------------------------------------------------------
@@ -94,11 +97,34 @@ def test_nonuni_gate_weight_at_or_above_growth():
         nonuni_norm_sq(QQ(3), QQ(2), QQ(2), 40)
 
 
+_GATE_DIMQS = [QQ(2), QQ(9, 4), QQ(5, 2), QQ(3), QQ(10, 3), QQ(7, 2), QQ(4), QQ(17, 4)]
+_GATE_WEIGHTS = [QQ(1, 3), QQ(1, 2), QQ(1), QQ(3, 2), QQ(2), QQ(5, 2), QQ(3), QQ(4)]
+
+
+@pytest.mark.parametrize("dimq", _GATE_DIMQS, ids=str)
+def test_nonuni_gate_matches_the_quadratic_field(dimq):
+    # a = 1, 2, 3, 4 exactly at dimq = 2, 5/2, 10/3, 17/4: the grid holds
+    # each boundary r = a, (r, dimq) = (1, 2) among them, and (1, 3)
+    a = a_param(dimq).exact
+    for r in _GATE_WEIGHTS:
+        below = a > Radical.from_rational(r)
+        assert _below_growth(r, dimq) == below, (r, dimq)
+        if not below:
+            with pytest.raises(GateError):
+                nonuni_norm_sq(QQ(0), r, dimq, 40)
+
+
+def test_nonuni_gate_refuses_below_dimension_two():
+    # no growth parameter exists; small weights pass the rational test and
+    # are refused by the growth floor instead
+    for r in (QQ(1, 2), QQ(1), QQ(2)):
+        with pytest.raises(GateError):
+            nonuni_norm_sq(QQ(0), r, QQ(3, 2), 40)
+
+
 def test_nonuni_gate_holds_for_three_by_three_weight_matrices():
     # weight matrix diag(q, 1, 1/q): trace q + 1 + 1/q, operator norm q;
     # the growth root always clears the norm strictly (exact field check)
-    from qcayley.scalars import Radical
-
     for q in (QQ(3, 2), QQ(2), QQ(3)):
         dimq = q + 1 + 1 / q
         a = a_param(dimq).exact
@@ -150,6 +176,48 @@ def test_toeplitz_gate():
         truncated_toeplitz_norm(QQ(1), 5)
 
 
+def _reference_toeplitz_norm(a, size: int, power_iters: int = 200) -> Interval:
+    """The O(size^2) interval mat-vec over the powers of 1/a, on the same
+    float candidate: the route the two-sided recurrences replaced."""
+    import numpy as np
+
+    ia = _as_interval(a)
+    if size == 1:
+        return Interval.point(1)
+    inv = ia.inverse()
+    powers = [Interval.point(1)]
+    for _ in range(size - 1):
+        powers.append(powers[-1] * inv)
+    x = np.ones(size)
+    mid = float(inv.mid)
+    fmat = mid ** np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
+    for _ in range(power_iters):
+        y = fmat @ x
+        x = y / np.linalg.norm(y)
+    xr = [Fraction(float(v)).limit_denominator(1 << 40) for v in x]
+    xr = [v if v > 0 else QQ(1, 1 << 40) for v in xr]
+    lo = hi = None
+    for i in range(size):
+        acc = Interval.point(0)
+        for j in range(size):
+            acc = acc + powers[abs(i - j)] * xr[j]
+        ratio = acc / Interval.point(xr[i])
+        lo = ratio.lo if lo is None else min(lo, ratio.lo)
+        hi = ratio.hi if hi is None else max(hi, ratio.hi)
+    return Interval(max(lo, QQ(1)), hi)
+
+
+@pytest.mark.parametrize("a, sizes", [
+    (QQ(3, 2), range(1, 51)),
+    (QQ(2), range(1, 51)),
+    # the reference costs ~10 s over every size on the golden enclosure's long endpoints
+    (a_param(QQ(3)).interval, (1, 2, 3, 7, 25, 49, 50)),
+], ids=["3/2", "2", "golden"])
+def test_truncated_norm_equals_the_quadratic_mat_vec(a, sizes):
+    for size in sizes:
+        assert truncated_toeplitz_norm(a, size) == _reference_toeplitz_norm(a, size), size
+
+
 # -- the summation-inequality chain ----------------------------------------------
 
 def test_chain_single_spike():
@@ -168,6 +236,64 @@ def test_chain_rejects_negative_entries():
 @settings(max_examples=150, deadline=None)
 def test_chain_holds_on_random_nonneg_vectors(xs, a):
     assert orientation_chain_check(QQ(a), [QQ(x) for x in xs]).ok
+
+
+def _reference_chain_check(a, xs, tighten=QQ(1)) -> ChainCheckResult:
+    """The O(n^2) interval sums over the powers of 1/a: the route the Horner
+    recurrences replaced."""
+    ia = _as_interval(a)
+    xs = [QQ(x) for x in xs]
+    n = len(xs)
+    inv = ia.inverse()
+    one = Interval.point(1)
+    constant = Interval.point(QQ(tighten)) / (one - inv)
+    powers = [one]
+    for _ in range(max(n - 1, 0)):
+        powers.append(powers[-1] * inv)
+    per_k_ok = []
+    agg_lhs = Interval.point(0)
+    detail = ""
+    for k in range(n):
+        s1 = Interval.point(0)
+        s2 = Interval.point(0)
+        for j in range(k, n):
+            s1 = s1 + powers[j - k] * xs[j]
+            s2 = s2 + powers[j - k] * (xs[j] * xs[j])
+        lhs = s1 * s1
+        rhs = constant * s2
+        ok = lhs.hi <= rhs.lo
+        if not ok and not detail:
+            detail = f"per-k bound violated at k={k}: lhs in {lhs}, rhs in {rhs}"
+        per_k_ok.append(ok)
+        agg_lhs = agg_lhs + lhs
+    agg_rhs = constant * constant * sum((x * x for x in xs), QQ(0))
+    aggregate_ok = agg_lhs.hi <= agg_rhs.lo
+    if not aggregate_ok and not detail:
+        detail = f"aggregate bound violated: lhs in {agg_lhs}, rhs in {agg_rhs}"
+    return ChainCheckResult(all(per_k_ok) and aggregate_ok, per_k_ok, aggregate_ok, detail)
+
+
+_CHAIN_AS = [QQ(3, 2), QQ(2), a_param(QQ(3)).interval, a_param(QQ(7, 2)).exact]
+
+
+@given(st.lists(st.fractions(min_value=0, max_value=20, max_denominator=9), max_size=40),
+       st.sampled_from(_CHAIN_AS),
+       st.sampled_from([QQ(1), QQ(3, 4), QQ(0)]))
+@settings(max_examples=150, deadline=None)
+def test_chain_equals_the_quadratic_sums(xs, a, tighten):
+    got = orientation_chain_check(a, xs, tighten)
+    want = _reference_chain_check(a, xs, tighten)
+    assert (got.ok, got.per_k_ok, got.aggregate_ok, got.detail) \
+        == (want.ok, want.per_k_ok, want.aggregate_ok, want.detail)
+
+
+@pytest.mark.parametrize("tighten", [QQ(1), QQ(3, 4)], ids=str)
+def test_chain_on_near_extremal_vectors_equals_the_quadratic_sums(tighten):
+    # the tight cases: a wrong endpoint shows first where lhs nearly meets rhs
+    for a in _CHAIN_AS:
+        near = _near_extremal(float(_as_interval(a).mid), 40)
+        got = orientation_chain_check(a, near, tighten)
+        assert got == _reference_chain_check(a, near, tighten)
 
 
 def test_chain_with_interval_a():
@@ -206,6 +332,34 @@ def test_s_norm_ratio_bounds():
         s_norm_ratio(spec, 0, 3)
     with pytest.raises(ValueError):
         s_norm_ratio(spec, 5, 3)
+
+
+# -- the shared Gram table and the integer dimension recurrence ------------------
+
+@pytest.mark.parametrize("text", ["Ao(3)", "Ao(4)", "Ao(7/2)"])
+def test_gram_bound_is_the_largest_weighted_entry(text):
+    spec = parse_spec(text)
+    kmax, radius = 8, 30
+    a_hi = a_param(spec.factors[0].dimq).interval.hi
+    want = max(gram(spec, k, l, radius).hi * a_hi ** (l - k)
+               for k in range(kmax + 1) for l in range(k, kmax + 1))
+    assert gram_bound(spec, kmax, radius) == want
+
+
+def test_gram_bound_refuses_a_table_past_the_radius():
+    with pytest.raises(ValueError):
+        gram_bound(parse_spec("Ao(3)"), 5, 4)
+    with pytest.raises(ValueError):
+        gram_bound(parse_spec("Ao(3)"), -1, 10)
+
+
+@pytest.mark.parametrize("dimq", [QQ(2), QQ(3), QQ(7, 2), QQ(10, 3), QQ(25, 7)], ids=str)
+def test_ao_dims_equal_the_rational_recurrence(dimq):
+    want = [QQ(1), dimq]
+    while len(want) < 200:
+        want.append(dimq * want[-1] - want[-2])
+    for count in range(1, 201):
+        assert ao_dims(dimq, count) == want[:count]
 
 
 def test_dimension_ratio_domination_sweep():

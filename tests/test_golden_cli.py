@@ -30,13 +30,16 @@ CASES = {
     "fixed-vector-mixed": ["fixed-vector", "--spec", "Ao(3)*Au(3)", "--radius", "30"],
     "gram-kmax": ["gram", "--spec", "Ao(3)", "--kmax", "5"],
     "gram-entry": ["gram", "--spec", "Ao(3)", "--k", "2", "--l", "4"],
+    "gram-kmax-rational-dimq": ["gram", "--spec", "Ao(7/2)", "--kmax", "6"],
     "growth-csv": ["growth", "--spec", "Au(3)", "--format", "csv"],
     "growth-json": ["growth", "--spec", "Au(3)"],
     "rd-norm": ["rd-norm", "--spec", "Ao(3)"],
     "rd-norm-weighted": ["rd-norm", "--spec", "Ao(7/2)", "--r", "2"],
     "rd-norm-half": ["rd-norm", "--spec", "Ao(4)", "--s", "1/2", "--radius", "40"],
     "schur": ["schur", "--a", "growth:3"],
+    "schur-rational-a": ["schur", "--a", "3/2", "--size", "7"],
     "chain-check": ["chain-check", "--a", "growth:3", "--seed", "11"],
+    "chain-check-rational-a": ["chain-check", "--a", "3/2", "--seed", "5", "--count", "50"],
     "verify-quick": ["verify", "--profile", "quick", "--seed", "108"],
 }
 

@@ -248,6 +248,15 @@ def test_fixed_vector_keyed_by_tree_when_deep_enough():
     assert set(fv.vector.support) == set(range(1, 11))
 
 
+def test_fixed_vector_keyed_by_a_tree_exactly_radius_deep():
+    # the end vertex sits at depth `radius`, so such a tree holds the vector
+    tree = build_tree(AU3, 6)
+    fv = fixed_vector(tree, 6)
+    assert fv.basis is tree
+    assert sorted(fv.vector.support) == [1, 4, 9, 20, 41, 84]
+    assert fv.norm_sq == fixed_vector(AU3, 6).norm_sq
+
+
 def test_fixed_vector_keyed_by_unitary_tree():
     tree = build_tree(AU3, 8)
     fv = fixed_vector(tree, 7)
