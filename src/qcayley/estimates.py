@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import GateError
@@ -41,7 +42,6 @@ class SeriesResult:
 
     partial: object
     tail_bound: object
-    terms_used: int
     ratio: object
     crossover: int
 
@@ -94,6 +94,25 @@ def _below_growth(r, dimq) -> bool:
     return r < 1 or r + 1 / r < dimq
 
 
+def _half_line(dimq, radius: int, r=1, e: int = 0):
+    """(dims, prefix, tail, ratio) of sum_i w_i / (m_i m_{i+1}), w_i = r^{2i+2} (i+2)^e:
+    prefix[k] is the exact sum over i <= k <= radius, and past the radius the
+    terms shrink by `ratio` < 1 per step, so `tail` bounds the rest (needs r < a).
+    """
+    r = QQ(r)
+    rho = growth_floor(dimq, above=r)
+    dims = ao_dims(dimq, radius + 3)
+    wn, wd = r.numerator ** 2, r.denominator ** 2  # r^2 = wn/wd, kept in integers
+    prefix = accumulate(QQ(wn ** (i + 1) * (i + 2) ** e, wd ** (i + 1)) / (dims[i] * dims[i + 1])
+                        for i in range(radius + 1))
+    ratio = (r / rho) ** 2 * QQ((radius + 4) ** e, (radius + 3) ** e)
+    if ratio >= 1:
+        raise ValueError(f"radius {radius} too small to certify the tail "
+                         f"(ratio {ratio} >= 1); increase it")
+    t_next = r ** (2 * radius + 4) * QQ((radius + 3) ** e) / (dims[radius + 1] * dims[radius + 2])
+    return tuple(dims), tuple(prefix), t_next / (1 - ratio), ratio
+
+
 def nonuni_norm_sq(s, r, dimq, radius: int) -> SeriesResult:
     """Weighted variant (2/m_1) * sum_i r^{2i+2} (i+2)^{2s} / (m_i m_{i+1}).
 
@@ -112,25 +131,9 @@ def nonuni_norm_sq(s, r, dimq, radius: int) -> SeriesResult:
             f"weight base r = {r} is not below the growth parameter a of dimq = {dimq}; "
             "the weighted series is not summable"
         )
-    rho = growth_floor(dimq, above=r)  # a rational floor strictly above r
-
-    dims = ao_dims(dimq, radius + 4)
-    m1 = dims[1]
-    partial = QQ(0)
-    wn, wd = r.numerator ** 2, r.denominator ** 2  # r^2 = wn/wd, kept in integers
-    for i in range(radius + 1):
-        partial += QQ(wn ** (i + 1) * (i + 2) ** e, wd ** (i + 1)) / (dims[i] * dims[i + 1])
-    partial *= QQ(2) / m1
-    ratio = (r / rho) ** 2 * QQ((radius + 4) ** e, (radius + 3) ** e)
-    if ratio >= 1:
-        raise ValueError(
-            f"radius {radius} too small to certify the tail (ratio {ratio} >= 1); "
-            "increase it"
-        )
-    t_next = (QQ(2) / m1) * r ** (2 * radius + 4) * QQ((radius + 3) ** e) \
-        / (dims[radius + 1] * dims[radius + 2])
-    tail = t_next / (1 - ratio)
-    return SeriesResult(partial, tail, radius + 1, ratio, radius + 1)
+    dims, prefix, tail, ratio = _half_line(dimq, radius, r, e)
+    scale = 2 / dims[1]
+    return SeriesResult(scale * prefix[radius], scale * tail, ratio, radius + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,12 @@ geometric tail bounds (per-step dimension growth >= a floor rho > 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import lru_cache
 from typing import Optional
 
 from .cayley import CayleyTree, GeodesicRay, canonical_ray_pattern
 from .errors import GateError
+from .estimates import _half_line
 from .fusion import Irrep, a_param, ao_dims, growth_floor, single_ao_dimq
 from .scalars import QQ, Interval, Radical, sqrt_rational
 
@@ -285,12 +286,17 @@ def _resolve_vid(tree, alpha) -> int:
     raise TypeError("expected a vertex id or an Irrep")
 
 
+def _edge_term(tree, c: int, unit_weights: bool = False):
+    """(parent, 2/(m_g m_p m_c)) of the edge below c: its squared path-vector coefficient."""
+    ma, mb, mg, p = _edge_data(tree, c, unit_weights)
+    return p, 2 / (mg * ma * mb)
+
+
 def _path_terms(tree, vid: int, unit_weights: bool = False):
-    """(c, 2/(m_g m_p m_c)) for each edge on the geodesic root -> vid, keyed by
-    its upper endpoint c: the squared path-vector coefficients."""
+    """(c, t) for each edge on the geodesic root -> vid, keyed by its upper
+    endpoint c, with t its `_edge_term`: the squared path-vector coefficients."""
     for c in tree.geodesic_ids(vid)[1:]:
-        ma, mb, mg, _ = _edge_data(tree, c, unit_weights)
-        yield c, 2 / (mg * ma * mb)
+        yield c, _edge_term(tree, c, unit_weights)[1]
 
 
 def path_vector(tree, alpha, unit_weights: bool = False) -> GeomEdgeVector:
@@ -334,13 +340,18 @@ def _geometric_tail(first, rho, start: int):
 
 
 def _deep_tree(source, steps: int):
-    """`source` when it is a tree from `build_tree` at least `steps` deep, else None.
+    """`source` when it is a tree from `build_tree` (refused unless `steps` deep), else None.
 
     A truncated vector lives on such a tree (keyed by its vertex ids) and on
-    a GeodesicRay (keyed by ray ids) otherwise.  A ray passed as `source`
+    a fresh GeodesicRay (keyed by ray ids) otherwise.  A ray passed as `source`
     gives only its spec: its ids follow its own pattern, not the one asked for.
     """
-    return source if type(source) is CayleyTree and source.radius >= steps else None
+    if type(source) is not CayleyTree:
+        return None
+    if source.radius < steps:
+        raise ValueError(f"tree of radius {source.radius} is too shallow: "
+                         f"the vector needs a tree at least {steps} deep")
+    return source
 
 
 @dataclass
@@ -361,10 +372,10 @@ class FixedVectorResult:
 def fixed_vector(source, radius: int, pattern=None) -> FixedVectorResult:
     """Truncated infinite-geodesic path vector with a certified tail.
 
-    `source` is a tree from `build_tree` (vector keyed by its vertex ids when
-    it is at least `radius` deep, so that it holds the end vertex), a
-    QuantumGroupSpec or a GeodesicRay (vector keyed by the ids of a fresh ray
-    along `pattern`).  The default geodesic is
+    `source` is a tree from `build_tree` (vector keyed by its vertex ids; it
+    must be at least `radius` deep, so that it holds the end vertex, else
+    ValueError), a QuantumGroupSpec or a GeodesicRay (vector keyed by the ids
+    of a fresh ray along `pattern`).  The default geodesic is
     `canonical_ray_pattern`.  Refused when a factor used by the pattern has
     generator dimension <= 2: the dimensions along the ray then grow too
     slowly for the defining series to converge (the exceptional generators
@@ -426,6 +437,7 @@ def e2_inverse_ao(source, k: int, radius: int) -> InverseResult:
     E2^{-1}(xt_k) = -m_k sqrt(2/m_1) sum_{i>=k} xt_{i^i+1} / sqrt(m_i m_{i+1});
     the truncation at `radius` satisfies
     E2(truncation) = xt_k - (m_k/m_{R+1}) xt_{R+1}  exactly.
+    A `build_tree` tree as `source` must be at least `radius + 1` deep.
     """
     if k < 0 or radius < k:
         raise ValueError("need 0 <= k <= radius")
@@ -451,24 +463,7 @@ def e2_inverse_ao(source, k: int, radius: int) -> InverseResult:
     return InverseResult(vector, tail, mk / dims[radius + 1], k, radius, basis, cert)
 
 
-class _GramTable:
-    """What every Gram entry at one truncation radius shares: the dimensions,
-    the suffix sums S_j = sum_{j <= i <= R} 1/(m_i m_{i+1}) and the tail
-    factor T bounding sum_{i > R} 1/(m_i m_{i+1}).  Entry (k, l) is
-    w [S_j, S_j + T] with w = 2 m_k m_l / m_1 and j = max(k, l)."""
-
-    def __init__(self, dimq, radius: int):
-        self.dims = dims = ao_dims(dimq, radius + 3)
-        terms = [1 / (dims[i] * dims[i + 1]) for i in range(radius, -1, -1)]
-        self.suffix = list(accumulate(terms))[::-1]
-        self.tail, _ = _geometric_tail(1 / (dims[radius + 1] * dims[radius + 2]),
-                                       growth_floor(dimq), radius)
-
-    def entry(self, k: int, l: int) -> Interval:
-        dims = self.dims
-        weight = 2 * dims[k] * dims[l] / dims[1]
-        partial = weight * self.suffix[max(k, l)]
-        return Interval(partial, partial + weight * self.tail)
+_gram_series = lru_cache(maxsize=64)(_half_line)  # keyed by (dimq, radius)
 
 
 def gram(source, k: int, l: int, radius: int) -> Interval:
@@ -478,7 +473,11 @@ def gram(source, k: int, l: int, radius: int) -> Interval:
     """
     if min(k, l) < 0 or radius < max(k, l):
         raise ValueError("need 0 <= k, l <= radius")
-    return _GramTable(_invertible_dimq(source), radius).entry(k, l)
+    dims, prefix, tail, _ = _gram_series(_invertible_dimq(source), radius)
+    j = max(k, l)
+    weight = 2 * dims[k] * dims[l] / dims[1]
+    partial = weight * (prefix[radius] - prefix[j - 1] if j else prefix[radius])
+    return Interval(partial, partial + weight * tail)
 
 
 def gram_bound(source, kmax: int, radius: Optional[int] = None):
@@ -493,11 +492,5 @@ def gram_bound(source, kmax: int, radius: Optional[int] = None):
     a_hi = a_param(dimq).interval.hi
     if not 0 <= kmax <= radius:
         raise ValueError("need 0 <= kmax <= radius")
-    table = _GramTable(dimq, radius)
-    best = QQ(0)
-    for k in range(kmax + 1):
-        for l in range(k, kmax + 1):
-            cand = table.entry(k, l).hi * a_hi ** (l - k)
-            if cand > best:
-                best = cand
-    return best
+    return max(gram(source, k, l, radius).hi * a_hi ** (l - k)
+               for k in range(kmax + 1) for l in range(k, kmax + 1))

@@ -81,9 +81,7 @@ _TOL_1E12 = QQ(1, 10**12)
 
 def _edge_term(tree, child):
     """Path-vector coefficient of the single geodesic edge below `child`."""
-    parent = tree._parent[child]
-    mg = tree.dir_dim(tree.directions[tree._pdir[child]])
-    t = 2 / (mg * tree.dim(parent) * tree.dim(child))
+    parent, t = qt._edge_term(tree, child)
     return parent, qt.GeomEdgeVector({child: sqrt_rational(t)})
 
 

@@ -334,7 +334,7 @@ def test_s_norm_ratio_bounds():
         s_norm_ratio(spec, 5, 3)
 
 
-# -- the shared Gram table and the integer dimension recurrence ------------------
+# -- the shared half-line series and the integer dimension recurrence ------------------
 
 @pytest.mark.parametrize("text", ["Ao(3)", "Ao(4)", "Ao(7/2)"])
 def test_gram_bound_is_the_largest_weighted_entry(text):
@@ -351,6 +351,54 @@ def test_gram_bound_refuses_a_table_past_the_radius():
         gram_bound(parse_spec("Ao(3)"), 5, 4)
     with pytest.raises(ValueError):
         gram_bound(parse_spec("Ao(3)"), -1, 10)
+
+
+def _naive_series(dimq, lo, hi, r=Fraction(1), e=0):
+    """sum_{lo <= i <= hi} r^{2i+2} (i+2)^e / (m_i m_{i+1}) and m_1, summed term by term."""
+    dims = [Fraction(1), Fraction(dimq)]
+    while len(dims) < hi + 2:
+        dims.append(dims[1] * dims[-1] - dims[-2])
+    total = sum((r ** (2 * i + 2) * (i + 2) ** e / (dims[i] * dims[i + 1])
+                 for i in range(lo, hi + 1)), Fraction(0))
+    return total, dims
+
+
+BOUNDARY_DIMQS = [QQ(3), QQ(7, 2), QQ(4)]
+
+
+@pytest.mark.parametrize("radius", [0, 1, 7])
+@pytest.mark.parametrize("dimq", BOUNDARY_DIMQS, ids=str)
+def test_gram_entries_at_the_ends_equal_the_naive_sum(dimq, radius):
+    spec = parse_spec(f"Ao({dimq})")
+    for k, l in {(0, 0), (0, radius), (radius, radius)}:
+        j = max(k, l)
+        partial, dims = _naive_series(dimq, j, radius)
+        beyond, _ = _naive_series(dimq, radius + 1, radius + 60)
+        weight = 2 * dims[k] * dims[l] / dims[1]
+        g = gram(spec, k, l, radius)
+        assert g.lo == weight * partial
+        assert g.hi - g.lo >= weight * beyond
+
+
+@pytest.mark.parametrize("radius", [0, 1, 5, 40])
+@pytest.mark.parametrize("dimq", BOUNDARY_DIMQS, ids=str)
+def test_nonuni_equals_the_naive_sum(dimq, radius):
+    a_hi = a_param(dimq).interval.hi
+    for s in (Fraction(0), Fraction(1, 2), Fraction(3)):
+        e = int(2 * s)
+        for r in (Fraction(1), Fraction(3, 2), Fraction(2)):
+            assert r < a_hi  # admissible on this grid
+            try:
+                res = nonuni_norm_sq(s, r, dimq, radius)
+            except ValueError:
+                # refused only when even the ratio at a itself reaches 1
+                assert (r / a_hi) ** 2 * Fraction(radius + 4, radius + 3) ** e >= 1
+                continue
+            partial, dims = _naive_series(dimq, 0, radius, r, e)
+            beyond, _ = _naive_series(dimq, radius + 1, radius + 60, r, e)
+            assert res.partial == 2 * partial / dims[1]
+            assert res.tail_bound >= 2 * beyond / dims[1]
+            assert res.crossover == radius + 1
 
 
 @pytest.mark.parametrize("dimq", [QQ(2), QQ(3), QQ(7, 2), QQ(10, 3), QQ(25, 7)], ids=str)

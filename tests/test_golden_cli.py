@@ -31,11 +31,13 @@ CASES = {
     "gram-kmax": ["gram", "--spec", "Ao(3)", "--kmax", "5"],
     "gram-entry": ["gram", "--spec", "Ao(3)", "--k", "2", "--l", "4"],
     "gram-kmax-rational-dimq": ["gram", "--spec", "Ao(7/2)", "--kmax", "6"],
+    "gram-kmax-at-the-radius": ["gram", "--spec", "Ao(4)", "--kmax", "3", "--radius", "3"],
     "growth-csv": ["growth", "--spec", "Au(3)", "--format", "csv"],
     "growth-json": ["growth", "--spec", "Au(3)"],
     "rd-norm": ["rd-norm", "--spec", "Ao(3)"],
     "rd-norm-weighted": ["rd-norm", "--spec", "Ao(7/2)", "--r", "2"],
     "rd-norm-half": ["rd-norm", "--spec", "Ao(4)", "--s", "1/2", "--radius", "40"],
+    "rd-norm-radius-0": ["rd-norm", "--spec", "Ao(7/2)", "--s", "1", "--r", "3/2", "--radius", "0"],
     "schur": ["schur", "--a", "growth:3"],
     "schur-rational-a": ["schur", "--a", "3/2", "--size", "7"],
     "chain-check": ["chain-check", "--a", "growth:3", "--seed", "11"],

@@ -257,6 +257,12 @@ def test_fixed_vector_keyed_by_a_tree_exactly_radius_deep():
     assert fv.norm_sq == fixed_vector(AU3, 6).norm_sq
 
 
+def test_fixed_vector_refuses_a_tree_too_shallow():
+    # ray ids 1..6 would name u, U, uu, uU, Uu, UU in this tree, not the ray
+    with pytest.raises(ValueError, match="at least 6 deep"):
+        fixed_vector(build_tree(AU3, 5), 6)
+
+
 def test_fixed_vector_keyed_by_unitary_tree():
     tree = build_tree(AU3, 8)
     fv = fixed_vector(tree, 7)
@@ -315,6 +321,14 @@ def test_inverse_single_term_truncation():
     dims = ao_dims(QQ(3), 7)
     assert inv.residual_norm == dims[5] / dims[6]
     assert float(inv.residual_norm) == pytest.approx(0.381963, abs=1e-5)
+
+
+def test_inverse_refuses_a_tree_too_shallow():
+    # the truncation ends at vertex radius + 1 = 11, one level below this tree
+    with pytest.raises(ValueError, match="at least 11 deep"):
+        e2_inverse_ao(build_tree(AO3, 10), 2, 10)
+    tree = build_tree(AO3, 11)
+    assert e2_inverse_ao(tree, 2, 10).basis is tree
 
 
 def test_inverse_gates():
