@@ -11,7 +11,8 @@ Everything is per unit source vector; only norms are materialized, never the
 chain vectors themselves (their norms are pinned, their ambient spaces are
 not needed).  The exhaustive multi-index enumerations are the definitional
 route and double as the oracle for the closed-form summations; they run as
-exact integer loops, scaled by powers of m1 = N (see _ql_scaled_one).
+exact integer loops, scaled by powers of m1 = N, with one grade walk per
+pair (i, k) (see _grade_walk).
 """
 
 from __future__ import annotations
@@ -110,32 +111,29 @@ def ql_norm_sq(i_idx, k_idx, l: int, N: int):
 # so ql_norm_sq(i, k, l) * N^(2n) is the integer product
 #   prod_{p<l} N  *  (N - delta_l)  *  prod_{p>l} delta_p      (l >= 1)
 #   prod_p delta_p                                             (l = 0).
+# Grade l is nonzero only when legs l+1..n agree, so one walk down from l = n
+# visits every nonzero grade and stops at the first disagreeing leg.
 
-def _ql_scaled_one(i_idx, k_idx, l, N):
-    n = len(i_idx)
-    if l == 0:
-        out = 1
-        for p in range(n):
-            if i_idx[p] != k_idx[p]:
-                return 0
-        return out
-    out = N ** (l - 1)
-    out *= N - (1 if i_idx[l - 1] == k_idx[l - 1] else 0)
-    for p in range(l, n):
-        if i_idx[p] != k_idx[p]:
-            return 0
-    return out
+def _grade_walk(i_idx, k_idx, N, row):
+    """Add ql_norm_sq(i, k, l, N) * N^(2n) to row[l] for every l = 0..n."""
+    l = len(i_idx)
+    while l:
+        if i_idx[l - 1] != k_idx[l - 1]:
+            row[l] += N ** l
+            return
+        row[l] += N ** (l - 1) * (N - 1)
+        l -= 1
+    row[0] += 1
 
 
 def ql_sums(i_idx, N: int):
     """[sum over all k of ql_norm_sq(i, k, l) for l = 0..n], by enumeration."""
     _check_n(N)
-    n = len(i_idx)
     i_idx = tuple(i_idx)
+    n = _validate_indices(i_idx, i_idx, N)
     scaled = [0] * (n + 1)
     for k_idx in product(range(1, N + 1), repeat=n):
-        for l in range(n + 1):
-            scaled[l] += _ql_scaled_one(i_idx, k_idx, l, N)
+        _grade_walk(i_idx, k_idx, N, scaled)
     scale = QQ(N) ** (2 * n)
     return [QQ(s) / scale for s in scaled]
 
@@ -192,19 +190,15 @@ def cn_lower(n: int, N: int, i_idx=None, method: str = "enumerate"):
     _gate_dimension(N)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if i_idx is None:
-        i_idx = (1,) * n
-    _validate_indices(i_idx, i_idx, N)
+    i_idx = (1,) * n if i_idx is None else tuple(i_idx)
+    if _validate_indices(i_idx, i_idx, N) != n:
+        raise ValueError(f"source multi-index has length {len(i_idx)}, need n = {n}")
     if method == "enumerate":
-        # sum_k sum_l (N^(2(n-l)) - 1) * ql_norm_sq(i,k,l) * N^(2n), in integers
-        i_idx = tuple(i_idx)
-        weights = [N ** (2 * (n - l)) - 1 for l in range(n + 1)]
-        scaled = 0
+        # sum_l (N^(2(n-l)) - 1) * sum_k ql_norm_sq(i,k,l) * N^(2n), in integers
+        row = [0] * (n + 1)
         for k_idx in product(range(1, N + 1), repeat=n):
-            for l in range(n + 1):
-                w = weights[l]
-                if w:
-                    scaled += w * _ql_scaled_one(i_idx, k_idx, l, N)
+            _grade_walk(i_idx, k_idx, N, row)
+        scaled = sum((N ** (2 * (n - l)) - 1) * r for l, r in enumerate(row))
         return QQ(scaled) / (2 * (QQ(N) ** 2 - 1) * QQ(N) ** (2 * n))
     if method == "closed":
         m1sq = QQ(N) ** 2
@@ -239,9 +233,8 @@ def parseval_violations(n: int, N: int) -> int:
     rng = range(1, N + 1)
     for i_idx in product(rng, repeat=n):
         for k_idx in product(rng, repeat=n):
-            s = 0
-            for l in range(n + 1):
-                s += _ql_scaled_one(i_idx, k_idx, l, N)
-            if s != target:
+            row = [0] * (n + 1)
+            _grade_walk(i_idx, k_idx, N, row)
+            if sum(row) != target:
                 bad += 1
     return bad

@@ -3,9 +3,12 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcayley.aunitary import (
     LegDecomposition,
+    _grade_walk,
     cg_bounds,
     cg_bounds_closed,
     check_index_independence,
@@ -70,6 +73,19 @@ def test_validation_errors():
         ql_norm_sq((1, 1), (1, 1), 3, 3)
 
 
+@pytest.mark.parametrize("i_idx", [(5,), (0, 1), (1, 2, 4)])
+def test_ql_sums_refuses_entries_outside_the_range(i_idx):
+    with pytest.raises(ValueError):
+        ql_sums(i_idx, 3)
+
+
+@pytest.mark.parametrize("method", ["enumerate", "closed"])
+@pytest.mark.parametrize("i_idx", [(), (1, 1), (1, 2, 3, 1)])
+def test_cn_lower_refuses_a_source_of_the_wrong_length(i_idx, method):
+    with pytest.raises(ValueError):
+        cn_lower(3, 3, i_idx, method=method)
+
+
 def test_eta_chain_norms_and_cutoff():
     chain = eta_chain(5, 2, 3)
     assert chain.norms_sq == (1, 9, 81, 729)  # stops at i = n - l + 1
@@ -102,8 +118,11 @@ def test_cn_lower_frozen_values():
 
 def test_cn_lower_enumeration_equals_closed_form():
     for N in (3, 4):
-        for n in range(1, 7):
-            assert cn_lower(n, N) == cn_lower(n, N, method="closed")
+        for n in range(1, 10):
+            closed = cn_lower(n, N, method="closed")
+            assert cn_lower(n, N) == closed
+            mixed = tuple(1 + (3 * p + 1) % N for p in range(n))
+            assert cn_lower(n, N, mixed) == closed, (N, mixed)
 
 
 def test_cn_lower_linear_growth():
@@ -131,3 +150,87 @@ def test_dimension_two_gates():
         cn_lower(3, 2)
     # the grade decomposition itself is dimension-agnostic
     assert parseval_violations(3, 2) == 0
+
+
+# -- the grade walk against the per-(k, l) loops it replaced ---------------------
+
+def _reference_scaled_one(i_idx, k_idx, l, N):
+    """ql_norm_sq(i, k, l, N) * N^(2n) for one grade, scanning the legs."""
+    n = len(i_idx)
+    if l == 0:
+        return int(all(i_idx[p] == k_idx[p] for p in range(n)))
+    out = N ** (l - 1) * (N - (1 if i_idx[l - 1] == k_idx[l - 1] else 0))
+    for p in range(l, n):
+        if i_idx[p] != k_idx[p]:
+            return 0
+    return out
+
+
+def _reference_ql_sums(i_idx, N):
+    n = len(i_idx)
+    scaled = [0] * (n + 1)
+    for k_idx in product(range(1, N + 1), repeat=n):
+        for l in range(n + 1):
+            scaled[l] += _reference_scaled_one(i_idx, k_idx, l, N)
+    return [QQ(s) / QQ(N) ** (2 * n) for s in scaled]
+
+
+def _reference_cn_lower(n, N, i_idx):
+    weights = [N ** (2 * (n - l)) - 1 for l in range(n + 1)]
+    scaled = 0
+    for k_idx in product(range(1, N + 1), repeat=n):
+        for l in range(n + 1):
+            scaled += weights[l] * _reference_scaled_one(i_idx, k_idx, l, N)
+    return QQ(scaled) / (2 * (QQ(N) ** 2 - 1) * QQ(N) ** (2 * n))
+
+
+def _reference_parseval_violations(n, N):
+    rng = range(1, N + 1)
+    return sum(
+        sum(_reference_scaled_one(i_idx, k_idx, l, N) for l in range(n + 1)) != N ** n
+        for i_idx in product(rng, repeat=n) for k_idx in product(rng, repeat=n)
+    )
+
+
+@st.composite
+def _index_pairs(draw):
+    """(i, k, N) with k agreeing with i on a drawn set of legs."""
+    N = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(0, 6))
+    i_idx = tuple(draw(st.integers(1, N)) for _ in range(n))
+    k_idx = tuple(
+        i if draw(st.booleans()) else draw(st.sampled_from([x for x in range(1, N + 1) if x != i]))
+        for i in i_idx
+    )
+    return i_idx, k_idx, N
+
+
+@given(_index_pairs())
+@settings(max_examples=300, deadline=None)
+def test_grade_walk_row_is_the_scaled_grade_norms(pair):
+    i_idx, k_idx, N = pair
+    n = len(i_idx)
+    row = [0] * (n + 1)
+    _grade_walk(i_idx, k_idx, N, row)
+    assert row == [ql_norm_sq(i_idx, k_idx, l, N) * N ** (2 * n) for l in range(n + 1)]
+    assert row == [_reference_scaled_one(i_idx, k_idx, l, N) for l in range(n + 1)]
+
+
+def test_ql_sums_match_the_per_grade_loop():
+    for N, n in ((2, 4), (3, 3), (4, 2)):
+        for i_idx in product(range(1, N + 1), repeat=n):
+            assert ql_sums(i_idx, N) == _reference_ql_sums(i_idx, N), (N, i_idx)
+    assert ql_sums((), 3) == _reference_ql_sums((), 3) == [1]
+
+
+def test_cn_lower_enumeration_matches_the_per_grade_loop():
+    for N, n_max in ((3, 6), (4, 5)):
+        for n in range(1, n_max + 1):
+            for i_idx in ((1,) * n, tuple(1 + (p * p) % N for p in range(n))):
+                assert cn_lower(n, N, i_idx) == _reference_cn_lower(n, N, i_idx), (N, i_idx)
+
+
+def test_parseval_matches_the_per_grade_loop():
+    for N, n_max in ((2, 4), (3, 3), (4, 2)):
+        for n in range(n_max + 1):
+            assert parseval_violations(n, N) == _reference_parseval_violations(n, N) == 0

@@ -34,6 +34,7 @@ CASES = {
     "gram-kmax-at-the-radius": ["gram", "--spec", "Ao(4)", "--kmax", "3", "--radius", "3"],
     "growth-csv": ["growth", "--spec", "Au(3)", "--format", "csv"],
     "growth-json": ["growth", "--spec", "Au(3)"],
+    "growth-au4-n9": ["growth", "--spec", "Au(4)", "--n-max", "9", "--format", "csv"],
     "rd-norm": ["rd-norm", "--spec", "Ao(3)"],
     "rd-norm-weighted": ["rd-norm", "--spec", "Ao(7/2)", "--r", "2"],
     "rd-norm-half": ["rd-norm", "--spec", "Ao(4)", "--s", "1/2", "--radius", "40"],
