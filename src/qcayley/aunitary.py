@@ -74,8 +74,8 @@ def _validate_indices(i_idx, k_idx, N: int) -> int:
         raise ValueError("multi-index length mismatch")
     for seq in (i_idx, k_idx):
         for e in seq:
-            if not 1 <= e <= N:
-                raise ValueError(f"multi-index entry {e} outside 1..{N}")
+            if not (isinstance(e, int) and 1 <= e <= N):
+                raise ValueError(f"multi-index entry {e!r} is not an integer in 1..{N}")
     return len(i_idx)
 
 

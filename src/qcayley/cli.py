@@ -27,6 +27,7 @@ from .cayley import build_tree
 from .errors import QCayleyError
 from .fusion import (
     ORTHOGONAL,
+    _format_rational,
     a_param,
     ao_dims,
     dual_direction,
@@ -64,11 +65,6 @@ def _rational(value):
         raise QCayleyError(f"not a rational number: {value!r}") from None
 
 
-def _exact_str(q) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 class Reporter:
     def __init__(self, fmt: str, stream, cmd: str, spec_text: str):
         self.fmt = fmt
@@ -92,7 +88,7 @@ class Reporter:
         }
         if self.fmt == "json":
             if exact is not None:
-                rec["exact"] = _exact_str(exact)
+                rec["exact"] = _format_rational(exact)
             self.stream.write(json.dumps(rec, sort_keys=True) + "\n")
         else:
             if not self._csv_header_done:
@@ -117,7 +113,7 @@ def cmd_dims(args, out) -> int:
     dimq = single_ao_dimq(spec)
     dims = ao_dims(dimq, args.count)
     if args.format == "csv":
-        out.write(",".join(_exact_str(d) for d in dims) + "\n")
+        out.write(",".join(_format_rational(d) for d in dims) + "\n")
     else:
         rep = Reporter("json", out, "dims", args.spec)
         for k, d in enumerate(dims):
@@ -135,7 +131,7 @@ def cmd_tree(args, out) -> int:
             "id": v,
             "word": format_irrep(tree.word(v)),
             "length": tree.length(v),
-            "dimq": _exact_str(tree.dim(v)),
+            "dimq": _format_rational(tree.dim(v)),
         }, sort_keys=True) + "\n")
     for p, c, d in tree.ascending_edges():
         out.write(json.dumps({"src": p, "dst": c, "dir": dir_name[d], "ascending": True},
@@ -209,9 +205,9 @@ def cmd_growth(args, out) -> int:
         out.write("n,cn_lower,first_diff,slope\n")
         for i, v in enumerate(values):
             n = i + 1
-            diff = "" if i == 0 else _exact_str(v - values[i - 1])
-            slope = "" if i == 0 else _exact_str((v - values[0]) / (n - 1))
-            out.write(f"{n},{_exact_str(v)},{diff},{slope}\n")
+            diff = "" if i == 0 else _format_rational(v - values[i - 1])
+            slope = "" if i == 0 else _format_rational((v - values[0]) / (n - 1))
+            out.write(f"{n},{_format_rational(v)},{diff},{slope}\n")
     else:
         rep = Reporter("json", out, "growth", args.spec)
         for i, v in enumerate(values):

@@ -10,6 +10,7 @@ arithmetic so that a reported pass is a certificate, not an observation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -150,12 +151,17 @@ def _as_interval(a) -> Interval:
     return Interval.point(QQ(a))
 
 
-def toeplitz_schur_bound(a) -> Interval:
-    """Row-sum Schur bound (1 + 1/a) / (1 - 1/a) for the decay matrix; needs a > 1."""
+def _inverse(a) -> Interval:
+    """Enclosure of 1/a; a (rational, Interval, Radical or GrowthParam) must be > 1."""
     ia = _as_interval(a)
     if not ia.lo > 1:
         raise ValueError(f"need a > 1, got enclosure {ia}")
-    inv = ia.inverse()
+    return ia.inverse()
+
+
+def toeplitz_schur_bound(a) -> Interval:
+    """Row-sum Schur bound (1 + 1/a) / (1 - 1/a) for the decay matrix; needs a > 1."""
+    inv = _inverse(a)
     return (Interval.point(1) + inv) / (Interval.point(1) - inv)
 
 
@@ -169,43 +175,62 @@ def _suffix_horner(rho, xs) -> list:
     return out
 
 
-def truncated_toeplitz_norm(a, size: int, power_iters: int = 200) -> Interval:
+def _toeplitz_matvec(rho, xs) -> list:
+    """(Tx)_i = L_i + R_i - x_i for T = (rho^|k-l|), by one-sided sums: O(len(xs))."""
+    left, right = _suffix_horner(rho, xs[::-1])[::-1], _suffix_horner(rho, xs)
+    return [lt + rt - v for lt, rt, v in zip(left, right, xs)]
+
+
+def _toeplitz_candidate(rho: float, size: int) -> list:
+    """Positive rationals near the Perron vector of (rho^|k-l|), by 200 float power steps."""
+    x = [1.0] * size
+    for _ in range(200):
+        y = _toeplitz_matvec(rho, x)
+        norm = math.sqrt(sum(v * v for v in y))
+        x = [v / norm for v in y]
+    return [max(Fraction(v).limit_denominator(1 << 40), QQ(1, 1 << 40)) for v in x]
+
+
+def truncated_toeplitz_norm(a, size: int) -> Interval:
     """Certified enclosure of the largest eigenvalue of (a^{-|k-l|})_{k,l < size}.
 
-    A float power iteration supplies a candidate positive vector; the
-    enclosure is then an exact mat-vec at each end of the enclosure of 1/a
-    (the two-sided eigenvalue bounds min/max of (Ax)_i / x_i for entrywise
-    nonnegative symmetric matrices), O(size) by one-sided recurrences.
+    A float candidate x > 0 picks where the bounds min/max (Ax)_i / x_i, valid
+    for entrywise nonnegative symmetric A, are taken; Ax grows with 1/a, so they
+    are exact O(size) mat-vecs at the two ends of the enclosure of 1/a.
     """
-    import numpy as np  # here, not at module level: ~14 MB that only this search needs
-
-    ia = _as_interval(a)
-    if not ia.lo > 1:
-        raise ValueError(f"need a > 1, got enclosure {ia}")
+    inv = _inverse(a)
     if size < 1:
         raise ValueError("size must be >= 1")
-    if size == 1:
-        return Interval.point(1)
-    inv = ia.inverse()
-
-    x = np.ones(size)
-    mid = float(inv.mid)
-    fmat = mid ** np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
-    for _ in range(power_iters):
-        y = fmat @ x
-        x = y / np.linalg.norm(y)
-    xr = [Fraction(float(v)).limit_denominator(1 << 40) for v in x]
-    xr = [v if v > 0 else QQ(1, 1 << 40) for v in xr]
-
-    # x > 0 and 0 < inv.lo <= inv.hi, so each end of the interval mat-vec is
-    # the exact mat-vec at that end of inv: (Ax)_i = L_i + R_i - x_i
-    ends = []
-    for rho in (inv.lo, inv.hi):
-        left = _suffix_horner(rho, xr[::-1])[::-1]
-        right = _suffix_horner(rho, xr)
-        ends.append([(lt + rt - v) / v for lt, rt, v in zip(left, right, xr)])
-    lo, hi = min(ends[0]), max(ends[1])
+    xr = _toeplitz_candidate(float(inv.mid), size)
+    lo = min(y / v for y, v in zip(_toeplitz_matvec(inv.lo, xr), xr))
+    hi = max(y / v for y, v in zip(_toeplitz_matvec(inv.hi, xr), xr))
     return Interval(max(lo, QQ(1)), hi)  # diagonal alone forces the norm >= 1
+
+
+def _minors_positive(m) -> bool:
+    """Every leading minor of the square integer matrix m (overwritten) is > 0, by
+    Bareiss elimination: its k-th pivot is the k-th minor (Math. Comp. 22 (1968))."""
+    prev = 1
+    for k, row in enumerate(m):
+        if row[k] <= 0:
+            return False
+        for other in m[k + 1:]:
+            for j in range(k + 1, len(m)):
+                other[j] = (row[k] * other[j] - other[k] * row[j]) // prev
+        prev = row[k]
+    return True
+
+
+def _certified_pd(rows) -> bool:
+    """True proves that every matrix in the symmetric interval box `rows` is
+    positive definite: by Rump (BIT 46 (2006)) it suffices that M - delta*I is,
+    for M the midpoints rounded down to the 2^-64 grid and delta >= the Frobenius
+    norm of (half-width + 2^-64); decided exactly on 2^64 (M - delta*I)."""
+    grid = 1 << 64
+    rad_sq = sum((math.ceil(e.width * grid / 2) + 1) ** 2 for row in rows for e in row)
+    shift = math.isqrt(rad_sq - 1) + 1  # ceil(sqrt(rad_sq)) = 2^64 delta
+    return _minors_positive([[math.floor(e.mid * grid) - shift * (i == j) for j, e in enumerate(row)]
+                             for i, row in enumerate(rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +259,11 @@ def orientation_chain_check(a, xs: Sequence, tighten=QQ(1)) -> ChainCheckResult:
     All comparisons are certified (interval endpoints in the right
     direction); `a` may be rational, an Interval, a Radical or GrowthParam.
     """
-    ia = _as_interval(a)
-    if not ia.lo > 1:
-        raise ValueError(f"need a > 1, got enclosure {ia}")
+    inv = _inverse(a)
     xs = [QQ(x) for x in xs]
     if any(x < 0 for x in xs):
         raise ValueError("entries must be nonnegative")
     n = len(xs)
-    inv = ia.inverse()
     one = Interval.point(1)
     constant = Interval.point(QQ(tighten)) / (one - inv)
 

@@ -233,7 +233,7 @@ def parse_spec(text: str) -> QuantumGroupSpec:
 
 
 def _format_rational(q) -> str:
-    return str(int(q)) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def format_spec(spec: QuantumGroupSpec) -> str:
@@ -333,12 +333,7 @@ def ao_dims(dimq, count: int) -> list:
 
 @lru_cache(maxsize=65536)
 def _ao_letter_dim(dimq, k: int):
-    if k <= 1:
-        return QQ(1) if k == 0 else QQ(dimq)
-    prev2, prev = QQ(1), QQ(dimq)
-    for _ in range(k - 1):
-        prev2, prev = prev, QQ(dimq) * prev - prev2
-    return prev
+    return ao_dims(dimq, k + 1)[k]
 
 
 @lru_cache(maxsize=65536)

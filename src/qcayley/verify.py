@@ -204,7 +204,7 @@ def criterion_3(profile: dict, seed: int) -> CriterionResult:
 
 
 # ---------------------------------------------------------------------------
-# criterion 4: Gram certification (closed form, PSD, decay, Toeplitz bound)
+# criterion 4: Gram certification (closed form, PD, decay, Toeplitz bound)
 # ---------------------------------------------------------------------------
 
 def _gram_closed_oracle(dimq, k: int, l: int) -> Radical:
@@ -242,22 +242,9 @@ def criterion_4(profile: dict, seed: int) -> CriterionResult:
     details.append(f"entries k,l <= {kmax}: interval width < 1e-10: {width_ok}; "
                    f"closed-sum oracle inside: {closed_ok}")
 
-    # PSD with interval-safe rounding: eigenvalues of the midpoint matrix,
-    # perturbed by the Frobenius bound on the interval half-widths
-    import numpy as np  # here, not at module level: ~14 MB that only this check needs
-
-    size = kmax + 1
-    mid = np.empty((size, size))
-    half_w = np.empty((size, size))
-    for k in range(size):
-        for l in range(size):
-            g = entries[(min(k, l), max(k, l))]
-            mid[k, l] = float(g.mid)
-            half_w[k, l] = float(g.width) / 2
-    eigs = np.linalg.eigvalsh(mid)
-    perturbation = float(np.linalg.norm(half_w)) + 1e-12 * float(np.abs(mid).max()) * size
-    psd_ok = bool(eigs.min() > -perturbation)
-    details.append(f"min eigenvalue {eigs.min():.3e} > -{perturbation:.1e}: PSD {psd_ok}")
+    pd_ok = est._certified_pd([[entries[(min(k, l), max(k, l))] for l in range(kmax + 1)]
+                               for k in range(kmax + 1)])
+    details.append(f"Gram box positive definite (exact minors of mid - |rad|_F I): {pd_ok}")
 
     growth = a_param(QQ(3))
     a_hi = growth.interval.hi
@@ -272,7 +259,7 @@ def criterion_4(profile: dict, seed: int) -> CriterionResult:
     details.append(f"truncated Toeplitz norm {float(trunc.hi):.9f} <= Schur bound "
                    f"{float(schur.hi):.9f} + 1e-9: {toeplitz_ok}")
 
-    ok = width_ok and closed_ok and psd_ok and decay_ok and toeplitz_ok
+    ok = width_ok and closed_ok and pd_ok and decay_ok and toeplitz_ok
     return CriterionResult(4, "gram-decay-certification", "gram-decay-certification", ok, details)
 
 

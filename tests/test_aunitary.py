@@ -80,6 +80,16 @@ def test_ql_sums_refuses_entries_outside_the_range(i_idx):
 
 
 @pytest.mark.parametrize("method", ["enumerate", "closed"])
+def test_non_integer_entries_are_refused(method):
+    with pytest.raises(ValueError):
+        cn_lower(2, 3, (1.5, 2), method=method)
+    with pytest.raises(ValueError):
+        ql_sums((2.5,), 3)
+    with pytest.raises(ValueError):
+        ql_norm_sq((1.5,), (1.5,), 0, 3)
+
+
+@pytest.mark.parametrize("method", ["enumerate", "closed"])
 @pytest.mark.parametrize("i_idx", [(), (1, 1), (1, 2, 3, 1)])
 def test_cn_lower_refuses_a_source_of_the_wrong_length(i_idx, method):
     with pytest.raises(ValueError):

@@ -2,15 +2,20 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qcayley
 from qcayley.cli import main
+from qcayley.fusion import _format_rational
 
 
 def run_cli(capsys, *argv):
@@ -204,6 +209,28 @@ def test_verify_deterministic_bytes():
     second = subprocess.run(cmd, capture_output=True, timeout=600)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_schur_and_criterion_4_import_no_numpy():
+    # a lazy import would bring the dependency back without failing anything else
+    code = ("import sys\n"
+            "from qcayley import verify\n"
+            "from qcayley.cli import main\n"
+            "assert main(['schur', '--a', 'growth:3']) == 0\n"
+            "assert verify.run_criterion(4, 'quick').passed\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    src = str(Path(qcayley.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=600,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr.decode()
+
+
+@pytest.mark.parametrize("value, text", [
+    (Fraction(0), "0"), (Fraction(5), "5"), (-3, "-3"), (Fraction(7, 2), "7/2"),
+    (Fraction(-9, 4), "-9/4"),
+])
+def test_format_rational(value, text):
+    assert _format_rational(value) == text
 
 
 _DIMQ_LITERALS = ["0", "1", "3/2", "2", "3", "7/2", "4.5", "-3", "1/0", "x", ""]

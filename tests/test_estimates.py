@@ -1,6 +1,7 @@
 """Certified series, Toeplitz bounds, summation-inequality chain."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,10 @@ from qcayley.estimates import (
     ChainCheckResult,
     _as_interval,
     _below_growth,
+    _certified_pd,
+    _minors_positive,
+    _toeplitz_candidate,
+    _toeplitz_matvec,
     dim_ratio_domination,
     nonuni_norm_sq,
     orientation_chain_check,
@@ -176,11 +181,9 @@ def test_toeplitz_gate():
         truncated_toeplitz_norm(QQ(1), 5)
 
 
-def _reference_toeplitz_norm(a, size: int, power_iters: int = 200) -> Interval:
-    """The O(size^2) interval mat-vec over the powers of 1/a, on the same
+def _reference_toeplitz_norm(a, size: int) -> Interval:
+    """The O(size^2) interval mat-vec over the powers of 1/a, on the library's
     float candidate: the route the two-sided recurrences replaced."""
-    import numpy as np
-
     ia = _as_interval(a)
     if size == 1:
         return Interval.point(1)
@@ -188,14 +191,7 @@ def _reference_toeplitz_norm(a, size: int, power_iters: int = 200) -> Interval:
     powers = [Interval.point(1)]
     for _ in range(size - 1):
         powers.append(powers[-1] * inv)
-    x = np.ones(size)
-    mid = float(inv.mid)
-    fmat = mid ** np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
-    for _ in range(power_iters):
-        y = fmat @ x
-        x = y / np.linalg.norm(y)
-    xr = [Fraction(float(v)).limit_denominator(1 << 40) for v in x]
-    xr = [v if v > 0 else QQ(1, 1 << 40) for v in xr]
+    xr = _toeplitz_candidate(float(inv.mid), size)
     lo = hi = None
     for i in range(size):
         acc = Interval.point(0)
@@ -216,6 +212,63 @@ def _reference_toeplitz_norm(a, size: int, power_iters: int = 200) -> Interval:
 def test_truncated_norm_equals_the_quadratic_mat_vec(a, sizes):
     for size in sizes:
         assert truncated_toeplitz_norm(a, size) == _reference_toeplitz_norm(a, size), size
+
+
+@pytest.mark.parametrize("rho", [QQ(2, 3), QQ(1, 2), QQ(9, 10)])
+def test_toeplitz_matvec_is_the_dense_product(rho):
+    xs = [QQ(i * i % 7 + 1, i + 1) for i in range(13)]
+    dense = [sum(rho ** abs(i - j) * x for j, x in enumerate(xs)) for i in range(len(xs))]
+    assert _toeplitz_matvec(rho, xs) == dense
+
+
+def _exact_pd(rows) -> bool:
+    """Positive definiteness of a rational point matrix: exact leading minors."""
+    den = math.lcm(*(e.denominator for row in rows for e in row))
+    return _minors_positive([[int(e * den) for e in row] for row in rows])
+
+
+def _points(rows):
+    return [[Interval.point(e) for e in row] for row in rows]
+
+
+def _kms(rho, size: int):
+    return [[rho ** abs(k - l) for l in range(size)] for k in range(size)]
+
+
+def test_certified_pd_accepts_a_positive_definite_point_matrix():
+    assert _certified_pd(_points(_kms(QQ(2, 3), 12)))
+
+
+def test_certified_pd_refuses_an_indefinite_matrix():
+    rows = [[QQ(1), QQ(2)], [QQ(2), QQ(1)]]
+    assert not _exact_pd(rows)
+    assert not _certified_pd(_points(rows))
+
+
+def test_certified_pd_refuses_a_box_holding_a_singular_matrix():
+    # the midpoint is positive definite, but the box reaches [[1, 1], [1, 1]]
+    eps = QQ(1, 2 ** 20)
+    mid = [[QQ(1), QQ(1)], [QQ(1), 1 + eps]]
+    assert _exact_pd(mid)
+    box = _points(mid)
+    box[1][1] = Interval(QQ(1), 1 + 2 * eps)
+    assert not _certified_pd(box)
+
+
+@pytest.mark.parametrize("a", [QQ(3, 2), QQ(2)], ids=["3/2", "2"])
+@pytest.mark.parametrize("size", [3, 7, 20, 50])
+def test_truncated_norm_brackets_the_largest_eigenvalue(a, size):
+    # hi*I - T positive definite means hi > lambda_max; c*I - T not positive
+    # definite for some c >= lo means lo <= c <= lambda_max.  Rounding lo up to
+    # the 2^-64 grid keeps the exact minors short.
+    enclosure = truncated_toeplitz_norm(a, size)
+    toeplitz = _kms(1 / a, size)
+
+    def shifted(c):
+        return [[c * (k == l) - e for l, e in enumerate(row)] for k, row in enumerate(toeplitz)]
+
+    assert _certified_pd(_points(shifted(enclosure.hi)))
+    assert not _exact_pd(shifted(QQ(math.ceil(enclosure.lo * 2 ** 64), 2 ** 64)))
 
 
 # -- the summation-inequality chain ----------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from qcayley.cayley import GeodesicRay, build_tree
 from qcayley.errors import GateError
+from qcayley.estimates import _certified_pd
 from qcayley.fusion import a_param, ao_dims, au_word, parse_spec, quantum_dim
 from qcayley.qctree import (
     GeomEdgeVector,
@@ -384,19 +385,7 @@ def test_gram_decay_bound():
 
 
 def test_gram_matrix_positive_semidefinite_30():
-    # interval-safe: eigenvalues of the midpoint matrix can drop below those
-    # of the true matrix by at most the Frobenius norm of the half-widths
-    import numpy as np
-    from fractions import Fraction
-
+    # certified: every matrix in the interval Gram box is positive definite
     size = 31
-    mid = np.empty((size, size))
-    half_w = np.empty((size, size))
-    for k in range(size):
-        for l in range(k, size):
-            g = gram(AO3, k, l, 75)
-            mid[k, l] = mid[l, k] = float(Fraction(g.mid))
-            half_w[k, l] = half_w[l, k] = float(Fraction(g.width)) / 2
-    eigs = np.linalg.eigvalsh(mid)
-    perturbation = float(np.linalg.norm(half_w)) + 1e-12 * size * float(np.abs(mid).max())
-    assert eigs.min() > -perturbation
+    box = [[gram(AO3, min(k, l), max(k, l), 75) for l in range(size)] for k in range(size)]
+    assert _certified_pd(box)
