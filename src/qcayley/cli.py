@@ -249,6 +249,8 @@ def _parse_a(text: str, tolerance=None):
 
 
 def cmd_schur(args, out) -> int:
+    if args.size < 1:
+        raise QCayleyError("--size must be >= 1")  # else the report stops half printed
     a = _parse_a(args.a, args.tolerance)
     rep = Reporter(args.format, out, "schur", "")
     bound = est.toeplitz_schur_bound(a)
@@ -260,6 +262,8 @@ def cmd_schur(args, out) -> int:
 
 
 def cmd_chain_check(args, out) -> int:
+    if args.count < 1:
+        raise QCayleyError("--count must be >= 1")
     a = _parse_a(args.a, args.tolerance)
     rng = random.Random(args.seed)
     rep = Reporter(args.format, out, "chain-check", "")

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
+
 from .errors import GateError, SpecSyntaxError
 from .scalars import QQ, Interval, Radical, rational
 
@@ -267,23 +269,27 @@ _DEFAULT_TOL = QQ(1, 10**30)
 
 
 def a_param(dimq, tol=_DEFAULT_TOL) -> GrowthParam:
-    """Certified growth parameter for dimq >= 2; width of the interval <= tol."""
+    """Certified growth parameter for dimq >= 2; width of the interval <= tol.
+
+    For dimq = p/q, a = (p + sqrt(p^2 - 4q^2)) / (2q): the enclosure takes
+    one integer square root at the first of 64, 128, ... bits that meets
+    tol, and is a point when p^2 - 4q^2 is a perfect square.
+    """
     dimq = QQ(dimq)
     if dimq < 2:
         raise GateError(
             f"no growth parameter for dimq = {dimq} < 2: a + 1/a = dimq has no real root >= 1"
         )
-    if dimq == 2:
-        one = Radical.from_rational(1)
-        return GrowthParam(dimq, Interval.point(1), one)
-    disc = dimq * dimq - 4
-    exact = (Radical.from_rational(dimq) + Radical.sqrt_of(disc)) / 2
+    exact = (Radical.from_rational(dimq) + Radical.sqrt_of(dimq * dimq - 4)) / 2
+    if exact.is_rational:
+        return GrowthParam(dimq, Interval.point(exact.as_rational()), exact)
+    p, q = dimq.numerator, dimq.denominator
     bits = 64
-    while True:
-        iv = exact.interval(bits)
-        if iv.width <= tol:
-            return GrowthParam(dimq, iv, exact)
+    while QQ(1, q << (bits + 1)) > tol:
         bits *= 2
+    s = isqrt((p * p - 4 * q * q) << (2 * bits))
+    return GrowthParam(dimq, Interval(QQ((p << bits) + s, q << (bits + 1)),
+                                      QQ((p << bits) + s + 1, q << (bits + 1))), exact)
 
 
 def growth_floor(dimq, above=None) -> object:

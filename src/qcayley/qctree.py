@@ -92,7 +92,7 @@ class _SparseVector:
         return self._coeffs.keys()
 
     def coeff(self, key) -> Radical:
-        return self._coeffs.get(key, Radical({}))
+        return self._coeffs.get(key, Radical())
 
     def items(self):
         return self._coeffs.items()
@@ -143,7 +143,7 @@ class _SparseVector:
 
     def norm_sq(self) -> Radical:
         """Exact squared norm in the orthonormal basis."""
-        total = Radical({})
+        total = Radical()
         for v in self._coeffs.values():
             total = total + v * v
         return total
@@ -267,7 +267,7 @@ def embed_oriented(tree, vec: GeomEdgeVector) -> OrientedEdgeVector:
 
 def counit(tree, vec: VertexVector, unit_weights: bool = False) -> Radical:
     """Counit at the hilbertian level: eps(xt_a) = m_a, extended linearly."""
-    total = Radical({})
+    total = Radical()
     for vid, coeff in vec.items():
         weight = QQ(1) if unit_weights else tree.dim(vid)
         total = total + coeff * weight
@@ -317,7 +317,7 @@ def path_target(tree, alpha, unit_weights: bool = False) -> VertexVector:
     m = QQ(1) if unit_weights else tree.dim(vid)
     if vid == 0:
         return VertexVector({0: QQ(1) / m - 1})
-    return VertexVector._of({vid: Radical({1: QQ(m.denominator, m.numerator)}), 0: _MINUS_ONE})
+    return VertexVector._of({vid: Radical(QQ(m.denominator, m.numerator)), 0: _MINUS_ONE})
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,17 @@ Three layers, from cheap to rich:
 * ``Interval`` -- closed interval with rational endpoints.  Ring operations
   are exact (no rounding is ever needed for +,-,*,/ of rationals); square
   roots are enclosed via integer square roots, outward.
-* ``Radical`` -- finite sums ``sum_i c_i * sqrt(n_i)`` with rational ``c_i``
-  and positive integer radicands ``n_i`` kept pairwise inequivalent modulo
-  squares.  Products of square roots collapse to rationals exactly whenever
-  the combined radicand is a perfect square, which is what makes the
-  telescoping identities of the weighted tree hold with zero residual.
+* ``Radical`` -- a rational plus surds ``s_i``, each stored as its signed
+  square ``s_i * |s_i|``, at most one per square class.  Products of surds
+  collapse to rationals exactly whenever their signed squares multiply to a
+  rational square, which is what makes the telescoping identities of the
+  weighted tree hold with zero residual.
 
-Zero testing for ``Radical`` is exact: radicands with pairwise non-square
-ratios have linearly independent square roots over the rationals, so a value
-vanishes iff every coefficient does.  Sign determination therefore
-terminates: refine the interval enclosure until zero is excluded.
+Square roots of distinct squarefree integers are linearly independent over
+the rationals (Besicovitch 1940), so the ``Radical`` form is canonical:
+equality, hashing and zero testing compare the stored rationals.  The sign
+of a rational plus one surd is an exact comparison of squares; a value with
+more surds refines its interval enclosure until zero is excluded.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "QQ",
     "RATIONAL_BACKEND",
     "rational",
-    "is_perfect_square",
     "sqrt_bounds",
     "Interval",
     "Radical",
@@ -56,13 +56,6 @@ def rational(value, den=None):
     if isinstance(value, str):
         return QQ(value.strip())
     return QQ(value)
-
-
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
 
 
 def sqrt_bounds(q, bits: int = 96):
@@ -194,23 +187,6 @@ class Interval:
     def round_outward(self, bits: int = 128) -> "Interval":
         return Interval(_round_down(self.lo, bits), _round_up(self.hi, bits))
 
-    # certified order relations: True only when it holds for every member
-    def certainly_lt(self, other) -> bool:
-        o = self._coerce(other)
-        return self.hi < o.lo
-
-    def certainly_le(self, other) -> bool:
-        o = self._coerce(other)
-        return self.hi <= o.lo
-
-    def certainly_gt(self, other) -> bool:
-        o = self._coerce(other)
-        return self.lo > o.hi
-
-    def certainly_ge(self, other) -> bool:
-        o = self._coerce(other)
-        return self.lo >= o.hi
-
     def __repr__(self):
         return f"Interval({self.lo}, {self.hi})"
 
@@ -226,129 +202,132 @@ class Interval:
         return hash((self.lo, self.hi))
 
 
-def _strip_small_squares(n: int) -> tuple[int, int]:
-    """Return (s, m) with n = s^2 * m, extracting small prime squares only.
+def _rational_sqrt(q):
+    """sqrt(q) for a rational q >= 0 when it is rational, else None: one isqrt."""
+    n, d = q.numerator, q.denominator
+    s = isqrt(n * d)
+    return QQ(s, d) if s * s == n * d else None
 
-    Keeps radicands from growing without ever needing a full factorization;
-    equivalence of the remaining radicands is decided by pairwise
-    perfect-square ratio tests.
+
+def _scaled_sigmas(q, sigmas) -> tuple:
+    """Signed squares of q*s for the surds s of `sigmas` and a rational q."""
+    if not sigmas or not q:
+        return ()
+    q2 = q * q
+    if q > 0:
+        return tuple(q2 * s for s in sigmas)
+    return tuple(-q2 * s for s in reversed(sigmas))
+
+
+def _merged(p, sigmas, extra) -> "Radical":
+    """p plus the surds of the canonical `sigmas` and of `extra`, one per square class.
+
+    Surds s, t with signed squares a, b share a class when |ab| is a rational
+    square; then (s + t)^2 = |a| + |b| + 2st with st = +-sqrt(|ab|), and s + t
+    has the sign of a + b.
     """
-    s = 1
-    for p in (2, 3, 5, 7, 11, 13):
-        p2 = p * p
-        while n % p2 == 0:
-            n //= p2
-            s *= p
-    return s, n
+    out = list(sigmas)
+    for b in extra:
+        for i, a in enumerate(out):
+            ab = a * b
+            r = _rational_sqrt(abs(ab))
+            if r is not None:
+                if a + b:
+                    m = abs(a) + abs(b) + (2 * r if ab > 0 else -2 * r)
+                    out[i] = m if a + b > 0 else -m
+                else:
+                    del out[i]
+                break
+        else:
+            out.append(b)
+    out.sort()
+    return Radical(p, tuple(out))
 
 
 class Radical:
     """Exact element of the square-root closure of the rationals.
 
-    Stored as a map {radicand: coefficient} where radicands are positive
-    integers, pairwise inequivalent modulo squares, and radicand 1 carries
-    the rational part.  Closed under +, -, * and division by single-term
-    values, which covers every computation in the weighted tree.
+    A value ``p + s_1 + ... + s_k`` is stored as its rational part ``p`` and
+    the sorted tuple of the signed squares ``s_i * |s_i|`` of its surds.  No
+    signed square is a rational square and no two surds share a square class
+    (``s_i * s_j`` is irrational), so each surd is the whole component of the
+    value in its class.  Square roots of distinct squarefree integers are
+    linearly independent over Q, so the form is unique without factoring any
+    radicand: equal values have equal ``(p, sigmas)``, hash and repr.  Closed
+    under +, -, * and division by a rational or a single surd, which covers
+    every computation in the weighted tree.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_p", "_s")
 
-    def __init__(self, terms=None):
-        # internal constructor; use from_rational / sqrt_rational
-        self._terms = terms if terms is not None else {}
+    def __init__(self, p=_ZERO, sigmas=()):
+        # internal constructor: p rational, sigmas already canonical;
+        # use from_rational / sqrt_of and arithmetic to build surds
+        self._p = p
+        self._s = sigmas
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_rational(cls, q) -> "Radical":
-        q = QQ(q)
-        return cls({1: q}) if q else cls({})
+        return cls(QQ(q))
 
     @classmethod
     def sqrt_of(cls, q) -> "Radical":
         """sqrt of a nonnegative rational, exact."""
         if not isinstance(q, QQ):
             q = QQ(q)
-        if q < 0:
+        if q.numerator < 0:
             raise ValueError("sqrt of negative rational")
-        if q == 0:
-            return cls({})
-        num, den = q.numerator, q.denominator
-        # sqrt(num/den) = sqrt(num*den) / den
-        n = num * den
-        s, m = _strip_small_squares(n)
-        coeff = QQ(s, den)
-        if m == 1:
-            return cls({1: coeff})
-        r = isqrt(m)
-        if r * r == m:
-            return cls({1: coeff * r})
-        return cls({m: coeff})
+        r = _rational_sqrt(q)
+        return cls(_ZERO, (q,)) if r is None else cls(r)
 
     def times_sqrt(self, num: int, den: int) -> "Radical":
         """self * sqrt(num/den) for positive ints num and den.
 
-        When self is one term c*sqrt(r) and r*num*den = s^2 is a perfect
-        square, the product is the rational c*s/den, found with one integer
-        square root; anything else takes the general product.
+        When self is one term, a rational a/b or a surd of signed square N/D,
+        and the product is rational, it is found with one integer square
+        root; anything else takes the general product.
         """
-        terms = self._terms
-        if len(terms) == 1:
-            ((r, c),) = terms.items()
-            n = r * num * den
+        p, sigmas = self._p, self._s
+        if not sigmas:
+            n = num * den
             s = isqrt(n)
             if s * s == n:
-                return Radical({1: QQ(c.numerator * s, c.denominator * den)})
+                return Radical(QQ(p.numerator * s, p.denominator * den))
+        elif len(sigmas) == 1 and not p:
+            N, d = sigmas[0].numerator, sigmas[0].denominator * den
+            n = abs(N) * num * d
+            s = isqrt(n)
+            if s * s == n:
+                return Radical(QQ(s if N > 0 else -s, d))
         return self * Radical.sqrt_of(QQ(num, den))
 
     @staticmethod
     def _coerce(value) -> "Radical":
         if isinstance(value, Radical):
             return value
-        return Radical.from_rational(value)
+        return Radical(QQ(value))
 
-    # -- term insertion with square-ratio merging ----------------------------
-
-    def _add_term(self, rad: int, coeff) -> None:
-        if not coeff:
-            return
-        if rad != 1:
-            r = isqrt(rad)
-            if r * r == rad:  # full perfect squares collapse to the rational part
-                rad, coeff = 1, coeff * r
-        terms = self._terms
-        if rad in terms:
-            c = terms[rad] + coeff
-            if c:
-                terms[rad] = c
-            else:
-                del terms[rad]
-            return
-        if rad != 1:
-            for existing in terms:
-                if existing == 1:
-                    continue
-                prod = existing * rad
-                r = isqrt(prod)
-                if r * r == prod:
-                    # sqrt(rad) = (r/existing) * sqrt(existing)
-                    self._add_term(existing, coeff * QQ(r, existing))
-                    return
-        terms[rad] = coeff
+    def _scaled(self, q) -> "Radical":
+        """self * q for a rational q."""
+        return Radical(self._p * q, _scaled_sigmas(q, self._s))
 
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other):
         o = self._coerce(other)
-        out = Radical(dict(self._terms))
-        for rad, c in o._terms.items():
-            out._add_term(rad, c)
-        return out
+        p = self._p + o._p
+        if not o._s:
+            return Radical(p, self._s)
+        if not self._s:
+            return Radical(p, o._s)
+        return _merged(p, self._s, o._s)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Radical({rad: -c for rad, c in self._terms.items()})
+        return Radical(-self._p, tuple(-s for s in reversed(self._s)) if self._s else ())
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -358,36 +337,33 @@ class Radical:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        a, b = self._terms, o._terms
-        if not a or not b:
-            return Radical({})
-        out = Radical({})
-        for r1, c1 in a.items():
-            for r2, c2 in b.items():
-                if r1 == r2:
-                    out._add_term(1, c1 * c2 * r1)
-                elif r1 == 1:
-                    out._add_term(r2, c1 * c2)
-                elif r2 == 1:
-                    out._add_term(r1, c1 * c2)
+        if not o._s:
+            return self._scaled(o._p)
+        if not self._s:
+            return o._scaled(self._p)
+        p = self._p * o._p
+        extra = list(_scaled_sigmas(self._p, o._s))
+        for s in self._s:
+            for t in o._s:
+                st = s * t  # the signed square of the product of the surds
+                r = _rational_sqrt(abs(st))
+                if r is None:
+                    extra.append(st)
                 else:
-                    prod = r1 * r2
-                    s, m = _strip_small_squares(prod)
-                    out._add_term(m, c1 * c2 * s)
-        return out
+                    p += r if st > 0 else -r
+        return _merged(p, _scaled_sigmas(o._p, self._s), extra)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        items = list(o._terms.items())
-        if not items:
-            raise ZeroDivisionError("division by zero Radical")
-        if len(items) == 1:
-            rad, c = items[0]
-            # 1 / (c*sqrt(rad)) = sqrt(rad) / (c*rad)
-            inv = Radical({rad: QQ(1, 1) / (c * rad)})
-            return self * inv
+        if not o._s:
+            if not o._p:
+                raise ZeroDivisionError("division by zero Radical")
+            return self._scaled(1 / o._p)
+        if len(o._s) == 1 and not o._p:
+            # 1/s has the signed square 1/(s|s|)
+            return self * Radical(_ZERO, (1 / o._s[0],))
         raise NotImplementedError("division by multi-term radical values")
 
     def __rtruediv__(self, other):
@@ -396,55 +372,48 @@ class Radical:
     # -- predicates and conversions -------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._p and not self._s
 
     def __bool__(self):
-        return bool(self._terms)
+        return not self.is_zero()
 
     @property
     def is_rational(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and 1 in self._terms)
+        return not self._s
 
     def as_rational(self):
         """Exact rational value; raises if the value is irrational."""
-        if not self._terms:
-            return QQ(0)
-        if self.is_rational:
-            return self._terms[1]
-        raise ValueError(f"not a rational value: {self}")
+        if self._s:
+            raise ValueError(f"not a rational value: {self}")
+        return self._p
 
     def square(self) -> "Radical":
         return self * self
 
     def interval(self, bits: int = 96) -> Interval:
-        lo = QQ(0)
-        hi = QQ(0)
-        for rad, c in self._terms.items():
-            if rad == 1:
-                lo += c
-                hi += c
-                continue
-            slo, shi = sqrt_bounds(QQ(rad), bits)
-            if c >= 0:
-                lo += c * slo
-                hi += c * shi
+        lo = hi = self._p
+        for s in self._s:
+            slo, shi = sqrt_bounds(abs(s), bits)
+            if s > 0:
+                lo, hi = lo + slo, hi + shi
             else:
-                lo += c * shi
-                hi += c * slo
+                lo, hi = lo - shi, hi - slo
         return Interval(lo, hi)
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, 1}.
 
-        Terminates because a nonzero value has a nonzero enclosure at some
-        precision (the stored radicands are linearly independent over Q).
+        With at most one surd s the sign is that of p when p^2 > s^2 and that
+        of s otherwise (p^2 = s^2 would make s rational).  With more, the
+        enclosure is refined until it excludes zero, which a nonzero value's
+        does at some precision because its surds are independent over Q.
         """
-        if not self._terms:
-            return 0
-        if all(c > 0 for c in self._terms.values()):
-            return 1
-        if all(c < 0 for c in self._terms.values()):
-            return -1
+        p, sigmas = self._p, self._s
+        if not sigmas:
+            return (p > 0) - (p < 0)
+        if len(sigmas) == 1:
+            lead = p if p * p > abs(sigmas[0]) else sigmas[0]
+            return 1 if lead > 0 else -1
         bits = 64
         while True:
             iv = self.interval(bits)
@@ -453,23 +422,18 @@ class Radical:
             if iv.hi < 0:
                 return -1
             bits *= 2
-            if bits > 1 << 16:  # ~20000 decimal digits; unreachable for sane inputs
-                raise RuntimeError("sign undecided at extreme precision")
 
     # -- comparisons (exact) ----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, Radical) and self._terms == other._terms:
-            return True  # radicands are not canonical, so unequal dicts prove nothing
-        if isinstance(other, (Radical, int, Fraction)) or isinstance(other, Rational):
-            return (self - other).is_zero()
+        if isinstance(other, Radical):
+            return self._p == other._p and self._s == other._s
+        if isinstance(other, Rational):
+            return not self._s and self._p == other
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational:
-            return hash(self.as_rational() if self._terms else QQ(0))
-        # c*sqrt(r) is fixed by (sign c, c^2 r) whichever square factors r keeps
-        return hash(frozenset((c > 0, c * c * r) for r, c in self._terms.items()))
+        return hash((self._p, self._s)) if self._s else hash(self._p)
 
     def __lt__(self, other):
         return (self - other).sign() < 0
@@ -487,13 +451,11 @@ class Radical:
         return float(self.interval(64).mid)
 
     def __repr__(self):
-        if not self._terms:
-            return "Radical(0)"
-        parts = []
-        for rad in sorted(self._terms, key=int):
-            c = self._terms[rad]
-            parts.append(str(c) if rad == 1 else f"{c}*sqrt({rad})")
-        return "Radical(" + " + ".join(parts) + ")"
+        # a surd s prints as +-sqrt(|s|^2)
+        text = "".join(f" {'-' if s < 0 else '+'} sqrt({abs(s)})" for s in self._s)
+        if self._p or not text:
+            return f"Radical({self._p}{text})"
+        return f"Radical({text[1] if text[1] == '-' else ''}{text[3:]})"
 
 
 def sqrt_rational(q) -> Radical:

@@ -149,6 +149,10 @@ def test_fixed_vector_negative_radius_is_usage_error(capsys):
     ["rd-norm", "--spec", "Ao(3)", "--r", "1/0"],
     ["rd-norm", "--spec", "Ao(3)", "--s", "1/0"],
     ["schur", "--a", "growth:1/0"],
+    ["schur", "--size", "0"],
+    ["schur", "--a", "growth:3", "--size", "-3"],
+    ["chain-check", "--count", "-5"],
+    ["chain-check", "--count", "0"],
 ])
 def test_out_of_domain_values_are_usage_errors(argv, capsys):
     code, out, err = run_cli(capsys, *argv)

@@ -125,6 +125,26 @@ def test_a_param_non_unimodular_case():
     assert gp.exact * gp.exact - QQ(7, 2) * gp.exact + 1 == Radical.from_rational(0)
 
 
+_DIMQS = ([QQ(d) for d in range(3, 41)]
+          + [QQ(p, q) for q in range(2, 10) for p in range(2 * q + 1, 6 * q) if QQ(p, q).denominator == q])
+
+
+@pytest.mark.parametrize("tol", [QQ(1, 10**12), QQ(1, 10**30)])
+def test_a_param_encloses_the_root(tol):
+    for d in _DIMQS:
+        iv = a_param(d, tol).interval
+        assert iv.lo >= 1
+        assert iv.lo * iv.lo - d * iv.lo + 1 <= 0 <= iv.hi * iv.hi - d * iv.hi + 1
+        assert iv.width <= tol
+
+
+@pytest.mark.parametrize("dimq, root", [(QQ(5, 2), 2), (QQ(10, 3), 3)])
+def test_a_param_rational_root_is_a_point(dimq, root):
+    gp = a_param(dimq)
+    assert gp.interval.lo == gp.interval.hi == root
+    assert gp.exact == root
+
+
 def test_a_param_gate():
     with pytest.raises(GateError):
         a_param(QQ(3, 2))

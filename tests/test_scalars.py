@@ -1,9 +1,10 @@
 """Exact scalar kernel: radicals, intervals, enclosures."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcayley.scalars import QQ, Interval, Radical, sqrt_bounds, sqrt_rational
@@ -42,7 +43,7 @@ def test_interval_sqrt_and_contains():
     assert iv.lo * iv.lo <= 2 and 3 <= iv.hi * iv.hi
     assert Interval(QQ(0), QQ(4)).contains(QQ(4))
     assert not Interval(QQ(0), QQ(4)).contains(QQ(5))
-    assert Interval(QQ(1), QQ(2)).certainly_lt(Interval(QQ(3), QQ(4)))
+    assert Interval(QQ(1), QQ(2)).hi < Interval(QQ(3), QQ(4)).lo
 
 
 def test_radical_perfect_square_collapse():
@@ -114,7 +115,7 @@ def test_radical_binomial_square(p, q):
 
 
 def test_radical_equal_values_hash_equal():
-    # 289 = 17^2 is beyond the small-prime square stripping
+    # radicands 578 = 17^2 * 2 and 2 name one square class
     a, b = Radical.sqrt_of(578), 17 * Radical.sqrt_of(2)
     assert a == b
     assert hash(a) == hash(b)
@@ -129,8 +130,8 @@ def _general_product(x, num, den):
 @pytest.mark.parametrize("x, num, den", [
     (Radical.sqrt_of(QQ(2, 3)), 3, 2),          # sqrt(2/3) * sqrt(3/2) = 1
     (QQ(5, 7) * Radical.sqrt_of(6), 3, 8),      # (5/7) sqrt(6) * sqrt(3/8) = 15/14
-    (Radical.sqrt_of(578), 2, 9),               # radicand 578 = 17^2 * 2 kept unstripped
-    (Radical.from_rational(QQ(-4, 3)), 9, 4),   # a rational coefficient, radicand 1
+    (Radical.sqrt_of(578), 2, 9),               # radicand 578 = 17^2 * 2
+    (Radical.from_rational(QQ(-4, 3)), 9, 4),   # a rational
     (Radical.sqrt_of(2), 1, 2),                 # sqrt(2) * sqrt(1/2) = 1
     (QQ(2, 5) * Radical.sqrt_of(3), 3, 1),      # (2/5) sqrt(3) * sqrt(3) = 6/5
 ])
@@ -162,7 +163,7 @@ def test_times_sqrt_multi_term(x, num, den):
 
 
 def test_times_sqrt_of_zero():
-    assert Radical({}).times_sqrt(3, 2).is_zero()
+    assert Radical.from_rational(0).times_sqrt(3, 2).is_zero()
 
 
 @given(st.fractions(min_value=-50, max_value=50, max_denominator=30).filter(bool),
@@ -180,16 +181,55 @@ def test_times_sqrt_matches_general_product(c, rad, num, den):
 @settings(max_examples=80)
 def test_times_sqrt_collapse_property(c, rad, k, den):
     x = QQ(c) * Radical.sqrt_of(rad)
-    ((r, _),) = x._terms.items()
-    got = x.times_sqrt(r * k * k * den, den)  # r * num * den = (r*k*den)^2
+    got = x.times_sqrt(rad * k * k * den, den)  # rad * num * den = (rad*k*den)^2
     assert got.is_rational
-    assert got == _general_product(x, r * k * k * den, den)
+    assert got == QQ(c) * rad * k
+    assert got == _general_product(x, rad * k * k * den, den)
 
 
 def test_eq_identical_terms_and_uncanonical_radicands():
     a = QQ(3, 4) * Radical.sqrt_of(5) + 1
-    assert a == Radical(dict(a._terms))
-    # unequal term dicts with equal values still compare equal
+    assert a == 1 + Radical.sqrt_of(QQ(45, 16))
+    assert a != Radical.sqrt_of(QQ(45, 16))
+    # radicands that differ by a square factor give equal values
     assert Radical.sqrt_of(578) == 17 * Radical.sqrt_of(2)
     assert Radical.sqrt_of(578) != 17 * Radical.sqrt_of(3)
     assert Radical.sqrt_of(578) != Radical.sqrt_of(2)
+
+
+def test_sign_of_one_surd_is_exact_at_any_precision():
+    # a rational within 2^-70000 of sqrt(2), below it
+    below = Radical.from_rational(Fraction(isqrt(2 << 140000), 1 << 70000))
+    assert (below - sqrt_rational(2)).sign() == -1
+    assert (sqrt_rational(2) - below).sign() == 1
+    assert (below + sqrt_rational(2)).sign() == 1
+
+
+def test_repr_is_canonical():
+    assert repr(Radical.sqrt_of(578)) == repr(17 * Radical.sqrt_of(2))
+    assert repr(Radical.sqrt_of(QQ(9, 4))) == repr(Radical.from_rational(QQ(3, 2)))
+    assert repr(Radical.from_rational(0)) == repr(Radical.sqrt_of(2) - Radical.sqrt_of(2))
+
+
+@given(st.fractions(min_value=-50, max_value=50, max_denominator=30).filter(bool),
+       st.integers(2, 40), st.integers(2, 400))
+@example(QQ(3, 2), 17, 2)
+@settings(max_examples=80)
+def test_square_factors_give_one_form(c, k, n):
+    # c*sqrt(k^2 n) and (ck)*sqrt(n) built by products, sums, division and times_sqrt
+    whole = QQ(c) * Radical.sqrt_of(k * k * n)
+    forms = [
+        whole,
+        QQ(c * k) * Radical.sqrt_of(n),
+        Radical.sqrt_of(n) * QQ(c * k),
+        Radical.sqrt_of(k * k) * Radical.sqrt_of(n) * QQ(c),
+        sum([QQ(c) * Radical.sqrt_of(n)] * k, Radical.from_rational(0)),
+        QQ(c) * Radical.sqrt_of(n) + QQ(c * (k - 1)) * Radical.sqrt_of(n * k * k) / k,
+        Radical.from_rational(QQ(c)).times_sqrt(k * k * n, 1),
+        (QQ(c) * Radical.sqrt_of(n)).times_sqrt(k * k, 1),
+        (QQ(c * k) * Radical.sqrt_of(QQ(n, 4))).times_sqrt(4, 1),
+    ]
+    for form in forms:
+        assert form == whole
+        assert repr(form) == repr(whole)
+        assert hash(form) == hash(whole)
