@@ -7,7 +7,7 @@ weighted hilbertian tree: path vectors, inverse series, Gram estimates) ->
 (certified series and inequality checks), with `cli`/`verify` on top.
 """
 
-from .errors import GateError, QCayleyError, SpecSyntaxError, TreeSizeError
+from .errors import EnumerationSizeError, GateError, QCayleyError, SpecSyntaxError, TreeSizeError
 from .fusion import (
     Direction,
     FactorSpec,
@@ -37,6 +37,7 @@ __all__ = [
     "SpecSyntaxError",
     "GateError",
     "TreeSizeError",
+    "EnumerationSizeError",
     "Direction",
     "FactorSpec",
     "GrowthParam",

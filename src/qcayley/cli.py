@@ -23,7 +23,7 @@ from . import estimates as est
 from . import qctree as qt
 from . import verify as verify_mod
 from .aunitary import cn_lower
-from .cayley import build_tree
+from .cayley import DEFAULT_VERTEX_CAP, build_tree
 from .errors import QCayleyError
 from .fusion import (
     ORTHOGONAL,
@@ -299,10 +299,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     shared = {
-        "format": dict(choices=("json", "csv")),
-        "seed": dict(type=int),
+        "format": dict(choices=("json", "csv"), default="json"),
+        "seed": dict(type=int, default=verify_mod.DEFAULT_SEED),
         "tolerance": dict(help="growth-parameter enclosure width, e.g. 1e-30"),
         "spec": dict(help='e.g. "Ao(3)" or "Ao(3)*Au(3)"'),
+        "a": dict(default="2", help="rational like 3/2, or growth:DIMQ"),
+        "max-vertices": dict(type=int, default=DEFAULT_VERTEX_CAP),
     }
 
     def common(sp, *flags):
@@ -313,63 +315,59 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dims", help="quantum dimension sequence of an Ao factor")
     common(sp, "format", "spec")
-    sp.add_argument("--count", type=int)
-    sp.set_defaults(fn=cmd_dims, _defaults={"count": 10})
+    sp.add_argument("--count", type=int, default=10)
+    sp.set_defaults(fn=cmd_dims)
 
     sp = sub.add_parser("tree", help="dump vertices and directed edges as JSON lines")
-    common(sp, "spec")
-    sp.add_argument("--radius", type=int)
-    sp.add_argument("--max-vertices", type=int)
-    sp.set_defaults(fn=cmd_tree, _defaults={"radius": 4, "max_vertices": 200_000})
+    common(sp, "spec", "max-vertices")
+    sp.add_argument("--radius", type=int, default=4)
+    sp.set_defaults(fn=cmd_tree)
 
     sp = sub.add_parser("paths", help="squared path-vector norms per vertex")
-    common(sp, "format", "spec")
-    sp.add_argument("--radius", type=int)
-    sp.add_argument("--max-vertices", type=int)
+    common(sp, "format", "spec", "max-vertices")
+    sp.add_argument("--radius", type=int, default=6)
     sp.add_argument("--unit-weights", action="store_true")
-    sp.set_defaults(fn=cmd_paths, _defaults={"radius": 6, "max_vertices": 200_000})
+    sp.set_defaults(fn=cmd_paths)
 
     sp = sub.add_parser("fixed-vector", help="truncated infinite-geodesic path vector")
     common(sp, "format", "spec")
-    sp.add_argument("--radius", type=int)
-    sp.set_defaults(fn=cmd_fixed_vector, _defaults={"radius": 40})
+    sp.add_argument("--radius", type=int, default=40)
+    sp.set_defaults(fn=cmd_fixed_vector)
 
     sp = sub.add_parser("gram", help="certified Gram entries of the inverse series")
     common(sp, "format", "spec")
-    sp.add_argument("--kmax", type=int)
+    sp.add_argument("--kmax", type=int, default=10)
     sp.add_argument("--k", type=int)
     sp.add_argument("--l", type=int)
-    sp.add_argument("--radius", type=int)
-    sp.set_defaults(fn=cmd_gram, _defaults={"kmax": 10, "radius": 40})
+    sp.add_argument("--radius", type=int, default=40)
+    sp.set_defaults(fn=cmd_gram)
 
     sp = sub.add_parser("growth", help="linear-growth lower bounds for Au powers")
     common(sp, "format", "spec")
-    sp.add_argument("--n-max", type=int)
-    sp.set_defaults(fn=cmd_growth, _defaults={"n_max": 8})
+    sp.add_argument("--n-max", type=int, default=8)
+    sp.set_defaults(fn=cmd_growth)
 
     sp = sub.add_parser("rd-norm", help="rapid-decay norm series (weighted with --r)")
     common(sp, "format", "spec")
-    sp.add_argument("--s", help="Sobolev exponent; 2s must be an integer")
+    sp.add_argument("--s", default="3", help="Sobolev exponent; 2s must be an integer")
     sp.add_argument("--r", help="weight base for the non-unimodular variant")
-    sp.add_argument("--radius", type=int)
-    sp.set_defaults(fn=cmd_rd_norm, _defaults={"s": "3", "radius": 60})
+    sp.add_argument("--radius", type=int, default=60)
+    sp.set_defaults(fn=cmd_rd_norm)
 
     sp = sub.add_parser("schur", help="Toeplitz decay-matrix norm vs the Schur bound")
-    common(sp, "format", "tolerance")
-    sp.add_argument("--a", help="rational like 3/2, or growth:DIMQ")
-    sp.add_argument("--size", type=int)
-    sp.set_defaults(fn=cmd_schur, _defaults={"a": "2", "size": 50})
+    common(sp, "format", "tolerance", "a")
+    sp.add_argument("--size", type=int, default=50)
+    sp.set_defaults(fn=cmd_schur)
 
     sp = sub.add_parser("chain-check", help="randomized summation-inequality checks")
-    common(sp, "format", "seed", "tolerance")
-    sp.add_argument("--a")
-    sp.add_argument("--count", type=int)
-    sp.set_defaults(fn=cmd_chain_check, _defaults={"a": "2", "count": 200})
+    common(sp, "format", "seed", "tolerance", "a")
+    sp.add_argument("--count", type=int, default=200)
+    sp.set_defaults(fn=cmd_chain_check)
 
     sp = sub.add_parser("verify", help="run the acceptance suite")
     common(sp, "seed")
-    sp.add_argument("--profile", choices=tuple(verify_mod.PROFILES))
-    sp.set_defaults(fn=cmd_verify, _defaults={"profile": "quick"})
+    sp.add_argument("--profile", choices=tuple(verify_mod.PROFILES), default="quick")
+    sp.set_defaults(fn=cmd_verify)
     return p
 
 
@@ -378,31 +376,36 @@ _CONFIG_KEYS = ("format", "output", "seed", "spec", "radius", "count",
                 "tolerance")
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    defaults = {"format": "json", "seed": verify_mod.DEFAULT_SEED}
-    defaults.update(getattr(args, "_defaults", {}))
-    if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        unknown = set(loaded) - set(_CONFIG_KEYS)
-        if unknown:
-            raise QCayleyError(f"unknown config keys: {sorted(unknown)}")
-        defaults.update(loaded)
-    for key, value in defaults.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
-    if hasattr(args, "spec") and args.spec is None:
-        raise QCayleyError("--spec is required")
-    if getattr(args, "tolerance", None) is not None \
-            and _rational(str(args.tolerance)) <= 0:
-        raise QCayleyError("tolerance must be positive")
+def _with_config(argv: list, args: argparse.Namespace) -> list:
+    """argv with each config value the command reads inserted as `--key=VALUE` right
+    after the command, so argparse checks it as it checks the flag and a flag wins.
+    A JSON string is the flag's text; any other value is its JSON text (0.1 is 1/10)."""
+    with open(args.config) as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise QCayleyError("the config file must hold a JSON object")
+    unknown = set(loaded) - set(_CONFIG_KEYS)
+    if unknown:
+        raise QCayleyError(f"unknown config keys: {sorted(unknown)}")
+    flags = [f"--{key.replace('_', '-')}={v if isinstance(v, str) else json.dumps(v)}"
+             for key, v in loaded.items() if hasattr(args, key)]
+    i = 0  # the command: skip --config PATH, --config=PATH and abbreviations like --conf PATH
+    while argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] else 2
+    return argv[:i + 1] + flags + argv[i + 1:]
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            args = parser.parse_args(_with_config(argv, args))
+        if hasattr(args, "spec") and args.spec is None:
+            raise QCayleyError("--spec is required")
+        if getattr(args, "tolerance", None) is not None and _rational(args.tolerance) <= 0:
+            raise QCayleyError("tolerance must be positive")
         if args.output:
             with open(args.output, "w") as out:
                 code = args.fn(args, out)

@@ -7,6 +7,7 @@ __all__ = [
     "SpecSyntaxError",
     "GateError",
     "TreeSizeError",
+    "EnumerationSizeError",
 ]
 
 
@@ -31,3 +32,7 @@ class GateError(QCayleyError):
 
 class TreeSizeError(QCayleyError):
     """Tree construction would exceed the configured vertex cap."""
+
+
+class EnumerationSizeError(QCayleyError):
+    """An exhaustive enumeration would exceed the grade-walk cap."""

@@ -18,7 +18,7 @@ from qcayley.aunitary import (
     ql_norm_sq,
     ql_sums,
 )
-from qcayley.errors import GateError
+from qcayley.errors import EnumerationSizeError, GateError
 from qcayley.scalars import QQ
 
 
@@ -160,6 +160,20 @@ def test_dimension_two_gates():
         cn_lower(3, 2)
     # the grade decomposition itself is dimension-agnostic
     assert parseval_violations(3, 2) == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cn_lower(14, 3),
+    lambda: ql_sums((1,) * 14, 3),
+    lambda: parseval_violations(7, 3),
+    lambda: check_index_independence(7, 3),
+    lambda: cn_lower(10 ** 6, 3),
+], ids=["cn_lower", "ql_sums", "parseval_violations", "check_index_independence",
+        "cn_lower-huge-n"])
+def test_enumerations_refuse_more_than_the_walk_cap(call):
+    """3^14 grade walks are past the 2^22 cap: refused before the first walk."""
+    with pytest.raises(EnumerationSizeError, match="exceed the cap"):
+        call()
 
 
 # -- the grade walk against the per-(k, l) loops it replaced ---------------------

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qcayley
-from qcayley.cli import main
+from qcayley.cli import _CONFIG_KEYS, main
 from qcayley.fusion import _format_rational
 
 
@@ -198,6 +198,80 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert code == 2 and "unknown config keys" in err
 
 
+def run_config(tmp_path, capsys, config, *argv):
+    """main() with `config` as the --config file; argparse's SystemExit gives the code."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    try:
+        code = main(["--config", str(cfg), *argv])
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"radius": "abc"}, ["paths", "--spec", "Ao(3)"]),
+    ({"count": 3.0}, ["dims", "--spec", "Ao(3)"]),
+    ({"count": None}, ["dims", "--spec", "Ao(3)"]),
+    ({"spec": 3}, ["dims"]),
+    ({"profile": "nope"}, ["verify"]),
+    ({"max_vertices": "x"}, ["tree", "--spec", "Ao(3)"]),
+    ({"size": True}, ["schur"]),
+    ({"seed": "x"}, ["chain-check"]),
+    ({"format": "xml"}, ["dims", "--spec", "Ao(3)"]),
+])
+def test_config_values_are_checked_as_their_flags_are(config, argv, tmp_path, capsys):
+    code, out, err = run_config(tmp_path, capsys, config, *argv)
+    assert code == 2 and out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("config, argv, flags", [
+    ({"r": 1.1}, ["rd-norm", "--spec", "Ao(7/2)"], ["--r", "1.1"]),
+    ({"seed": "11"}, ["chain-check", "--count", "20"], ["--seed", "11"]),
+    ({"a": 1.5}, ["schur", "--size", "7"], ["--a", "1.5"]),
+    ({"tolerance": 1e-20}, ["schur", "--a", "growth:3", "--size", "7"],
+     ["--tolerance", "1e-20"]),
+])
+def test_config_value_reads_as_the_flag_text(config, argv, flags, tmp_path, capsys):
+    code, out, _ = run_config(tmp_path, capsys, config, *argv)
+    assert (code, out) == run_cli(capsys, *argv, *flags)[:2]
+    assert code == 0
+
+
+def test_config_output_is_a_file_name(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_config(tmp_path, capsys, {"output": 1}, "dims", "--spec", "Ao(3)",
+                              "--count", "3", "--format", "csv")
+    assert code == 0 and out == ""
+    assert (tmp_path / "1").read_text() == "1,3,8\n"
+
+
+def test_config_key_the_command_does_not_read_is_ignored(tmp_path, capsys):
+    code, out, _ = run_config(tmp_path, capsys, {"radius": "abc"}, "dims", "--spec", "Ao(3)",
+                              "--count", "3", "--format", "csv")
+    assert code == 0 and out == "1,3,8\n"
+
+
+@pytest.mark.parametrize("config", [{"k": 2}, {"l": 2}, {"unit_weights": True},
+                                    [["spec", "Ao(3)"]]])
+def test_config_flag_only_keys_and_non_objects_are_refused(config, tmp_path, capsys):
+    code, out, err = run_config(tmp_path, capsys, config, "gram", "--spec", "Ao(3)")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("config_flags", [["--config={}"], ["--conf", "{}"]])
+def test_config_flag_forms_before_the_command(config_flags, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"spec": "Ao(3)", "format": "csv", "count": 6}))
+    src = str(Path(qcayley.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-m", "qcayley.cli",
+                          *(f.format(cfg) for f in config_flags), "dims", "--count", "3"],
+                         capture_output=True, timeout=600, env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr.decode()
+    assert res.stdout == b"1,3,8\n"
+
+
 def test_verify_quick_profile_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--profile", "quick", "--seed", "7")
     assert code == 0
@@ -288,3 +362,38 @@ def test_cli_fuzz_exits_cleanly(argv):
     if argv[0] in ("rd-norm", "fixed-vector", "tree", "paths") and int(flags["--radius"]) < 0 \
             or argv[0] == "growth" and int(flags["--n-max"]) < 1:
         assert code == 2, argv
+
+
+_CONFIG_LITERALS = ["Ao(3)", "Au(3)", "Ao(7/2)", "Ao(3)*Au(3)", "3/2", "growth:3", "1e-30",
+                    "json", "csv", "quick", "-1", "0", "12"]
+_CONFIG_INT = st.integers(-3, 12)
+# no "/" in drawn text: a drawn "output" is a file name relative to the test's directory
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(_CONFIG_LITERALS), st.text(alphabet="Aou()*:.ex-", max_size=6),
+    _CONFIG_INT, st.floats(-3, 12), st.booleans(), st.none(), st.lists(_CONFIG_INT, max_size=2),
+)
+
+
+@given(command=st.sampled_from(["dims", "tree", "paths", "fixed-vector", "gram", "growth",
+                                "rd-norm", "schur", "chain-check"]),
+       drawn=st.dictionaries(st.sampled_from(_CONFIG_KEYS + ("bogus",)), _CONFIG_VALUES,
+                             max_size=4),
+       max_vertices=_CONFIG_INT, count=_CONFIG_INT)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+def test_cli_config_fuzz_exits_cleanly(command, drawn, max_vertices, count, tmp_path,
+                                       monkeypatch):
+    """Any config value is computed or refused: exit 0, 1 or 2, no traceback; exit 1 is a
+    verification failure, which only schur and chain-check report."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"max_vertices": max_vertices, "count": count, **drawn}))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(["--config", str(cfg), command])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (command, drawn, code)
+    assert "Traceback" not in err.getvalue()
+    assert code != 1 or command in ("schur", "chain-check"), (command, drawn)

@@ -51,6 +51,7 @@ REFUSALS = {
     "gram-unitary": ["gram", "--spec", "Au(3)"],
     "rd-norm-product": ["rd-norm", "--spec", "Ao(3)*Ao(3)"],
     "fixed-vector-dim2": ["fixed-vector", "--spec", "Ao(2)"],
+    "growth-past-the-walk-cap": ["growth", "--spec", "Au(3)", "--n-max", "30"],
 }
 
 
