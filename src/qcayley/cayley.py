@@ -18,7 +18,6 @@ from itertools import cycle, islice
 from typing import Iterator, Union
 
 from .errors import TreeSizeError
-from .scalars import QQ
 from .fusion import (
     ORTHOGONAL,
     UNITARY,
@@ -106,6 +105,7 @@ class CayleyTree:
         return len(self._dims) - 1
 
     def dim(self, vid: int):
+        """Quantum dimension of a vertex, in the type of `spec.dim_scalars`."""
         return self._dims[vid]
 
     def length(self, vid: int) -> int:
@@ -118,7 +118,9 @@ class CayleyTree:
         return self._parent[vid], self.directions[self._pdir[vid]]
 
     def dir_dim(self, d: Direction):
-        return self.spec.factors[d.factor].dimq  # already an exact rational
+        # a Fraction even when the vertex dimensions are ints, so that
+        # quotients like 2 / (dir_dim * dim * dim) stay exact
+        return self.spec.factors[d.factor].dimq
 
     def child(self, vid: int, d: Direction) -> int:
         idx = self.directions.index(d)
@@ -274,12 +276,8 @@ def build_tree(spec: QuantumGroupSpec, radius: int,
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    # integer dimensions recurse in int and become rationals once at the end
-    all_int = all(f.dimq.denominator == 1 for f in spec.factors)
-    m1s = [int(f.dimq) if all_int else QQ(f.dimq) for f in spec.factors]
-    parent, pdir, length, dims = _bfs_tree(spec, m1s, radius, max_vertices)
-    if all_int:
-        dims = [QQ(d) for d in dims]
+    # ints when every dimq is integral, Fractions otherwise
+    parent, pdir, length, dims = _bfs_tree(spec, spec.dim_scalars, radius, max_vertices)
     return CayleyTree(spec, radius, parent, pdir, length, dims)
 
 
@@ -314,6 +312,7 @@ def validate(tree: CayleyTree) -> ValidationReport:
     incremental recursion used during the build.
     """
     spec = tree.spec
+    m1s = spec.dim_scalars
     issues = []
     n = tree.n_vertices
     for v in range(1, n):
@@ -326,8 +325,8 @@ def validate(tree: CayleyTree) -> ValidationReport:
         summands = fuse_generator(spec, tree.word(p), d)
         if tree.word(c) != summands[-1]:
             issues.append(f"edge {p}->{c}: ascending fusion result mismatch")
-        total = sum((quantum_dim(spec, s) for s in summands), QQ(0))
-        if total != tree.dim(p) * tree.dir_dim(d):
+        total = sum(quantum_dim(spec, s) for s in summands)
+        if total != tree.dim(p) * m1s[d.factor]:
             issues.append(f"edge {p}->{c}: dimension bookkeeping fails")
         if len(summands) == 2:
             # the generator absorbed the last letter of p: the reduced word is p's parent
@@ -359,18 +358,20 @@ def iter_ray(spec: QuantumGroupSpec, pattern=None):
     """Lazily walk an infinite geodesic: yields (word, quantum dimension).
 
     The first yield is the root; afterwards the pattern of directions is
-    repeated forever, always taking the ascending fusion result.
+    repeated forever, always taking the ascending fusion result.  The
+    dimensions have the type of `spec.dim_scalars`, as in `build_tree`.
     """
     if pattern is None:
         pattern = canonical_ray_pattern(spec)
     if not pattern:
         raise ValueError("empty direction pattern")
+    m1s = spec.dim_scalars
     prev_word = prev_dim = None
-    word, dim = Irrep(()), QQ(1)
+    word, dim = Irrep(()), m1s[0] ** 0  # 1, in the type of the dimensions
     for d in cycle(pattern):
         yield word, dim
         summands = fuse_generator(spec, word, d)
-        m1 = QQ(spec.factors[d.factor].dimq)
+        m1 = m1s[d.factor]
         if len(summands) == 2:
             # descending summand is the previous ray vertex by construction
             if summands[0] != prev_word:

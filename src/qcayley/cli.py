@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import estimates as est
 from . import qctree as qt
 from . import verify as verify_mod
-from .aunitary import cn_lower
+from .aunitary import _check_walks, cn_lower
 from .cayley import DEFAULT_VERTEX_CAP, build_tree
 from .errors import QCayleyError
 from .fusion import (
@@ -200,6 +200,7 @@ def cmd_growth(args, out) -> int:
     if args.n_max < 1:
         raise QCayleyError("--n-max must be >= 1")
     N = int(dimq)
+    _check_walks(N, args.n_max)  # refuse up front, not once n reaches the cap
     values = [cn_lower(n, N) for n in range(1, args.n_max + 1)]
     if args.format == "csv":
         out.write("n,cn_lower,first_diff,slope\n")

@@ -106,10 +106,14 @@ def _half_line(dimq, radius: int, r=1, e: int = 0):
     wn, wd = r.numerator ** 2, r.denominator ** 2  # r^2 = wn/wd, kept in integers
     prefix = accumulate(QQ(wn ** (i + 1) * (i + 2) ** e, wd ** (i + 1)) / (dims[i] * dims[i + 1])
                         for i in range(radius + 1))
-    ratio = (r / rho) ** 2 * QQ((radius + 4) ** e, (radius + 3) ** e)
-    if ratio >= 1:
+    # ratio = (r/rho)^2 ((R+4)/(R+3))^e, compared with 1 in integers: at a large e
+    # a refusal then costs no gcd, and it does not print the ratio's thousands of digits
+    num = wn * rho.denominator ** 2 * (radius + 4) ** e
+    den = wd * rho.numerator ** 2 * (radius + 3) ** e
+    if num >= den:
         raise ValueError(f"radius {radius} too small to certify the tail "
-                         f"(ratio {ratio} >= 1); increase it")
+                         "(term ratio >= 1); increase it")
+    ratio = QQ(num, den)
     t_next = r ** (2 * radius + 4) * QQ((radius + 3) ** e) / (dims[radius + 1] * dims[radius + 2])
     return tuple(dims), tuple(prefix), t_next / (1 - ratio), ratio
 

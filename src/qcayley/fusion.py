@@ -18,16 +18,17 @@ Every rule is cross-checked by the dimension bookkeeping
 ``m_alpha * m_gamma = sum of summand dimensions``, which the test-suite
 enforces on whole trees: a wrong rule cannot stay silent.
 
-Dimensions are exact rationals.  For an Ao factor they satisfy the
-Chebyshev-type recursion ``m_{k+1} = dimq*m_k - m_{k-1}``; the growth
-parameter ``a`` (larger root of ``a + 1/a = dimq``) is irrational and is
-only ever exposed as a certified interval or an exact Radical.
+Dimensions are exact: ints when every factor's dimq is an integer, else
+Fractions (see `QuantumGroupSpec.dim_scalars`).  For an Ao factor they
+satisfy the Chebyshev-type recursion ``m_{k+1} = dimq*m_k - m_{k-1}``; the
+growth parameter ``a`` (larger root of ``a + 1/a = dimq``) is irrational and
+is only ever exposed as a certified interval or an exact Radical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 
 from .errors import GateError, SpecSyntaxError
@@ -108,6 +109,15 @@ class QuantumGroupSpec:
                 out.append(Direction(i, 1))
                 out.append(Direction(i, -1))
         return tuple(out)
+
+    @cached_property
+    def dim_scalars(self) -> tuple:
+        """Each factor's dimq in the arithmetic type of the spec's quantum
+        dimensions: all ints when every dimq is integral (every dimension is
+        then an integer), else all Fractions."""
+        if all(f.dimq.denominator == 1 for f in self.factors):
+            return tuple(f.dimq.numerator for f in self.factors)
+        return tuple(f.dimq for f in self.factors)
 
 
 @dataclass(frozen=True)
@@ -337,18 +347,20 @@ def ao_dims(dimq, count: int) -> list:
     return [QQ(num, q ** k) for k, num in enumerate(nums[:count])]
 
 
-@lru_cache(maxsize=65536)
+# The letter dimensions come back in the type of `dimq` (int or Fraction); the
+# caches are typed, since 3 and Fraction(3) are equal keys.
+
+@lru_cache(maxsize=65536, typed=True)
 def _ao_letter_dim(dimq, k: int):
-    return ao_dims(dimq, k + 1)[k]
+    return type(dimq)(ao_dims(dimq, k + 1)[k])
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=65536, typed=True)
 def au_word_dim(dimq, word: tuple):
     """Dimension of an Au letter: m(ws) = m1*m(w) - [w ends in conj(s)]*m(w')."""
-    m1 = QQ(dimq)
-    prev2, prev = QQ(1), QQ(1)  # dims of prefixes of length -1 (unused), 0
+    prev2 = prev = dimq ** 0  # dims of prefixes of length -1 (unused), 0
     for i, s in enumerate(word):
-        cur = m1 * prev
+        cur = dimq * prev
         if i >= 1 and word[i - 1] == -s:
             cur -= prev2
         prev2, prev = prev, cur
@@ -357,15 +369,16 @@ def au_word_dim(dimq, word: tuple):
 
 def letter_dim(spec: QuantumGroupSpec, letter) -> object:
     fidx, payload = letter
-    f = spec.factors[fidx]
-    if f.kind == ORTHOGONAL:
-        return _ao_letter_dim(f.dimq, payload)
-    return au_word_dim(f.dimq, payload)
+    dimq = spec.dim_scalars[fidx]
+    if spec.factors[fidx].kind == ORTHOGONAL:
+        return _ao_letter_dim(dimq, payload)
+    return au_word_dim(dimq, payload)
 
 
 def quantum_dim(spec: QuantumGroupSpec, alpha: Irrep):
-    """Multiplicative over letters; exact rational."""
-    out = QQ(1)
+    """Multiplicative over letters; exact, in the type of `spec.dim_scalars`:
+    an int when every factor's dimq is integral, else a Fraction."""
+    out = spec.dim_scalars[0] ** 0  # 1, in that type
     for letter in alpha.word:
         out *= letter_dim(spec, letter)
     return out

@@ -1,5 +1,6 @@
 """Tree construction, queries, rays, validation."""
 
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -180,3 +181,15 @@ def test_half_line_beyond_127_levels():
 def test_more_than_127_directions():
     tree = build_tree(parse_spec("*".join(["Au(3)"] * 65)), 1)
     assert tree.n_vertices == 131
+
+
+@pytest.mark.parametrize("text, kind", [("Ao(3)", int), ("Au(3)", int), ("Ao(3)*Au(3)", int),
+                                        ("Ao(7/2)", Fraction), ("Ao(7/2)*Au(3)", Fraction)])
+def test_tree_and_ray_store_one_dimension_type(text, kind):
+    # ints exactly when every factor's dimq is integral, equal to the letterwise product
+    spec = parse_spec(text)
+    for source in (build_tree(spec, 4), GeodesicRay(spec, canonical_ray_pattern(spec), 8)):
+        for v in range(source.n_vertices):
+            letterwise = quantum_dim(spec, source.word(v))
+            assert type(source.dim(v)) is kind and type(letterwise) is kind
+            assert source.dim(v) == letterwise

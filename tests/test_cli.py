@@ -166,6 +166,26 @@ def test_gram_flag_misuse_is_usage_error(flags, capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_growth_refuses_n_max_past_the_walk_cap_before_any_walk(capsys, monkeypatch):
+    import qcayley.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "cn_lower", lambda *a, **k: calls.append(a))
+    code, out, err = run_cli(capsys, "growth", "--spec", "Au(3)", "--n-max", "30")
+    assert code == 2 and out == "" and "cap" in err
+    assert calls == []
+
+
+# s = 1180 is the smallest s whose exact tail ratio at radius 60 has more than
+# Python's 4300-digit limit for int-to-str conversion
+@pytest.mark.parametrize("s", ["1000", "1180"])
+def test_rd_norm_radius_too_small_is_a_short_usage_error(s, capsys):
+    code, out, err = run_cli(capsys, "rd-norm", "--spec", "Ao(3)", "--s", s)
+    assert code == 2 and out == ""
+    assert err == "error: radius 60 too small to certify the tail (term ratio >= 1); increase it\n"
+    assert len(err.encode()) < 200
+
+
 def test_gate_error_surfaced_verbatim(capsys):
     code, _, err = run_cli(capsys, "fixed-vector", "--spec", "Ao(2)", "--radius", "5")
     assert code == 2

@@ -16,6 +16,7 @@ from qcayley.fusion import (
     ao_dims,
     ao_irrep,
     au_word,
+    au_word_dim,
     dual,
     format_irrep,
     format_spec,
@@ -315,3 +316,16 @@ def test_format_irrep():
     assert format_irrep(TRIVIAL) == "1"
     assert format_irrep(au_word("uU")) == "u0U0"
     assert format_irrep(Irrep(((0, 2), (1, (1,))))) == "g0^2.u1"
+
+
+def test_letter_dims_keep_the_type_of_dimq_in_either_call_order():
+    # 5 and Fraction(5) are equal cache keys; the typed caches keep them apart
+    word = (1, -1, 1, 1)
+    for first, second in ((QQ(5), 5), (6, QQ(6))):
+        a, b = au_word_dim(first, word), au_word_dim(second, word)
+        assert a == b and type(a) is type(first) and type(b) is type(second)
+    letter = ao_irrep(4)
+    for texts in (("Ao(5)*Au(7/2)", "Ao(5)"), ("Ao(6)", "Ao(6)*Au(7/2)")):
+        dims = [quantum_dim(parse_spec(t), letter) for t in texts]
+        assert dims[0] == dims[1]
+        assert [type(m) for m in dims] == [int if "/" not in t else Fraction for t in texts]

@@ -22,8 +22,10 @@ CASES = {
     "dims-csv": ["dims", "--spec", "Ao(3)", "--count", "12", "--format", "csv"],
     "dims-json": ["dims", "--spec", "Ao(7/2)", "--count", "8"],
     "tree": ["tree", "--spec", "Ao(3)*Au(3)", "--radius", "4"],
+    "tree-rational-dimq": ["tree", "--spec", "Ao(7/2)*Au(3)", "--radius", "3"],
     "paths-json": ["paths", "--spec", "Ao(3)*Au(3)", "--radius", "5"],
     "paths-csv": ["paths", "--spec", "Ao(3)*Au(3)", "--radius", "5", "--format", "csv"],
+    "paths-rational-dimq": ["paths", "--spec", "Ao(7/2)", "--radius", "6"],
     "paths-unit-weights": ["paths", "--spec", "Au(3)", "--radius", "3", "--unit-weights"],
     "fixed-vector-ao": ["fixed-vector", "--spec", "Ao(3)", "--radius", "40"],
     "fixed-vector-au": ["fixed-vector", "--spec", "Au(3)", "--radius", "25"],

@@ -1,10 +1,12 @@
 """Weighted tree vectors: target/source maps, paths, inverse series, Gram."""
 
 import random
+from fractions import Fraction
+from numbers import Rational
 
 import pytest
 
-from qcayley.cayley import GeodesicRay, build_tree
+from qcayley.cayley import CayleyTree, GeodesicRay, build_tree
 from qcayley.errors import GateError
 from qcayley.estimates import _certified_pd
 from qcayley.fusion import a_param, ao_dims, au_word, parse_spec, quantum_dim
@@ -46,6 +48,38 @@ def _oracle_e2_unit_edge(tree, child):
         child: scale * (ma * mg),
         pvid: scale * (-(mb * mg)),
     })
+
+
+def _rationals(x) -> list:
+    """Every scalar inside x: a rational, a Radical or a vector of Radicals."""
+    if isinstance(x, Radical):
+        return [x._p, *x._s]
+    if hasattr(x, "items"):
+        return [q for _, r in x.items() for q in _rationals(r)]
+    return [x]
+
+
+def _with_fraction_dims(tree):
+    return CayleyTree(tree.spec, tree.radius, tree._parent, tree._pdir, tree._length,
+                      [Fraction(m) for m in tree._dims])
+
+
+@pytest.mark.parametrize("spec", [AO3, AU3, MIXED], ids=str)
+def test_integral_tree_gives_no_float_and_the_fraction_dims_results(spec):
+    tree = build_tree(spec, 5)
+    twin = _with_fraction_dims(tree)
+    assert type(tree.dim(1)) is int and type(twin.dim(1)) is Fraction
+    ops = [path_norm_sq, path_target, lambda t, v: e2(t, path_vector(t, v)),
+           lambda t, v: counit(t, VertexVector({v: sqrt_rational(QQ(v + 1, 2)), 0: QQ(1, 3)}))]
+    for v in range(tree.n_vertices):
+        for op in ops:
+            got = op(tree, v)
+            assert all(isinstance(q, Rational) for q in _rationals(got))
+            assert got == op(twin, v)
+    got, want = fixed_vector(tree, 5), fixed_vector(twin, 5)
+    for name in ("vector", "tail_bound", "norm_sq", "residual_norm"):
+        assert all(isinstance(q, Rational) for q in _rationals(getattr(got, name)))
+        assert getattr(got, name) == getattr(want, name)
 
 
 # -- target map ---------------------------------------------------------------

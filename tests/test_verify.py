@@ -1,0 +1,63 @@
+"""Criterion internals: negative controls that a criterion must catch.
+
+Criterion 1 checks its large tree on the incremental route, one exact edge
+check per edge class.  The quick profile never builds a tree that large, so
+these run it at radius 9 (29,524 vertices for Ao(3)*Au(3)).
+"""
+
+from qcayley import qctree as qt
+from qcayley import verify
+from qcayley.cayley import build_tree
+from qcayley.fusion import parse_spec
+from qcayley.scalars import Radical
+
+MIXED = parse_spec("Ao(3)*Au(3)")
+RADIUS_9 = dict(verify.PROFILES["quick"], c1_radius=9)
+
+
+def _mixed_line(result) -> str:
+    return next(d for d in result.details if d.startswith("Ao(3)*Au(3):"))
+
+
+def _edge_class(tree, c):
+    p = tree._parent[c]
+    return tree.dim(p), tree.dim(c), tree._pdir[c], p == 0
+
+
+def test_criterion_1_at_radius_9_takes_the_incremental_route():
+    result = verify.criterion_1(RADIUS_9, verify.DEFAULT_SEED)
+    assert result.passed, result.details
+    line = _mixed_line(result)
+    assert line.startswith("Ao(3)*Au(3): 29524 vertices radius<=9 exact (incremental+direct(")
+    assert line.endswith(", 0 residuals")
+
+
+def test_criterion_1_catches_e2_wrong_on_one_deep_edge_class(monkeypatch):
+    tree = build_tree(MIXED, 9)
+    target = _edge_class(tree, max(tree.sphere_ids(9), key=tree.dim))
+    members = [c for c in range(1, tree.n_vertices) if _edge_class(tree, c) == target]
+    # the class occurs only beyond radius 8, and has more than one edge
+    assert len(members) > 1 and all(tree.length(c) == 9 for c in members)
+    real_e2 = qt.e2
+
+    def e2_wrong_on_the_class(t, vec, unit_weights=False):
+        out = real_e2(t, vec, unit_weights)
+        if t.spec == MIXED and len(vec) == 1:
+            (c,) = vec.support
+            if _edge_class(t, c) == target:
+                out = out + qt.VertexVector({c: 1})
+        return out
+
+    monkeypatch.setattr(qt, "e2", e2_wrong_on_the_class)
+    result = verify.criterion_1(RADIUS_9, verify.DEFAULT_SEED)
+    assert not result.passed
+    # residuals count edges, not classes
+    assert _mixed_line(result).endswith(f", {len(members)} residuals")
+
+
+def test_criterion_1_catches_times_sqrt_dropping_a_factor(monkeypatch):
+    real = Radical.times_sqrt
+    monkeypatch.setattr(Radical, "times_sqrt", lambda self, num, den: real(self, num, 1))
+    result = verify.criterion_1(RADIUS_9, verify.DEFAULT_SEED)
+    assert not result.passed
+    assert not _mixed_line(result).endswith(", 0 residuals")
