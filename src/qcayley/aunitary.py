@@ -10,14 +10,16 @@ two-sided bounds for the squared cocycle norms, growing linearly in n.
 Everything is per unit source vector; only norms are materialized, never the
 chain vectors themselves (their norms are pinned, their ambient spaces are
 not needed).  The exhaustive multi-index enumerations are the definitional
-route and double as the oracle for the closed-form summations; they run as
-exact integer loops, scaled by powers of m1 = N, with one grade walk per
-pair (i, k) (see _grade_walk).
+route and double as the oracle for the closed-form summations.  Every grade
+norm, ql_norm_sq included, is read from one exact integer walk over the legs,
+scaled by m1^{2n} with m1 = N (see _grade_walk); an enumeration passes all its
+multi-indices k to one walk call, which visits each of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .errors import EnumerationSizeError, GateError
@@ -36,7 +38,8 @@ __all__ = [
     "parseval_violations",
 ]
 
-# About 2.5 s of exhaustive enumeration (0.6 us per grade walk, Python 3.11 on 2 vCPU);
+# At the cap, cn_lower and ql_sums take about 1.2 s (0.28 us per grade walk, Python 3.11
+# on 2 vCPU) and parseval_violations, one walk call per pair, about 7 s (N = 2, n = 11);
 # the largest size in use (cn_lower for N = 4, n = 9: 262,144 walks) is 16 times smaller.
 MAX_GRADE_WALKS = 2 ** 22
 
@@ -55,6 +58,7 @@ def _check_walks(N: int, exponent: int) -> None:
 
 
 def _gate_dimension(N: int) -> None:
+    _check_n(N)
     if N == 2:
         raise GateError(
             "generator quantum dimension 2 excluded (the exceptional unitary "
@@ -99,20 +103,11 @@ def ql_norm_sq(i_idx, k_idx, l: int, N: int):
     """
     _check_n(N)
     n = _validate_indices(i_idx, k_idx, N)
-    if not 0 <= l <= n:
-        raise ValueError(f"l = {l} outside 0..{n}")
-    out = QQ(1)
-    for p in range(n):
-        leg = LegDecomposition.of(i_idx[p], k_idx[p], N)
-        if p + 1 < l:
-            out *= leg.total_sq
-        elif p + 1 == l:
-            out *= leg.traceless_part_sq
-        else:
-            out *= leg.scalar_part_sq
-        if not out:
-            return out
-    return out
+    if not (isinstance(l, int) and 0 <= l <= n):
+        raise ValueError(f"l = {l!r} is not an integer in 0..{n}")
+    row = [0] * (n + 1)
+    _grade_walk(i_idx, (k_idx,), N, row)
+    return QQ(row[l], N ** (2 * n))
 
 
 # Per leg p the components of the rank-one e_i e_k^* under x = x0 + (Tr x/N) id,
@@ -126,16 +121,28 @@ def ql_norm_sq(i_idx, k_idx, l: int, N: int):
 # Grade l is nonzero only when legs l+1..n agree, so one walk down from l = n
 # visits every nonzero grade and stops at the first disagreeing leg.
 
-def _grade_walk(i_idx, k_idx, N, row):
-    """Add ql_norm_sq(i, k, l, N) * N^(2n) to row[l] for every l = 0..n."""
-    l = len(i_idx)
-    while l:
-        if i_idx[l - 1] != k_idx[l - 1]:
-            row[l] += N ** l
-            return
-        row[l] += N ** (l - 1) * (N - 1)
-        l -= 1
-    row[0] += 1
+@lru_cache(maxsize=64)
+def _leg_weights(n: int, N: int):
+    """For l = 0..n, the scaled grade-l norm N^l when leg l is the last
+    disagreeing leg, and N^(l-1) (N-1) when legs l..n agree (0 at l = 0, unused)."""
+    return (tuple(N ** l for l in range(n + 1)),
+            (0,) + tuple(N ** (l - 1) * (N - 1) for l in range(1, n + 1)))
+
+
+def _grade_walk(i_idx, k_idxs, N, row):
+    """Add ql_norm_sq(i, k, l, N) * N^(2n) to row[l] for every l = 0..n and k in k_idxs."""
+    n = len(i_idx)
+    differ, agree = _leg_weights(n, N)
+    for k_idx in k_idxs:
+        l = n
+        while l:
+            if i_idx[l - 1] != k_idx[l - 1]:
+                row[l] += differ[l]
+                break
+            row[l] += agree[l]
+            l -= 1
+        else:
+            row[0] += 1
 
 
 def ql_sums(i_idx, N: int):
@@ -145,8 +152,7 @@ def ql_sums(i_idx, N: int):
     n = _validate_indices(i_idx, i_idx, N)
     _check_walks(N, n)
     scaled = [0] * (n + 1)
-    for k_idx in product(range(1, N + 1), repeat=n):
-        _grade_walk(i_idx, k_idx, N, scaled)
+    _grade_walk(i_idx, product(range(1, N + 1), repeat=n), N, scaled)
     scale = QQ(N) ** (2 * n)
     return [QQ(s) / scale for s in scaled]
 
@@ -210,8 +216,7 @@ def cn_lower(n: int, N: int, i_idx=None, method: str = "enumerate"):
         # sum_l (N^(2(n-l)) - 1) * sum_k ql_norm_sq(i,k,l) * N^(2n), in integers
         _check_walks(N, n)
         row = [0] * (n + 1)
-        for k_idx in product(range(1, N + 1), repeat=n):
-            _grade_walk(i_idx, k_idx, N, row)
+        _grade_walk(i_idx, product(range(1, N + 1), repeat=n), N, row)
         scaled = sum((N ** (2 * (n - l)) - 1) * r for l, r in enumerate(row))
         return QQ(scaled) / (2 * (QQ(N) ** 2 - 1) * QQ(N) ** (2 * n))
     if method == "closed":
@@ -250,7 +255,7 @@ def parseval_violations(n: int, N: int) -> int:
     for i_idx in product(rng, repeat=n):
         for k_idx in product(rng, repeat=n):
             row = [0] * (n + 1)
-            _grade_walk(i_idx, k_idx, N, row)
+            _grade_walk(i_idx, (k_idx,), N, row)
             if sum(row) != target:
                 bad += 1
     return bad

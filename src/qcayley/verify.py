@@ -314,15 +314,16 @@ def criterion_6(profile: dict, seed: int) -> CriterionResult:
     checked = 0
     for N in (3, 4):
         for n in range(1, nmax + 1):
+            expected = [QQ(N) ** (-2 * n + l) for l in range(n + 1)]
             for i_idx in product(range(1, N + 1), repeat=n):
                 for l in range(1, n + 1):
+                    tail = i_idx[l:]
                     for k_low in product(range(1, N + 1), repeat=l - 1):
                         for k_l in range(1, N + 1):
                             if k_l == i_idx[l - 1]:
                                 continue
-                            k_idx = k_low + (k_l,) + i_idx[l:]
-                            expected = QQ(N) ** (-2 * n + l)
-                            special_ok &= au.ql_norm_sq(i_idx, k_idx, l, N) == expected
+                            k_idx = k_low + (k_l,) + tail
+                            special_ok &= au.ql_norm_sq(i_idx, k_idx, l, N) == expected[l]
                             checked += 1
     ok = parseval_ok and special_ok
     details = [

@@ -1,5 +1,6 @@
 """Tensor-power grade norms, chain bounds, linear growth."""
 
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -71,6 +72,23 @@ def test_validation_errors():
         ql_norm_sq((1, 4), (1, 1), 0, 3)
     with pytest.raises(ValueError):
         ql_norm_sq((1, 1), (1, 1), 3, 3)
+    for l in (0.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match="not an integer"):
+            ql_norm_sq((1,), (1,), l, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cn_lower(2, 3.5, method="closed"),
+    lambda: cn_lower(2, 3.5),
+    lambda: cg_bounds(3, 1, 3.5),
+    lambda: cg_bounds_closed(3, 1, 3.5),
+    lambda: eta_chain(3, 1, 3.5),
+    lambda: cn_lower(2, 3.0),
+], ids=["cn_lower-closed", "cn_lower-enumerate", "cg_bounds", "cg_bounds_closed",
+        "eta_chain", "cn_lower-float-integral"])
+def test_gated_functions_refuse_a_non_integer_dimension(call):
+    with pytest.raises(ValueError, match="positive integer"):
+        call()
 
 
 @pytest.mark.parametrize("i_idx", [(5,), (0, 1), (1, 2, 4)])
@@ -176,7 +194,38 @@ def test_enumerations_refuse_more_than_the_walk_cap(call):
         call()
 
 
-# -- the grade walk against the per-(k, l) loops it replaced ---------------------
+# -- the grade norms and the grade walk against independent references ----------
+
+_leg = lru_cache(maxsize=None)(LegDecomposition.of)  # the exhaustive test makes ~400k reference calls
+
+
+def _reference_ql_norm_sq(i_idx, k_idx, l, N):
+    """The definition: the product over legs of the leg's full, traceless or
+    scalar squared norm, as legs p < l, p = l or p > l (from the last leg, whose
+    scalar part is most often zero)."""
+    out = QQ(1)
+    for p in reversed(range(len(i_idx))):
+        leg = _leg(i_idx[p], k_idx[p], N)
+        if p + 1 < l:
+            out *= leg.total_sq
+        elif p + 1 == l:
+            out *= leg.traceless_part_sq
+        else:
+            out *= leg.scalar_part_sq
+        if not out:
+            break
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_ql_norm_sq_is_the_per_leg_product(N):
+    for n in range(5):
+        for i_idx in product(range(1, N + 1), repeat=n):
+            for k_idx in product(range(1, N + 1), repeat=n):
+                for l in range(n + 1):
+                    assert ql_norm_sq(i_idx, k_idx, l, N) == _reference_ql_norm_sq(
+                        i_idx, k_idx, l, N), (i_idx, k_idx, l, N)
+
 
 def _reference_scaled_one(i_idx, k_idx, l, N):
     """ql_norm_sq(i, k, l, N) * N^(2n) for one grade, scanning the legs."""
@@ -235,8 +284,8 @@ def test_grade_walk_row_is_the_scaled_grade_norms(pair):
     i_idx, k_idx, N = pair
     n = len(i_idx)
     row = [0] * (n + 1)
-    _grade_walk(i_idx, k_idx, N, row)
-    assert row == [ql_norm_sq(i_idx, k_idx, l, N) * N ** (2 * n) for l in range(n + 1)]
+    _grade_walk(i_idx, (k_idx,), N, row)
+    assert row == [_reference_ql_norm_sq(i_idx, k_idx, l, N) * N ** (2 * n) for l in range(n + 1)]
     assert row == [_reference_scaled_one(i_idx, k_idx, l, N) for l in range(n + 1)]
 
 
