@@ -13,8 +13,8 @@ makes the incremental dimension recursion in `_bfs_tree` exact.
 from __future__ import annotations
 
 from array import array
+from copy import copy
 from dataclasses import dataclass, field
-from itertools import cycle, islice
 from typing import Iterator, Union
 
 from .errors import TreeSizeError
@@ -30,6 +30,7 @@ from .fusion import (
     quantum_dim,
     validate_irrep,
 )
+from .scalars import QQ
 
 __all__ = [
     "Edge",
@@ -41,7 +42,6 @@ __all__ = [
     "validate",
     "ValidationReport",
     "canonical_ray_pattern",
-    "iter_ray",
 ]
 
 DEFAULT_VERTEX_CAP = 200_000
@@ -78,6 +78,9 @@ class CayleyTree:
         self._pdir = pdir
         self._length = length
         self._dims = dims
+        # a Fraction per factor even when the vertex dimensions are ints, so
+        # that quotients like 2 / (dir_dim * dim * dim) stay exact
+        self._dir_dims = tuple(f.dimq for f in spec.factors)
         n = len(dims)
         ndir = len(self.directions)
         children = [-1] * (n * ndir)
@@ -118,9 +121,15 @@ class CayleyTree:
         return self._parent[vid], self.directions[self._pdir[vid]]
 
     def dir_dim(self, d: Direction):
-        # a Fraction even when the vertex dimensions are ints, so that
-        # quotients like 2 / (dir_dim * dim * dim) stay exact
-        return self.spec.factors[d.factor].dimq
+        return self._dir_dims[d.factor]
+
+    def classical(self) -> CayleyTree:
+        """The classical Cayley tree of the free product: this tree, sharing its
+        arrays and words, with every vertex and generator weight 1."""
+        view = copy(self)
+        view._dims = [1] * self.n_vertices
+        view._dir_dims = (QQ(1),) * len(self._dir_dims)
+        return view
 
     def child(self, vid: int, d: Direction) -> int:
         idx = self.directions.index(d)
@@ -205,8 +214,11 @@ class CayleyTree:
             yield Edge(cw, pw, dual_direction(self.spec, d), False)
 
 
-def _bfs_tree(spec: QuantumGroupSpec, factor_m1, radius: int, cap: int):
+def _bfs_tree(spec: QuantumGroupSpec, factor_m1, radius: int, cap: int, pattern=None):
     """Breadth-first structural closure of the Cayley tree.
+
+    With a `pattern` of direction indices, a vertex at length n expands only
+    direction pattern[n % len(pattern)]: the closure is then one geodesic.
 
     Per-vertex outputs (index = BFS id, root = 0):
       parent, pdir      -- parent id and the direction index of the parent edge
@@ -230,6 +242,7 @@ def _bfs_tree(spec: QuantumGroupSpec, factor_m1, radius: int, cap: int):
     last_factor = array("h", [-1])
     last_code = array("q", [0])
     dims = [factor_m1[0] * 0 + 1]  # 1 in the caller's arithmetic type
+    all_dirs = range(ndir)
 
     v = 0
     while v < len(dims):
@@ -239,7 +252,7 @@ def _bfs_tree(spec: QuantumGroupSpec, factor_m1, radius: int, cap: int):
         lc = last_code[v]
         dv = dims[v]
         dpar = dims[parent[v]] if v else None
-        for d in range(ndir):
+        for d in all_dirs if pattern is None else (pattern[length[v] % len(pattern)],):
             f = dir_factor[d]
             b = dir_bar[d]
             m1 = factor_m1[f]
@@ -339,7 +352,7 @@ def validate(tree: CayleyTree) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# infinite geodesics (lazy rays)
+# infinite geodesics: finite prefixes built by the BFS closure along a pattern
 # ---------------------------------------------------------------------------
 
 def canonical_ray_pattern(spec: QuantumGroupSpec) -> tuple:
@@ -354,51 +367,26 @@ def canonical_ray_pattern(spec: QuantumGroupSpec) -> tuple:
     return (Direction(0, 0), Direction(1, 0))
 
 
-def iter_ray(spec: QuantumGroupSpec, pattern=None):
-    """Lazily walk an infinite geodesic: yields (word, quantum dimension).
-
-    The first yield is the root; afterwards the pattern of directions is
-    repeated forever, always taking the ascending fusion result.  The
-    dimensions have the type of `spec.dim_scalars`, as in `build_tree`.
-    """
-    if pattern is None:
-        pattern = canonical_ray_pattern(spec)
-    if not pattern:
-        raise ValueError("empty direction pattern")
-    m1s = spec.dim_scalars
-    prev_word = prev_dim = None
-    word, dim = Irrep(()), m1s[0] ** 0  # 1, in the type of the dimensions
-    for d in cycle(pattern):
-        yield word, dim
-        summands = fuse_generator(spec, word, d)
-        m1 = m1s[d.factor]
-        if len(summands) == 2:
-            # descending summand is the previous ray vertex by construction
-            if summands[0] != prev_word:
-                raise ValueError("pattern does not trace a geodesic")
-            nxt = m1 * dim - prev_dim
-        else:
-            nxt = m1 * dim
-        prev_word, prev_dim, word, dim = word, dim, summands[-1], nxt
-
-
 class GeodesicRay(CayleyTree):
     """Finite prefix of an infinite geodesic: the path tree of its first `steps` edges.
 
-    Vertex i is the ray vertex at distance i from the root, so path and
-    fixed-vector computations can run far beyond any materializable tree radius.
+    The geodesic repeats the direction `pattern` forever from the root, always
+    taking the ascending fusion result.  Vertex i is the ray vertex at distance
+    i from the root, so path and fixed-vector computations can run far beyond
+    any materializable tree radius; its word is built only when asked for.
     """
 
     def __init__(self, spec: QuantumGroupSpec, pattern, steps: int):
         self.pattern = tuple(pattern)
-        walk = list(islice(iter_ray(spec, self.pattern), max(steps, 0) + 1))
-        n = len(walk)
+        if not self.pattern:
+            raise ValueError("empty direction pattern")
+        if not set(self.pattern) <= set(spec.directions):
+            raise ValueError(f"pattern {self.pattern} has a direction outside {spec}")
         codes = [spec.directions.index(d) for d in self.pattern]
-        pdir = array("h", [-1])
-        pdir.extend(islice(cycle(codes), n - 1))
-        super().__init__(spec, n - 1, array("q", range(-1, n - 1)), pdir,
-                         array("i", range(n)), [m for _, m in walk])
-        self._words = [w for w, _ in walk]
+        steps = max(steps, 0)
+        # a path of steps + 1 vertices: the cap cannot be reached
+        super().__init__(spec, steps,
+                         *_bfs_tree(spec, spec.dim_scalars, steps, steps + 1, codes))
 
     def words(self) -> list:
-        return list(self._words)
+        return [self.word(v) for v in range(self.n_vertices)]

@@ -144,9 +144,11 @@ def cmd_tree(args, out) -> int:
 def cmd_paths(args, out) -> int:
     spec = parse_spec(args.spec)
     tree = build_tree(spec, args.radius, max_vertices=args.max_vertices)
+    if args.unit_weights:
+        tree = tree.classical()
     rep = Reporter(args.format, out, "paths", args.spec)
     for v in range(tree.n_vertices):
-        nsq = qt.path_norm_sq(tree, v, unit_weights=args.unit_weights)
+        nsq = qt.path_norm_sq(tree, v)
         rep.row("path_norm_sq", nsq, exact=nsq, anchor="path-norm",
                 vertex=v, length=tree.length(v))
     return 0

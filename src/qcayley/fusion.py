@@ -143,12 +143,6 @@ class Irrep:
     def __post_init__(self):
         object.__setattr__(self, "word", tuple(self.word))
 
-    def is_trivial(self) -> bool:
-        return not self.word
-
-    def last_letter(self):
-        return self.word[-1] if self.word else None
-
 
 TRIVIAL = Irrep(())
 

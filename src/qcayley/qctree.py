@@ -127,12 +127,6 @@ class _SparseVector:
             return NotImplemented
         return self + (-other)
 
-    def scaled(self, factor):
-        f = factor if isinstance(factor, Radical) else Radical.from_rational(factor)
-        if f.is_zero():
-            return type(self)()
-        return self._of({k: v * f for k, v in self._coeffs.items()})
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -169,15 +163,12 @@ class OrientedEdgeVector(_SparseVector):
     """
 
 
-def _edge_data(tree, child_vid: int, unit_weights: bool):
+def _edge_data(tree, child_vid: int):
     """(m_parent, m_child, m_gamma, parent_vid) of the edge below child_vid."""
     parent = tree.parent(child_vid)
     if parent is None:
         raise ValueError(f"vertex {child_vid} is the root; it has no parent edge")
     pvid, direction = parent
-    if unit_weights:
-        one = QQ(1)
-        return one, one, one, pvid
     return tree.dim(pvid), tree.dim(child_vid), tree.dir_dim(direction), pvid
 
 
@@ -191,28 +182,28 @@ def _bump(out: dict, key, value) -> None:
         out[key] = s
 
 
-def _edge_ratios(tree, child_vid: int, unit_weights: bool):
+def _edge_ratios(tree, child_vid: int):
     """(parent_vid, gn, gd, u, v) of the edge below child_vid, all positive ints:
     m_gamma = gn/gd and m_parent/m_child = u/v.
     """
-    ma, mb, mg, p = _edge_data(tree, child_vid, unit_weights)
+    ma, mb, mg, p = _edge_data(tree, child_vid)
     return (p, mg.numerator, mg.denominator,
             ma.numerator * mb.denominator, ma.denominator * mb.numerator)
 
 
-def e2(tree, vec, unit_weights: bool = False) -> VertexVector:
+def e2(tree, vec) -> VertexVector:
     """Target map: antisymmetric or oriented edge vectors to vertex vectors."""
     out: dict = {}
     if isinstance(vec, GeomEdgeVector):
         for c, coeff in vec.items():
-            p, gn, gd, u, v = _edge_ratios(tree, c, unit_weights)
+            p, gn, gd, u, v = _edge_ratios(tree, c)
             # sqrt(m_g/2) * sqrt(m_a/m_b) and sqrt(m_g/2) * sqrt(m_b/m_a)
             _bump(out, c, coeff.times_sqrt(gn * u, 2 * gd * v))
             _bump(out, p, -coeff.times_sqrt(gn * v, 2 * gd * u))
         return VertexVector._of(out)
     if isinstance(vec, OrientedEdgeVector):
         for (c, sign), coeff in vec.items():
-            p, gn, gd, u, v = _edge_ratios(tree, c, unit_weights)
+            p, gn, gd, u, v = _edge_ratios(tree, c)
             if sign > 0:  # edge (parent -> child): target is the child
                 _bump(out, c, coeff.times_sqrt(gn * u, gd * v))
             else:  # reversed edge: target is the parent
@@ -221,18 +212,11 @@ def e2(tree, vec, unit_weights: bool = False) -> VertexVector:
     raise TypeError("e2 expects a GeomEdgeVector or OrientedEdgeVector")
 
 
-def o_source(tree, vec: OrientedEdgeVector, unit_weights: bool = False) -> VertexVector:
-    """Source map on oriented vectors: O(x_(s,t)) = (m_t m_g / m_s) x_s, normalized."""
+def o_source(tree, vec: OrientedEdgeVector) -> VertexVector:
+    """Source map, E2 after edge reversal: O(x_(s,t)) = (m_t m_g / m_s) x_s, normalized."""
     if not isinstance(vec, OrientedEdgeVector):
         raise TypeError("o_source expects an OrientedEdgeVector")
-    out: dict = {}
-    for (c, sign), coeff in vec.items():
-        p, gn, gd, u, v = _edge_ratios(tree, c, unit_weights)
-        if sign > 0:  # source is the parent
-            _bump(out, p, coeff.times_sqrt(gn * v, gd * u))
-        else:
-            _bump(out, c, coeff.times_sqrt(gn * u, gd * v))
-    return VertexVector._of(out)
+    return e2(tree, theta(tree, vec))
 
 
 def theta(tree, vec):
@@ -265,12 +249,11 @@ def embed_oriented(tree, vec: GeomEdgeVector) -> OrientedEdgeVector:
     return OrientedEdgeVector(out)
 
 
-def counit(tree, vec: VertexVector, unit_weights: bool = False) -> Radical:
+def counit(tree, vec: VertexVector) -> Radical:
     """Counit at the hilbertian level: eps(xt_a) = m_a, extended linearly."""
     total = Radical()
     for vid, coeff in vec.items():
-        weight = QQ(1) if unit_weights else tree.dim(vid)
-        total = total + coeff * weight
+        total = total + coeff * tree.dim(vid)
     return total
 
 
@@ -279,42 +262,45 @@ def counit(tree, vec: VertexVector, unit_weights: bool = False) -> Radical:
 # ---------------------------------------------------------------------------
 
 def _resolve_vid(tree, alpha) -> int:
-    if isinstance(alpha, int):
+    # type(...) is int: a bool is not a vertex id
+    if type(alpha) is int and 0 <= alpha < tree.n_vertices:
         return alpha
     if isinstance(alpha, Irrep):
         return tree.vertex_id(alpha)
+    if isinstance(alpha, int):
+        raise ValueError(f"vertex id {alpha!r} is not in range({tree.n_vertices})")
     raise TypeError("expected a vertex id or an Irrep")
 
 
-def _edge_term(tree, c: int, unit_weights: bool = False):
+def _edge_term(tree, c: int):
     """(parent, 2/(m_g m_p m_c)) of the edge below c: its squared path-vector coefficient."""
-    ma, mb, mg, p = _edge_data(tree, c, unit_weights)
+    ma, mb, mg, p = _edge_data(tree, c)
     return p, 2 / (mg * ma * mb)
 
 
-def _path_terms(tree, vid: int, unit_weights: bool = False):
+def _path_terms(tree, vid: int):
     """(c, t) for each edge on the geodesic root -> vid, keyed by its upper
     endpoint c, with t its `_edge_term`: the squared path-vector coefficients."""
     for c in tree.geodesic_ids(vid)[1:]:
-        yield c, _edge_term(tree, c, unit_weights)[1]
+        yield c, _edge_term(tree, c)[1]
 
 
-def path_vector(tree, alpha, unit_weights: bool = False) -> GeomEdgeVector:
+def path_vector(tree, alpha) -> GeomEdgeVector:
     """Canonical preimage of xt_a/m_a - xt_root under E2, summed along the geodesic."""
     vid = _resolve_vid(tree, alpha)
-    return GeomEdgeVector({c: sqrt_rational(t) for c, t in _path_terms(tree, vid, unit_weights)})
+    return GeomEdgeVector({c: sqrt_rational(t) for c, t in _path_terms(tree, vid)})
 
 
-def path_norm_sq(tree, alpha, unit_weights: bool = False):
+def path_norm_sq(tree, alpha):
     """Exact rational ||path_vector||^2 without building the vector."""
     vid = _resolve_vid(tree, alpha)
-    return sum((t for _, t in _path_terms(tree, vid, unit_weights)), QQ(0))
+    return sum((t for _, t in _path_terms(tree, vid)), QQ(0))
 
 
-def path_target(tree, alpha, unit_weights: bool = False) -> VertexVector:
+def path_target(tree, alpha) -> VertexVector:
     """xt_a / m_a - xt_root: what E2 of the path vector must equal exactly."""
     vid = _resolve_vid(tree, alpha)
-    m = QQ(1) if unit_weights else tree.dim(vid)
+    m = tree.dim(vid)
     if vid == 0:
         return VertexVector({0: QQ(1) / m - 1})
     return VertexVector._of({vid: Radical(QQ(m.denominator, m.numerator)), 0: _MINUS_ONE})
@@ -340,7 +326,8 @@ def _geometric_tail(first, rho, start: int):
 
 
 def _deep_tree(source, steps: int):
-    """`source` when it is a tree from `build_tree` (refused unless `steps` deep), else None.
+    """`source` when it is a tree from `build_tree` (refused unless `steps` deep
+    and weighted), else None.
 
     A truncated vector lives on such a tree (keyed by its vertex ids) and on
     a fresh GeodesicRay (keyed by ray ids) otherwise.  A ray passed as `source`
@@ -348,6 +335,8 @@ def _deep_tree(source, steps: int):
     """
     if type(source) is not CayleyTree:
         return None
+    if source.dir_dim(source.directions[0]) == 1:
+        raise ValueError("a classical tree (every weight 1) has no fixed vector or inverse series")
     if source.radius < steps:
         raise ValueError(f"tree of radius {source.radius} is too shallow: "
                          f"the vector needs a tree at least {steps} deep")

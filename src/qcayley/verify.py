@@ -159,8 +159,9 @@ def criterion_2(profile: dict, seed: int) -> CriterionResult:
     # the per-vertex norms increase to the series limit; the deepest one must
     # sit within the certified tail of the deep truncation
     within = sup <= fv.norm_sq and (fv.norm_sq - sup) <= fv_low.tail_bound
-    unit_ok = all(qt.path_norm_sq(tree, v, unit_weights=True) == 2 * tree.length(v)
-                  for v in range(tree.n_vertices))
+    classical = tree.classical()
+    unit_ok = all(qt.path_norm_sq(classical, v) == 2 * classical.length(v)
+                  for v in range(classical.n_vertices))
     ok = cap_ok and monotone and within and unit_ok
     details.append(f"Ao(3): sup ||path||^2 over radius<={radius} = {float(sup):.10f} < 0.2547: {cap_ok}")
     details.append(f"monotone along the half line: {monotone}; within tail of radius-{profile['c2_fixed_radius']} truncation: {within}")

@@ -1,7 +1,6 @@
 """Tree construction, queries, rays, validation."""
 
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 
@@ -10,12 +9,11 @@ from qcayley.cayley import (
     build_tree,
     canonical_ray_pattern,
     geodesic,
-    iter_ray,
     sphere,
     validate,
 )
 from qcayley.errors import TreeSizeError
-from qcayley.fusion import Direction, TRIVIAL, ao_irrep, au_word, parse_spec, quantum_dim
+from qcayley.fusion import Direction, TRIVIAL, ao_dims, ao_irrep, au_word, parse_spec, quantum_dim
 
 
 def test_half_line_shape():
@@ -155,27 +153,21 @@ def test_rays_are_valid_path_trees(pattern):
 def test_ray_refuses_empty_pattern():
     with pytest.raises(ValueError, match="empty direction pattern"):
         GeodesicRay(MIXED, (), 3)
-    with pytest.raises(ValueError, match="empty direction pattern"):
-        next(iter_ray(MIXED, ()))
 
 
-def test_iter_ray_is_unbounded_and_lazy():
-    from itertools import islice
-
-    from qcayley.cayley import iter_ray
-
-    spec = parse_spec("Au(3)")
-    steps = list(islice(iter_ray(spec), 6))
-    assert [w for w, _ in steps] == [TRIVIAL, au_word("u"), au_word("uU"),
-                                     au_word("uUu"), au_word("uUuU"), au_word("uUuUu")]
-    assert [int(d) for _, d in steps] == [1, 3, 8, 21, 55, 144]
+@pytest.mark.parametrize("pattern", [(Direction(2, 0),), (Direction(0, 0), Direction(0, 1)),
+                                     (Direction(1, 0),)], ids=str)
+def test_ray_refuses_a_direction_outside_the_spec(pattern):
+    # MIXED's directions are (0, 0) for its Ao factor and (1, +1), (1, -1) for its Au factor
+    with pytest.raises(ValueError, match="direction outside"):
+        GeodesicRay(MIXED, pattern, 3)
 
 
 def test_half_line_beyond_127_levels():
     spec = parse_spec("Ao(3)")
     tree = build_tree(spec, 150)
     assert tree.n_vertices == 151
-    assert [tree.dim(v) for v in range(151)] == [d for _, d in islice(iter_ray(spec), 151)]
+    assert [tree.dim(v) for v in range(151)] == ao_dims(3, 151)
 
 
 def test_more_than_127_directions():

@@ -6,7 +6,7 @@ from numbers import Rational
 
 import pytest
 
-from qcayley.cayley import CayleyTree, GeodesicRay, build_tree
+from qcayley.cayley import CayleyTree, GeodesicRay, build_tree, validate
 from qcayley.errors import GateError
 from qcayley.estimates import _certified_pd
 from qcayley.fusion import a_param, ao_dims, au_word, parse_spec, quantum_dim
@@ -124,6 +124,7 @@ def _coefficient_cases(tree, child):
 @pytest.mark.parametrize("text", ["Ao(3)*Au(3)", "Ao(7/2)*Au(3)"])
 def test_edge_maps_match_general_product(text):
     tree = build_tree(parse_spec(text), 3)
+    classical = tree.classical()
     for child in range(1, tree.n_vertices):
         pvid, d = tree.parent(child)
         ma, mb, mg = tree.dim(pvid), tree.dim(child), tree.dir_dim(d)
@@ -140,18 +141,18 @@ def test_edge_maps_match_general_product(text):
             assert o_source(tree, ascending) == VertexVector({pvid: coeff * Radical.sqrt_of(down)})
             assert o_source(tree, descending) == VertexVector({child: coeff * Radical.sqrt_of(up)})
         half = Radical.sqrt_of(QQ(1, 2))
-        assert e2(tree, GeomEdgeVector.unit(child), unit_weights=True) \
-            == VertexVector({child: half, pvid: -half})
+        assert e2(classical, GeomEdgeVector.unit(child)) == VertexVector({child: half, pvid: -half})
 
 
 def test_path_target_entries():
     tree = build_tree(parse_spec("Ao(7/2)*Au(3)"), 2)
+    classical = tree.classical()
     assert path_target(tree, 0).is_zero()
     for vid in range(1, tree.n_vertices):
         target = path_target(tree, vid)
         assert dict(target.items()) == {vid: Radical.from_rational(1 / QQ(tree.dim(vid))),
                                         0: Radical.from_rational(-1)}
-        assert path_target(tree, vid, unit_weights=True) == VertexVector({vid: 1, 0: -1})
+        assert path_target(classical, vid) == VertexVector({vid: 1, 0: -1})
 
 
 # -- reversal, antisymmetrization, source map ----------------------------------
@@ -226,11 +227,34 @@ def test_path_vector_trivial_is_zero():
 
 
 def test_unit_weight_paths_are_classically_proper():
-    tree = build_tree(AU3, 5)
+    tree = build_tree(AU3, 5).classical()
     for v in range(tree.n_vertices):
-        assert path_norm_sq(tree, v, unit_weights=True) == 2 * tree.length(v)
-        z = path_vector(tree, v, unit_weights=True)
-        assert e2(tree, z, unit_weights=True) == path_target(tree, v, unit_weights=True)
+        assert path_norm_sq(tree, v) == 2 * tree.length(v)
+        z = path_vector(tree, v)
+        assert e2(tree, z) == path_target(tree, v)
+
+
+def test_classical_view_leaves_the_weighted_tree_untouched():
+    tree = build_tree(MIXED, 4)
+    dims = [tree.dim(v) for v in range(tree.n_vertices)]
+    norms = [path_norm_sq(tree, v) for v in range(tree.n_vertices)]
+    assert validate(tree).ok
+    classical = tree.classical()
+    assert all(classical.dim(v) == 1 for v in range(classical.n_vertices))
+    assert all(classical.dir_dim(d) == 1 for d in MIXED.directions)
+    assert [classical.word(v) for v in range(9)] == [tree.word(v) for v in range(9)]
+    assert [tree.dim(v) for v in range(tree.n_vertices)] == dims
+    assert [path_norm_sq(tree, v) for v in range(tree.n_vertices)] == norms
+    assert validate(tree).ok and not validate(classical).ok
+
+
+@pytest.mark.parametrize("fn", [path_target, path_norm_sq, path_vector], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("vid", [-1, -3, 40, True, False])
+def test_vertex_ids_outside_the_tree_are_refused(fn, vid):
+    tree = build_tree(MIXED, 3)
+    assert tree.n_vertices == 40
+    with pytest.raises(ValueError, match="vertex id"):
+        fn(tree, vid)
 
 
 def test_telescoping_identity_small_trees():
@@ -290,6 +314,14 @@ def test_fixed_vector_keyed_by_a_tree_exactly_radius_deep():
     assert fv.basis is tree
     assert sorted(fv.vector.support) == [1, 4, 9, 20, 41, 84]
     assert fv.norm_sq == fixed_vector(AU3, 6).norm_sq
+
+
+def test_classical_tree_has_no_fixed_vector_or_inverse_series():
+    tree = build_tree(AO3, 8).classical()
+    with pytest.raises(ValueError, match="classical tree"):
+        fixed_vector(tree, 6)
+    with pytest.raises(ValueError, match="classical tree"):
+        e2_inverse_ao(tree, 1, 6)
 
 
 def test_fixed_vector_refuses_a_tree_too_shallow():

@@ -40,8 +40,8 @@ def test_criterion_1_catches_e2_wrong_on_one_deep_edge_class(monkeypatch):
     assert len(members) > 1 and all(tree.length(c) == 9 for c in members)
     real_e2 = qt.e2
 
-    def e2_wrong_on_the_class(t, vec, unit_weights=False):
-        out = real_e2(t, vec, unit_weights)
+    def e2_wrong_on_the_class(t, vec):
+        out = real_e2(t, vec)
         if t.spec == MIXED and len(vec) == 1:
             (c,) = vec.support
             if _edge_class(t, c) == target:
