@@ -1,10 +1,10 @@
 """qcayley: certified arithmetic on weighted Cayley trees of universal quantum groups.
 
-Subpackages follow the pipeline: `fusion` (labels, fusion rules, exact
-dimensions) -> `cayley` (tree construction and queries) -> `qctree` (the
-weighted hilbertian tree: path vectors, inverse series, Gram estimates) ->
-`aunitary` (tensor-power norm bounds for the unitary factor) -> `estimates`
-(certified series and inequality checks), with `cli`/`verify` on top.
+Each module imports only `scalars`, `errors` and the modules before it: `fusion`
+(labels, fusion rules, exact dimensions, growth gates) -> `cayley` (trees and
+their queries) -> `aunitary` (tensor-power norm bounds for the unitary factor)
+-> `estimates` (certified series and inequality checks) -> `qctree` (path
+vectors, inverse series, Gram estimates), with `cli`/`verify` on top.
 """
 
 from .errors import EnumerationSizeError, GateError, QCayleyError, SpecSyntaxError, TreeSizeError

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .errors import EnumerationSizeError, GateError
+from .errors import EnumerationSizeError
+from .fusion import gate_dimension
 from .scalars import QQ
 
 __all__ = [
@@ -44,9 +45,10 @@ __all__ = [
 MAX_GRADE_WALKS = 2 ** 22
 
 
-def _check_n(N: int) -> None:
+def _check_n(N: int) -> int:
     if not isinstance(N, int) or N < 1:
         raise ValueError("N must be a positive integer")
+    return N
 
 
 def _check_walks(N: int, exponent: int) -> None:
@@ -55,17 +57,6 @@ def _check_walks(N: int, exponent: int) -> None:
     if N > 1 and N ** min(exponent, MAX_GRADE_WALKS.bit_length()) > MAX_GRADE_WALKS:
         raise EnumerationSizeError(
             f"{N}^{exponent} grade walks exceed the cap of {MAX_GRADE_WALKS}")
-
-
-def _gate_dimension(N: int) -> None:
-    _check_n(N)
-    if N == 2:
-        raise GateError(
-            "generator quantum dimension 2 excluded (the exceptional unitary "
-            "and orthogonal generators of dimension 2 have no geometric growth)"
-        )
-    if N < 3:
-        raise GateError(f"need generator dimension >= 3, got {N}")
 
 
 @dataclass(frozen=True)
@@ -160,7 +151,7 @@ def ql_sums(i_idx, N: int):
 def eta_chain(n: int, l: int, N: int) -> "EtaChain":
     """Norms of the preimage chain for a grade-l source: ||eta_i||^2 = m1^{2(i-1)},
     vanishing beyond i = n - l + 1.  Per unit source norm."""
-    _gate_dimension(N)
+    gate_dimension(_check_n(N))
     if not 0 <= l <= n:
         raise ValueError(f"l = {l} outside 0..{n}")
     return EtaChain(n, l, tuple(QQ(N) ** (2 * (i - 1)) for i in range(1, n - l + 2)))
@@ -189,7 +180,7 @@ def cg_bounds(n: int, l: int, N: int):
 
 def cg_bounds_closed(n: int, l: int, N: int):
     """Geometric-sum form of cg_bounds: lower = (m1^{2(n-l)} - 1)/(2(m1^2 - 1))."""
-    _gate_dimension(N)
+    gate_dimension(_check_n(N))
     if not 0 <= l <= n:
         raise ValueError(f"l = {l} outside 0..{n}")
     m1sq = QQ(N) ** 2
@@ -206,7 +197,7 @@ def cn_lower(n: int, N: int, i_idx=None, method: str = "enumerate"):
     the factorized per-grade totals.  The value does not depend on i
     (see check_index_independence).
     """
-    _gate_dimension(N)
+    gate_dimension(_check_n(N))
     if n < 1:
         raise ValueError("n must be >= 1")
     i_idx = (1,) * n if i_idx is None else tuple(i_idx)

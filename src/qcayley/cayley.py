@@ -68,7 +68,8 @@ def _direction_steps(spec: QuantumGroupSpec, alpha: Irrep) -> list[Direction]:
 
 class CayleyTree:
     """Rooted, direction-labelled tree of irreducibles up to a radius: the whole
-    ball (`build_tree`) or the path along one geodesic (`GeodesicRay`)."""
+    ball (`build_tree`) or the path along one geodesic (`GeodesicRay`).  The
+    vertex accessors refuse a negative id, which Python would read from the end."""
 
     def __init__(self, spec, radius, parent, pdir, length, dims):
         self.spec = spec
@@ -109,14 +110,20 @@ class CayleyTree:
 
     def dim(self, vid: int):
         """Quantum dimension of a vertex, in the type of `spec.dim_scalars`."""
+        if vid < 0:
+            raise _id_error(self, vid)
         return self._dims[vid]
 
     def length(self, vid: int) -> int:
+        if vid < 0:
+            raise _id_error(self, vid)
         return self._length[vid]
 
     def parent(self, vid: int):
         """(parent id, direction of the ascending parent edge), None at the root."""
-        if vid == 0:
+        if vid <= 0:
+            if vid:
+                raise _id_error(self, vid)
             return None
         return self._parent[vid], self.directions[self._pdir[vid]]
 
@@ -140,6 +147,8 @@ class CayleyTree:
 
     def word(self, vid: int) -> Irrep:
         """Reduced word of a vertex, materialized from the parent chain."""
+        if not 0 <= vid < len(self._words):
+            raise _id_error(self, vid)
         w = self._words[vid]
         if w is not None:
             return w
@@ -212,6 +221,23 @@ class CayleyTree:
             pw, cw = self.word(p), self.word(c)
             yield Edge(pw, cw, d, True)
             yield Edge(cw, pw, dual_direction(self.spec, d), False)
+
+
+def _id_error(tree: CayleyTree, vid) -> ValueError:
+    return ValueError(f"vertex id {vid!r} is not in range({tree.n_vertices})")
+
+
+def _resolve_vid(tree: CayleyTree, alpha: Union[Irrep, int]) -> int:
+    """The id of a vertex given by its id or its word; ValueError for an id
+    outside the tree, KeyError for a word outside it."""
+    # type(...) is int: a bool is not a vertex id
+    if type(alpha) is int and 0 <= alpha < tree.n_vertices:
+        return alpha
+    if isinstance(alpha, Irrep):
+        return tree.vertex_id(alpha)
+    if isinstance(alpha, int):
+        raise _id_error(tree, alpha)
+    raise TypeError("expected a vertex id or an Irrep")
 
 
 def _bfs_tree(spec: QuantumGroupSpec, factor_m1, radius: int, cap: int, pattern=None):
@@ -296,8 +322,7 @@ def build_tree(spec: QuantumGroupSpec, radius: int,
 
 def geodesic(tree: CayleyTree, alpha: Union[Irrep, int]) -> list[Edge]:
     """The unique ascending path root -> alpha as Edge objects."""
-    vid = alpha if isinstance(alpha, int) else tree.vertex_id(alpha)
-    ids = tree.geodesic_ids(vid)
+    ids = tree.geodesic_ids(_resolve_vid(tree, alpha))
     out = []
     for p, c in zip(ids, ids[1:]):
         out.append(Edge(tree.word(p), tree.word(c),

@@ -271,11 +271,8 @@ def cmd_chain_check(args, out) -> int:
     rng = random.Random(args.seed)
     rep = Reporter(args.format, out, "chain-check", "")
     failures = 0
-    for i in range(args.count):
-        length = rng.randint(1, 12)
-        xs = [QQ(rng.randint(0, 40), rng.randint(1, 9)) if rng.random() > 0.3 else QQ(0)
-              for _ in range(length)]
-        if not est.orientation_chain_check(a, xs):
+    for _ in range(args.count):
+        if not est.orientation_chain_check(a, verify_mod._random_chain_vector(rng)):
             failures += 1
     rep.row("violations", QQ(failures), exact=QQ(failures),
             anchor="cauchy-schwarz-chain", a=args.a, count=args.count, seed=args.seed)

@@ -16,8 +16,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .errors import GateError
-from .fusion import GrowthParam, a_param, ao_dims, growth_floor, single_ao_dimq
+from .fusion import GrowthParam, a_param, ao_dims, gate_dimension, growth_floor, single_ao_dimq
 from .scalars import QQ, Interval, Radical
 
 __all__ = [
@@ -77,28 +76,14 @@ def rd_norm_sq(dimq, s, radius: int) -> SeriesResult:
     Requires generator dimension >= 3 so the dimensions grow geometrically;
     the tail is dominated by ratio ((R+4)/(R+3))^{2s} / rho^2 < 1.
     """
-    dimq = QQ(dimq)
-    if dimq < 3:
-        raise GateError(
-            f"generator quantum dimension {dimq} < 3: series convergence needs "
-            "geometric dimension growth (dimension-2 generators are excluded)"
-        )
-    return nonuni_norm_sq(s, 1, dimq, radius)
-
-
-def _below_growth(r, dimq) -> bool:
-    """Exact r < a for rational r > 0, where a >= 1 solves a + 1/a = dimq >= 2.
-
-    a >= 1 settles r < 1; on t >= 1 the map t + 1/t is increasing, so for
-    r >= 1 the test is r + 1/r < a + 1/a = dimq, in rationals.
-    """
-    return r < 1 or r + 1 / r < dimq
+    return nonuni_norm_sq(s, 1, gate_dimension(QQ(dimq)), radius)
 
 
 def _half_line(dimq, radius: int, r=1, e: int = 0):
     """(dims, prefix, tail, ratio) of sum_i w_i / (m_i m_{i+1}), w_i = r^{2i+2} (i+2)^e:
     prefix[k] is the exact sum over i <= k <= radius, and past the radius the
-    terms shrink by `ratio` < 1 per step, so `tail` bounds the rest (needs r < a).
+    terms shrink by `ratio` < 1 per step, so `tail` bounds the rest.  GateError
+    unless r < a (see `growth_floor`).
     """
     r = QQ(r)
     rho = growth_floor(dimq, above=r)
@@ -122,20 +107,14 @@ def nonuni_norm_sq(s, r, dimq, radius: int) -> SeriesResult:
     """Weighted variant (2/m_1) * sum_i r^{2i+2} (i+2)^{2s} / (m_i m_{i+1}).
 
     Admissible only when the weight base r stays strictly below the growth
-    parameter a of dimq; the gate is decided exactly, in rationals.
+    parameter a of dimq; `growth_floor` decides the gate exactly, in rationals.
     """
     e = _even_exponent(s)
     r = QQ(r)
-    dimq = QQ(dimq)
     if r <= 0:
         raise ValueError("r must be positive")
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if not _below_growth(r, dimq):
-        raise GateError(
-            f"weight base r = {r} is not below the growth parameter a of dimq = {dimq}; "
-            "the weighted series is not summable"
-        )
     dims, prefix, tail, ratio = _half_line(dimq, radius, r, e)
     scale = 2 / dims[1]
     return SeriesResult(scale * prefix[radius], scale * tail, ratio, radius + 1)

@@ -48,6 +48,7 @@ __all__ = [
     "single_ao_dimq",
     "a_param",
     "growth_floor",
+    "gate_dimension",
     "ao_dims",
     "au_word_dim",
     "letter_dim",
@@ -279,6 +280,8 @@ def a_param(dimq, tol=_DEFAULT_TOL) -> GrowthParam:
     one integer square root at the first of 64, 128, ... bits that meets
     tol, and is a point when p^2 - 4q^2 is a perfect square.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     dimq = QQ(dimq)
     if dimq < 2:
         raise GateError(
@@ -304,15 +307,19 @@ def growth_floor(dimq, above=None) -> object:
     ratio dimq >= rho, and ratio r >= rho forces the next ratio
     dimq - 1/r >= dimq - 1/rho >= rho because rho + 1/rho <= dimq.
 
-    With `above`, the enclosure of a is refined until rho > above; the
-    caller must have shown above < a, or the refinement never ends.
+    With `above`, also rho > above, refining the enclosure of a; GateError unless
+    above < a, decided in rationals: a >= 1 settles above < 1, and t + 1/t
+    increases on t >= 1, so else the test is above + 1/above < a + 1/a = dimq.
     """
     dimq = QQ(dimq)
     if dimq <= 2:
-        raise GateError(
-            f"generator quantum dimension {dimq} <= 2 excluded: the exceptional "
-            "generators of dimension 1 and 2 have no geometric dimension growth"
-        )
+        raise GateError(f"generator quantum dimension {dimq} <= 2 excluded: the exceptional "
+                        "generators of dimension 1 and 2 have no geometric dimension growth")
+    if above is not None:
+        above = QQ(above)
+        if not (above < 1 or above + 1 / above < dimq):
+            raise GateError(f"weight base r = {above} is not below the growth parameter a of "
+                            f"dimq = {dimq}; the weighted series is not summable")
     tol = QQ(1, 10**12)
     rho = a_param(dimq, tol).interval.lo
     while above is not None and rho <= above:
@@ -322,6 +329,15 @@ def growth_floor(dimq, above=None) -> object:
     if not (rho > 1 and rho + 1 / rho <= dimq):
         raise RuntimeError(f"growth floor certification failed for dimq = {dimq}")
     return rho
+
+
+def gate_dimension(dimq):
+    """`dimq` when the generator dimension is >= 3, the regime of every certified
+    estimate (geometric dimension growth); GateError below."""
+    if dimq < 3:
+        raise GateError(f"generator quantum dimension {dimq} < 3: the estimates assume "
+                        "geometric dimension growth (dimension-2 generators are excluded)")
+    return dimq
 
 
 def ao_dims(dimq, count: int) -> list:

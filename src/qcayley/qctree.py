@@ -29,10 +29,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .cayley import CayleyTree, GeodesicRay, canonical_ray_pattern
-from .errors import GateError
+from .cayley import CayleyTree, GeodesicRay, _resolve_vid, canonical_ray_pattern
 from .estimates import _half_line
-from .fusion import Irrep, a_param, ao_dims, growth_floor, single_ao_dimq
+from .fusion import a_param, gate_dimension, growth_floor, single_ao_dimq
 from .scalars import QQ, Interval, Radical, sqrt_rational
 
 __all__ = [
@@ -261,17 +260,6 @@ def counit(tree, vec: VertexVector) -> Radical:
 # path vectors
 # ---------------------------------------------------------------------------
 
-def _resolve_vid(tree, alpha) -> int:
-    # type(...) is int: a bool is not a vertex id
-    if type(alpha) is int and 0 <= alpha < tree.n_vertices:
-        return alpha
-    if isinstance(alpha, Irrep):
-        return tree.vertex_id(alpha)
-    if isinstance(alpha, int):
-        raise ValueError(f"vertex id {alpha!r} is not in range({tree.n_vertices})")
-    raise TypeError("expected a vertex id or an Irrep")
-
-
 def _edge_term(tree, c: int):
     """(parent, 2/(m_g m_p m_c)) of the edge below c: its squared path-vector coefficient."""
     ma, mb, mg, p = _edge_data(tree, c)
@@ -316,13 +304,6 @@ class TailCertificate:
 
     ratio: object
     start: int
-    growth_floor: object
-
-
-def _geometric_tail(first, rho, start: int):
-    """(bound, certificate) for a tail whose terms shrink by 1/rho^2 per step from `first`."""
-    ratio = 1 / (rho * rho)
-    return first / (1 - ratio), TailCertificate(ratio=ratio, start=start, growth_floor=rho)
 
 
 def _deep_tree(source, steps: int):
@@ -385,28 +366,19 @@ def fixed_vector(source, radius: int, pattern=None) -> FixedVectorResult:
     vector = GeomEdgeVector({c: sqrt_rational(t) for c, t in terms})
     norm_sq = sum((t for _, t in terms), QQ(0))
 
+    # the edge terms past the radius shrink by 1/rho^2 per step
     mg_min = min(ray.dir_dim(d) for d in pattern)
     m_r, m_r1 = ray.dim(radius), ray.dim(radius + 1)
-    tail, cert = _geometric_tail(2 / (mg_min * m_r * m_r1), rho, radius)
+    ratio = 1 / (rho * rho)
+    tail = 2 / (mg_min * m_r * m_r1) / (1 - ratio)
 
     # the truncation is the path vector of the ray's end vertex a_R, so E2
     # sends it to xt_{a_R}/m_R - xi_0: it approximates a preimage of -xi_0
     # with residual norm 1/m_R
     if e2(basis, vector) != path_target(basis, end):
         raise AssertionError("fixed-vector residual audit failed")
-    return FixedVectorResult(vector, tail, norm_sq, QQ(1) / m_r, radius, basis, cert)
-
-
-def _invertible_dimq(source):
-    """Generator dimension of a single Ao factor with dimq >= 3, the setting of
-    the half-line inverse series."""
-    dimq = single_ao_dimq(source)
-    if dimq < 3:
-        raise GateError(
-            f"generator quantum dimension {dimq} < 3: the invertibility estimates "
-            "assume geometric dimension growth (dimension-2 generators are excluded)"
-        )
-    return dimq
+    return FixedVectorResult(vector, tail, norm_sq, QQ(1) / m_r, radius, basis,
+                             TailCertificate(ratio, radius))
 
 
 @dataclass
@@ -420,6 +392,9 @@ class InverseResult:
     certificate: TailCertificate
 
 
+_gram_series = lru_cache(maxsize=64)(_half_line)  # sum_i 1/(m_i m_{i+1}) by (dimq, radius)
+
+
 def e2_inverse_ao(source, k: int, radius: int) -> InverseResult:
     """Truncation of the half-line inverse series for E2.
 
@@ -430,9 +405,7 @@ def e2_inverse_ao(source, k: int, radius: int) -> InverseResult:
     """
     if k < 0 or radius < k:
         raise ValueError("need 0 <= k <= radius")
-    dimq = _invertible_dimq(source)
-    dims = ao_dims(dimq, radius + 3)
-    rho = growth_floor(dimq)
+    dims, _, tail, ratio = _gram_series(gate_dimension(single_ao_dimq(source)), radius)
     spec = getattr(source, "spec", source)
     basis = _deep_tree(source, radius + 1) \
         or GeodesicRay(spec, canonical_ray_pattern(spec), radius + 1)
@@ -442,17 +415,12 @@ def e2_inverse_ao(source, k: int, radius: int) -> InverseResult:
     vector = GeomEdgeVector({c: -(mk * sqrt_rational(t))
                              for c, t in _path_terms(basis, radius + 1) if c > k})
 
-    tail, cert = _geometric_tail(2 * mk * mk / (m1 * dims[radius + 1] * dims[radius + 2]),
-                                 rho, radius)
-
     residual = e2(basis, vector) - VertexVector({k: QQ(1)})
     expected = VertexVector({radius + 1: -(mk / dims[radius + 1])})
     if residual != expected:
         raise AssertionError("inverse-series residual audit failed")
-    return InverseResult(vector, tail, mk / dims[radius + 1], k, radius, basis, cert)
-
-
-_gram_series = lru_cache(maxsize=64)(_half_line)  # keyed by (dimq, radius)
+    return InverseResult(vector, 2 * mk * mk / m1 * tail, mk / dims[radius + 1], k, radius,
+                         basis, TailCertificate(ratio, radius))
 
 
 def gram(source, k: int, l: int, radius: int) -> Interval:
@@ -462,7 +430,7 @@ def gram(source, k: int, l: int, radius: int) -> Interval:
     """
     if min(k, l) < 0 or radius < max(k, l):
         raise ValueError("need 0 <= k, l <= radius")
-    dims, prefix, tail, _ = _gram_series(_invertible_dimq(source), radius)
+    dims, prefix, tail, _ = _gram_series(gate_dimension(single_ao_dimq(source)), radius)
     j = max(k, l)
     weight = 2 * dims[k] * dims[l] / dims[1]
     partial = weight * (prefix[radius] - prefix[j - 1] if j else prefix[radius])
@@ -477,7 +445,7 @@ def gram_bound(source, kmax: int, radius: Optional[int] = None):
     """
     if radius is None:
         radius = kmax + 40
-    dimq = _invertible_dimq(source)
+    dimq = gate_dimension(single_ao_dimq(source))
     a_hi = a_param(dimq).interval.hi
     if not 0 <= kmax <= radius:
         raise ValueError("need 0 <= kmax <= radius")

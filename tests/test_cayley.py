@@ -60,6 +60,27 @@ def test_geodesic_half_line():
     assert all(e.ascending for e in path)
 
 
+@pytest.mark.parametrize("read", [
+    lambda t, v: t.parent(v), lambda t, v: t.dim(v), lambda t, v: t.length(v),
+    lambda t, v: t.word(v), geodesic,
+], ids=["parent", "dim", "length", "word", "geodesic"])
+def test_negative_vertex_ids_are_refused(read):
+    # Python would read -1 as vertex 39, the last one
+    tree = build_tree(parse_spec("Ao(3)*Au(3)"), 3)
+    assert tree.n_vertices == 40
+    for vid in (-1, -40, -41):
+        with pytest.raises(ValueError, match="vertex id"):
+            read(tree, vid)
+
+
+@pytest.mark.parametrize("read, vid", [
+    (geodesic, 40), (geodesic, True), (geodesic, False), (lambda t, v: t.word(v), 40),
+], ids=["geodesic-40", "geodesic-True", "geodesic-False", "word-40"])
+def test_geodesic_and_word_refuse_ids_outside_the_tree(read, vid):
+    with pytest.raises(ValueError, match="vertex id"):
+        read(build_tree(parse_spec("Ao(3)*Au(3)"), 3), vid)
+
+
 def test_geodesic_directions_match_letters():
     tree = build_tree(parse_spec("Au(3)"), 4)
     path = geodesic(tree, au_word("uU"))

@@ -12,7 +12,6 @@ from qcayley.errors import GateError
 from qcayley.estimates import (
     ChainCheckResult,
     _as_interval,
-    _below_growth,
     _certified_pd,
     _minors_positive,
     _toeplitz_candidate,
@@ -25,7 +24,7 @@ from qcayley.estimates import (
     toeplitz_schur_bound,
     truncated_toeplitz_norm,
 )
-from qcayley.fusion import a_param, ao_dims, parse_spec
+from qcayley.fusion import a_param, ao_dims, growth_floor, parse_spec
 from qcayley.qctree import gram, gram_bound
 from qcayley.scalars import QQ, Interval, Radical
 
@@ -110,11 +109,17 @@ _GATE_WEIGHTS = [QQ(1, 3), QQ(1, 2), QQ(1), QQ(3, 2), QQ(2), QQ(5, 2), QQ(3), QQ
 def test_nonuni_gate_matches_the_quadratic_field(dimq):
     # a = 1, 2, 3, 4 exactly at dimq = 2, 5/2, 10/3, 17/4: the grid holds
     # each boundary r = a, (r, dimq) = (1, 2) among them, and (1, 3)
+    # growth_floor is the gate: it returns rho > r or raises, at r = a too,
+    # and just above an irrational a (the upper end of a tight enclosure)
     a = a_param(dimq).exact
-    for r in _GATE_WEIGHTS:
-        below = a > Radical.from_rational(r)
-        assert _below_growth(r, dimq) == below, (r, dimq)
-        if not below:
+    for r in _GATE_WEIGHTS + [a_param(dimq, QQ(1, 10**40)).interval.hi]:
+        if dimq > 2 and a > Radical.from_rational(r):
+            rho = growth_floor(dimq, above=r)
+            assert rho > r and rho > 1 and rho + 1 / rho <= dimq, (r, dimq)
+            assert nonuni_norm_sq(QQ(0), r, dimq, 40).tail_bound > 0, (r, dimq)
+        else:  # dimq = 2 has no growth floor at all, whatever the weight
+            with pytest.raises(GateError):
+                growth_floor(dimq, above=r)
             with pytest.raises(GateError):
                 nonuni_norm_sq(QQ(0), r, dimq, 40)
 

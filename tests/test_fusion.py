@@ -28,8 +28,9 @@ from qcayley.fusion import (
 )
 from qcayley.cayley import build_tree
 from qcayley.cli import main
-from qcayley.estimates import s_norm_ratio
-from qcayley.qctree import e2_inverse_ao, gram, gram_bound
+from qcayley.aunitary import cg_bounds_closed, cn_lower, eta_chain
+from qcayley.estimates import nonuni_norm_sq, rd_norm_sq, s_norm_ratio
+from qcayley.qctree import e2_inverse_ao, fixed_vector, gram, gram_bound
 from qcayley.scalars import QQ, Interval
 
 
@@ -151,6 +152,14 @@ def test_a_param_gate():
         a_param(QQ(3, 2))
 
 
+@pytest.mark.parametrize("tol", [0, -1, QQ(-1, 10**30)], ids=str)
+def test_a_param_refuses_a_tolerance_that_is_not_positive(tol):
+    # no enclosure has width <= 0: the bit count would double without end
+    for dimq in (QQ(3), QQ(5, 2)):
+        with pytest.raises(ValueError, match="tol"):
+            a_param(dimq, tol)
+
+
 @pytest.mark.parametrize("dimq", [QQ(3), QQ(7, 2), QQ(4)])
 def test_growth_floor_above_refines_past_the_bound(dimq):
     # a lower end of a tighter enclosure than the default floor's forces refinement
@@ -183,6 +192,44 @@ def test_single_ao_gate_refuses(entry, text, capsys):
     else:
         with pytest.raises(GateError, match="single Ao factor"):
             target(parse_spec(text))
+
+
+# -- the growth gates and their thresholds ---------------------------------------
+
+AO2, AO5_2 = parse_spec("Ao(2)"), parse_spec("Ao(5/2)")
+
+GATED = {
+    "rd_norm_sq Ao(2)": lambda: rd_norm_sq(QQ(2), QQ(3), 40),
+    "rd_norm_sq Ao(5/2)": lambda: rd_norm_sq(QQ(5, 2), QQ(3), 40),
+    "e2_inverse_ao Ao(2)": lambda: e2_inverse_ao(AO2, 0, 10),
+    "e2_inverse_ao Ao(5/2)": lambda: e2_inverse_ao(AO5_2, 0, 10),
+    "gram Ao(2)": lambda: gram(AO2, 0, 0, 10),
+    "gram Ao(5/2)": lambda: gram(AO5_2, 0, 0, 10),
+    "gram_bound Ao(2)": lambda: gram_bound(AO2, 2, 10),
+    "gram_bound Ao(5/2)": lambda: gram_bound(AO5_2, 2, 10),
+    "cn_lower N=1": lambda: cn_lower(2, 1),
+    "cn_lower N=2": lambda: cn_lower(2, 2),
+    "eta_chain N=1": lambda: eta_chain(3, 1, 1),
+    "eta_chain N=2": lambda: eta_chain(3, 1, 2),
+    "cg_bounds_closed N=1": lambda: cg_bounds_closed(3, 1, 1),
+    "cg_bounds_closed N=2": lambda: cg_bounds_closed(3, 1, 2),
+}
+
+# growth_floor takes every dimq > 2, so the half line of Ao(5/2) (a = 2) has a
+# fixed vector and weighted series; the estimates above need dimq >= 3
+ACCEPTED = {
+    "fixed_vector Ao(5/2)": lambda: fixed_vector(AO5_2, 10).tail_bound,
+    "nonuni_norm_sq r=1 Ao(5/2)": lambda: nonuni_norm_sq(QQ(3), 1, QQ(5, 2), 40).tail_bound,
+}
+
+
+@pytest.mark.parametrize("case", sorted(GATED) + sorted(ACCEPTED))
+def test_dimension_gates_and_their_thresholds(case):
+    if case in ACCEPTED:
+        assert ACCEPTED[case]() > 0
+    else:
+        with pytest.raises(GateError, match="dimension"):
+            GATED[case]()
 
 
 # -- dimension sequences -------------------------------------------------------

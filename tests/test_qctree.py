@@ -390,6 +390,15 @@ def test_inverse_single_term_truncation():
     assert float(inv.residual_norm) == pytest.approx(0.381963, abs=1e-5)
 
 
+@pytest.mark.parametrize("k, radius", [(0, 0), (0, 20), (3, 7), (5, 40), (12, 12)])
+def test_inverse_tail_is_m_k_squared_times_the_ray_tail(k, radius):
+    # the inverse series reads its tail from the half-line table; the fixed
+    # vector's comes from its own ray, past the same vertex R + 1
+    m_k = ao_dims(QQ(3), k + 1)[k]
+    assert e2_inverse_ao(AO3, k, radius).tail_bound == \
+        m_k * m_k * fixed_vector(AO3, radius + 1).tail_bound
+
+
 def test_inverse_refuses_a_tree_too_shallow():
     # the truncation ends at vertex radius + 1 = 11, one level below this tree
     with pytest.raises(ValueError, match="at least 11 deep"):
