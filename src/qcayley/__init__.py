@@ -23,7 +23,7 @@ from .fusion import (
     parse_spec,
     quantum_dim,
 )
-from .cayley import CayleyTree, Edge, GeodesicRay, build_tree, geodesic, sphere, validate
+from .cayley import CayleyTree, Edge, GeodesicRay, build_tree, geodesic, validate
 from .scalars import QQ, RATIONAL_BACKEND, Interval, Radical
 
 __version__ = "0.1.0"
@@ -56,7 +56,6 @@ __all__ = [
     "GeodesicRay",
     "build_tree",
     "geodesic",
-    "sphere",
     "validate",
     "__version__",
 ]

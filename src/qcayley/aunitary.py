@@ -18,7 +18,6 @@ multi-indices k to one walk call, which visits each of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -27,12 +26,8 @@ from .fusion import gate_dimension
 from .scalars import QQ
 
 __all__ = [
-    "LegDecomposition",
-    "EtaChain",
     "ql_norm_sq",
     "ql_sums",
-    "eta_chain",
-    "cg_bounds",
     "cg_bounds_closed",
     "cn_lower",
     "check_index_independence",
@@ -57,23 +52,6 @@ def _check_walks(N: int, exponent: int) -> None:
     if N > 1 and N ** min(exponent, MAX_GRADE_WALKS.bit_length()) > MAX_GRADE_WALKS:
         raise EnumerationSizeError(
             f"{N}^{exponent} grade walks exceed the cap of {MAX_GRADE_WALKS}")
-
-
-@dataclass(frozen=True)
-class LegDecomposition:
-    """Per-leg split of e_i e_k^* into scalar and traceless parts (squared norms)."""
-
-    scalar_part_sq: object
-    traceless_part_sq: object
-
-    @classmethod
-    def of(cls, i: int, k: int, N: int) -> "LegDecomposition":
-        delta = 1 if i == k else 0
-        return cls(QQ(delta, N * N), QQ(1, N) - QQ(delta, N * N))
-
-    @property
-    def total_sq(self):
-        return self.scalar_part_sq + self.traceless_part_sq
 
 
 def _validate_indices(i_idx, k_idx, N: int) -> int:
@@ -148,38 +126,14 @@ def ql_sums(i_idx, N: int):
     return [QQ(s) / scale for s in scaled]
 
 
-def eta_chain(n: int, l: int, N: int) -> "EtaChain":
-    """Norms of the preimage chain for a grade-l source: ||eta_i||^2 = m1^{2(i-1)},
-    vanishing beyond i = n - l + 1.  Per unit source norm."""
-    gate_dimension(_check_n(N))
-    if not 0 <= l <= n:
-        raise ValueError(f"l = {l} outside 0..{n}")
-    return EtaChain(n, l, tuple(QQ(N) ** (2 * (i - 1)) for i in range(1, n - l + 2)))
-
-
-@dataclass(frozen=True)
-class EtaChain:
-    n: int
-    l: int
-    norms_sq: tuple
-
-
-def cg_bounds(n: int, l: int, N: int):
+def cg_bounds_closed(n: int, l: int, N: int):
     """Exact two-sided bounds for the squared cocycle norm of a grade-l unit vector.
 
-    lower = (1/2) sum_{i=1}^{n-l} m1^{2(i-1)}  (the chain terms whose
-    antisymmetric projections are orthogonal and norm-halving); upper adds
-    the full norm of the one remaining chain term, since the projection is a
-    contraction.
+    lower = (1/2) sum_{i=1}^{n-l} m1^{2(i-1)} = (m1^{2(n-l)} - 1)/(2(m1^2 - 1)),
+    the chain terms whose antisymmetric projections are orthogonal and
+    norm-halving; upper = lower + m1^{2(n-l)} adds the full norm of the one
+    remaining chain term, since the projection is a contraction.
     """
-    chain = eta_chain(n, l, N)
-    lower = sum(chain.norms_sq[:-1], QQ(0)) / 2
-    upper = lower + chain.norms_sq[-1]
-    return lower, upper
-
-
-def cg_bounds_closed(n: int, l: int, N: int):
-    """Geometric-sum form of cg_bounds: lower = (m1^{2(n-l)} - 1)/(2(m1^2 - 1))."""
     gate_dimension(_check_n(N))
     if not 0 <= l <= n:
         raise ValueError(f"l = {l} outside 0..{n}")
@@ -190,7 +144,8 @@ def cg_bounds_closed(n: int, l: int, N: int):
 
 def cn_lower(n: int, N: int, i_idx=None, method: str = "enumerate"):
     """Certified lower bound for the squared norm of the n-th power cocycle matrix,
-    per unit basis vector:  sum_k sum_l cg_lower(n, l) * ql_norm_sq(i, k, l).
+    per unit basis vector:  sum_k sum_l lower(n, l) * ql_norm_sq(i, k, l), with
+    lower(n, l) the lower end of cg_bounds_closed.
 
     method="enumerate" runs the definitional exhaustive sum over all N^n
     multi-indices k; method="closed" evaluates the same double sum through
@@ -215,7 +170,7 @@ def cn_lower(n: int, N: int, i_idx=None, method: str = "enumerate"):
         total = QQ(0)
         # grade totals over all k: S_0 = m1^{-2n}, S_l = (1 - m1^{-2}) m1^{-2(n-l)}
         for l in range(n + 1):
-            lower = (m1sq ** (n - l) - 1) / (2 * (m1sq - 1))
+            lower = cg_bounds_closed(n, l, N)[0]
             if l == 0:
                 s_l = m1sq ** (-n)
             else:

@@ -24,7 +24,6 @@ from .fusion import (
     Direction,
     Irrep,
     QuantumGroupSpec,
-    dual_direction,
     fuse_generator,
     irrep_length,
     quantum_dim,
@@ -38,7 +37,6 @@ __all__ = [
     "GeodesicRay",
     "build_tree",
     "geodesic",
-    "sphere",
     "validate",
     "ValidationReport",
     "canonical_ray_pattern",
@@ -69,7 +67,8 @@ def _direction_steps(spec: QuantumGroupSpec, alpha: Irrep) -> list[Direction]:
 class CayleyTree:
     """Rooted, direction-labelled tree of irreducibles up to a radius: the whole
     ball (`build_tree`) or the path along one geodesic (`GeodesicRay`).  The
-    vertex accessors refuse a negative id, which Python would read from the end."""
+    vertex accessors refuse an id outside range(n_vertices), a negative one
+    included, which Python would read from the end."""
 
     def __init__(self, spec, radius, parent, pdir, length, dims):
         self.spec = spec
@@ -112,12 +111,18 @@ class CayleyTree:
         """Quantum dimension of a vertex, in the type of `spec.dim_scalars`."""
         if vid < 0:
             raise _id_error(self, vid)
-        return self._dims[vid]
+        try:
+            return self._dims[vid]
+        except IndexError:
+            raise _id_error(self, vid) from None
 
     def length(self, vid: int) -> int:
         if vid < 0:
             raise _id_error(self, vid)
-        return self._length[vid]
+        try:
+            return self._length[vid]
+        except IndexError:
+            raise _id_error(self, vid) from None
 
     def parent(self, vid: int):
         """(parent id, direction of the ascending parent edge), None at the root."""
@@ -125,7 +130,10 @@ class CayleyTree:
             if vid:
                 raise _id_error(self, vid)
             return None
-        return self._parent[vid], self.directions[self._pdir[vid]]
+        try:
+            return self._parent[vid], self.directions[self._pdir[vid]]
+        except IndexError:
+            raise _id_error(self, vid) from None
 
     def dir_dim(self, d: Direction):
         return self._dir_dims[d.factor]
@@ -138,16 +146,9 @@ class CayleyTree:
         view._dir_dims = (QQ(1),) * len(self._dir_dims)
         return view
 
-    def child(self, vid: int, d: Direction) -> int:
-        idx = self.directions.index(d)
-        c = self._children[vid * len(self.directions) + idx]
-        if c < 0:
-            raise KeyError(f"vertex {vid} has no stored child in direction {d}")
-        return c
-
     def word(self, vid: int) -> Irrep:
         """Reduced word of a vertex, materialized from the parent chain."""
-        if not 0 <= vid < len(self._words):
+        if type(vid) is bool or not 0 <= vid < len(self._words):
             raise _id_error(self, vid)
         w = self._words[vid]
         if w is not None:
@@ -197,12 +198,15 @@ class CayleyTree:
     # -- traversal -----------------------------------------------------------
 
     def sphere_ids(self, n: int) -> range:
-        if n > self.radius:
-            raise ValueError(f"sphere radius {n} exceeds tree radius {self.radius}")
+        """Ids of the vertices at distance n from the root, in BFS order."""
+        if not 0 <= n <= self.radius:
+            raise ValueError(f"sphere radius {n} is not in 0..{self.radius}")
         return range(self._level_start[n], self._level_start[n + 1])
 
     def geodesic_ids(self, vid: int) -> list[int]:
         """Vertex ids along the unique ascending path root -> vid."""
+        if type(vid) is bool or not 0 <= vid < len(self._dims):
+            raise _id_error(self, vid)
         chain = [vid]
         while vid != 0:
             vid = self._parent[vid]
@@ -214,13 +218,6 @@ class CayleyTree:
         """(parent id, child id, direction) for every geometric edge."""
         for v in range(1, self.n_vertices):
             yield self._parent[v], v, self.directions[self._pdir[v]]
-
-    def edges(self) -> Iterator[Edge]:
-        """Both orientations of every geometric edge."""
-        for p, c, d in self.ascending_edges():
-            pw, cw = self.word(p), self.word(c)
-            yield Edge(pw, cw, d, True)
-            yield Edge(cw, pw, dual_direction(self.spec, d), False)
 
 
 def _id_error(tree: CayleyTree, vid) -> ValueError:
@@ -330,11 +327,6 @@ def geodesic(tree: CayleyTree, alpha: Union[Irrep, int]) -> list[Edge]:
     return out
 
 
-def sphere(tree: CayleyTree, n: int) -> list[Irrep]:
-    """All vertices at distance n from the root, in BFS order."""
-    return [tree.word(v) for v in tree.sphere_ids(n)]
-
-
 @dataclass
 class ValidationReport:
     ok: bool
@@ -412,6 +404,3 @@ class GeodesicRay(CayleyTree):
         # a path of steps + 1 vertices: the cap cannot be reached
         super().__init__(spec, steps,
                          *_bfs_tree(spec, spec.dim_scalars, steps, steps + 1, codes))
-
-    def words(self) -> list:
-        return [self.word(v) for v in range(self.n_vertices)]

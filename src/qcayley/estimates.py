@@ -3,8 +3,8 @@
 Every infinite sum in scope is returned as a SeriesResult: an exact partial
 sum plus a tail bound proved by explicit geometric domination (a rational
 ratio < 1 valid beyond a computed index), never by asymptotic reasoning.
-The quadrant of inequality checks (Toeplitz/Schur bound, the summation
-chain, the shift-norm ratios) runs in exact rational or quadratic-field
+The inequality checks (Toeplitz/Schur bound, the summation chain, the
+dimension-ratio domination) run in exact rational or quadratic-field
 arithmetic so that a reported pass is a certificate, not an observation.
 """
 
@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .fusion import GrowthParam, a_param, ao_dims, gate_dimension, growth_floor, single_ao_dimq
+from .fusion import GrowthParam, a_param, ao_dims, gate_dimension, growth_floor
 from .scalars import QQ, Interval, Radical
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "truncated_toeplitz_norm",
     "orientation_chain_check",
     "ChainCheckResult",
-    "s_norm_ratio",
     "dim_ratio_domination",
 ]
 
@@ -277,17 +276,8 @@ def orientation_chain_check(a, xs: Sequence, tighten=QQ(1)) -> ChainCheckResult:
 
 
 # ---------------------------------------------------------------------------
-# shift-norm scalars on the half line
+# dimension-ratio domination on the half line
 # ---------------------------------------------------------------------------
-
-def s_norm_ratio(source, l: int, j: int) -> Radical:
-    """Exact norm sqrt(m_l m_{l-1} / (m_j m_{j+1})) of the orientation shift block."""
-    dimq = single_ao_dimq(source)
-    if not 1 <= l <= j + 1:
-        raise ValueError(f"need 1 <= l <= j+1, got l={l}, j={j}")
-    dims = ao_dims(dimq, j + 2)
-    return Radical.sqrt_of(dims[l] * dims[l - 1] / (dims[j] * dims[j + 1]))
-
 
 def dim_ratio_domination(dimq, kmax: int, jmax: int) -> bool:
     """Exact check of m_{k-1} / m_j <= a^{-(j-k)} for 1 <= k <= kmax, k-1 <= j <= jmax.

@@ -1,21 +1,19 @@
 """Weighted hilbertian structure on the classical Cayley tree.
 
-Orthonormal bases and the maps between them:
+Orthonormal bases and the map between them:
 
 * vertex basis ``xt_a`` (one unit vector per vertex; the unnormalized
   vectors carry weight ``m_a``),
 * geometric (antisymmetric) edge basis ``xt_{a^b}``, one per ascending edge,
-  keyed here by the upper endpoint (the parent is unique),
-* oriented edge basis, the normalized ``x_(s,t)`` with
-  ``||x_(s,t)||^2 = m_s m_t m_g``; keys are (upper endpoint, +1/-1).
+  keyed here by the upper endpoint (the parent is unique).
 
 The target map on the normalized antisymmetric basis is
 
-    E2(xt_{a^b}) = sqrt(m_g/2) * ( sqrt(m_a/m_b) xt_b - sqrt(m_b/m_a) xt_a )
+    E2(xt_{a^b}) = sqrt(m_g/2) * ( sqrt(m_a/m_b) xt_b - sqrt(m_b/m_a) xt_a ).
 
-with the source map O = E2 after edge reversal.  All coefficients live in
-the exact Radical scalar type: products of the square-root weights collapse
-to rationals exactly, which is what the telescoping checks rely on.
+All coefficients live in the exact Radical scalar type: products of the
+square-root weights collapse to rationals exactly, which is what the
+telescoping checks rely on.
 
 Path vectors sum ``sqrt(2/m_g) xt_{a_i ^ a_{i+1}} / sqrt(m_i m_{i+1})``
 along geodesics.  Their infinite-geodesic limits, the half-line inverse
@@ -37,13 +35,7 @@ from .scalars import QQ, Interval, Radical, sqrt_rational
 __all__ = [
     "VertexVector",
     "GeomEdgeVector",
-    "OrientedEdgeVector",
     "e2",
-    "o_source",
-    "theta",
-    "antisymmetrize",
-    "embed_oriented",
-    "counit",
     "path_vector",
     "path_norm_sq",
     "path_target",
@@ -134,13 +126,6 @@ class _SparseVector:
     def __hash__(self):
         return hash(frozenset((k, hash(v)) for k, v in self._coeffs.items()))
 
-    def norm_sq(self) -> Radical:
-        """Exact squared norm in the orthonormal basis."""
-        total = Radical()
-        for v in self._coeffs.values():
-            total = total + v * v
-        return total
-
     def __repr__(self):
         inner = ", ".join(f"{k}: {v}" for k, v in sorted(self._coeffs.items(),
                                                          key=lambda kv: str(kv[0])))
@@ -153,13 +138,6 @@ class VertexVector(_SparseVector):
 
 class GeomEdgeVector(_SparseVector):
     """Coefficients over the antisymmetric edge basis, keyed by upper endpoint."""
-
-
-class OrientedEdgeVector(_SparseVector):
-    """Coefficients over normalized oriented edges, keyed by (upper endpoint, +-1).
-
-    Orientation +1 points away from the root (ascending), -1 towards it.
-    """
 
 
 def _edge_data(tree, child_vid: int):
@@ -190,70 +168,17 @@ def _edge_ratios(tree, child_vid: int):
             ma.numerator * mb.denominator, ma.denominator * mb.numerator)
 
 
-def e2(tree, vec) -> VertexVector:
-    """Target map: antisymmetric or oriented edge vectors to vertex vectors."""
-    out: dict = {}
-    if isinstance(vec, GeomEdgeVector):
-        for c, coeff in vec.items():
-            p, gn, gd, u, v = _edge_ratios(tree, c)
-            # sqrt(m_g/2) * sqrt(m_a/m_b) and sqrt(m_g/2) * sqrt(m_b/m_a)
-            _bump(out, c, coeff.times_sqrt(gn * u, 2 * gd * v))
-            _bump(out, p, -coeff.times_sqrt(gn * v, 2 * gd * u))
-        return VertexVector._of(out)
-    if isinstance(vec, OrientedEdgeVector):
-        for (c, sign), coeff in vec.items():
-            p, gn, gd, u, v = _edge_ratios(tree, c)
-            if sign > 0:  # edge (parent -> child): target is the child
-                _bump(out, c, coeff.times_sqrt(gn * u, gd * v))
-            else:  # reversed edge: target is the parent
-                _bump(out, p, coeff.times_sqrt(gn * v, gd * u))
-        return VertexVector._of(out)
-    raise TypeError("e2 expects a GeomEdgeVector or OrientedEdgeVector")
-
-
-def o_source(tree, vec: OrientedEdgeVector) -> VertexVector:
-    """Source map, E2 after edge reversal: O(x_(s,t)) = (m_t m_g / m_s) x_s, normalized."""
-    if not isinstance(vec, OrientedEdgeVector):
-        raise TypeError("o_source expects an OrientedEdgeVector")
-    return e2(tree, theta(tree, vec))
-
-
-def theta(tree, vec):
-    """Edge reversal: swaps the two orientations; -id on antisymmetric vectors."""
-    if isinstance(vec, OrientedEdgeVector):
-        return OrientedEdgeVector({(c, -sign): coeff for (c, sign), coeff in vec.items()})
-    if isinstance(vec, GeomEdgeVector):
-        return -vec
-    raise TypeError("theta expects an edge vector")
-
-
-_SQRT_HALF = sqrt_rational(QQ(1, 2))
-
-
-def antisymmetrize(tree, vec: OrientedEdgeVector) -> GeomEdgeVector:
-    """Orthogonal projection onto antisymmetric vectors, in the geometric basis."""
-    out: dict = {}
-    for (c, sign), coeff in vec.items():
-        _bump(out, c, coeff * _SQRT_HALF if sign > 0 else -(coeff * _SQRT_HALF))
-    return GeomEdgeVector._of(out)
-
-
-def embed_oriented(tree, vec: GeomEdgeVector) -> OrientedEdgeVector:
-    """Isometric inclusion of the antisymmetric basis into oriented vectors."""
+def e2(tree, vec: GeomEdgeVector) -> VertexVector:
+    """Target map on antisymmetric edge vectors."""
+    if not isinstance(vec, GeomEdgeVector):
+        raise TypeError("e2 expects a GeomEdgeVector")
     out: dict = {}
     for c, coeff in vec.items():
-        half = coeff * _SQRT_HALF
-        out[(c, 1)] = half
-        out[(c, -1)] = -half
-    return OrientedEdgeVector(out)
-
-
-def counit(tree, vec: VertexVector) -> Radical:
-    """Counit at the hilbertian level: eps(xt_a) = m_a, extended linearly."""
-    total = Radical()
-    for vid, coeff in vec.items():
-        total = total + coeff * tree.dim(vid)
-    return total
+        p, gn, gd, u, v = _edge_ratios(tree, c)
+        # sqrt(m_g/2) * sqrt(m_a/m_b) and sqrt(m_g/2) * sqrt(m_b/m_a)
+        _bump(out, c, coeff.times_sqrt(gn * u, 2 * gd * v))
+        _bump(out, p, -coeff.times_sqrt(gn * v, 2 * gd * u))
+    return VertexVector._of(out)
 
 
 # ---------------------------------------------------------------------------

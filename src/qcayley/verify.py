@@ -436,7 +436,7 @@ def criterion_9(profile: dict, seed: int) -> CriterionResult:
                lambda: qt.e2_inverse_ao(spec2, 0, 10),
                lambda: qt.gram(spec2, 0, 0, 10),
                lambda: est.rd_norm_sq(QQ(2), QQ(3), 10),
-               lambda: au.eta_chain(3, 1, 2),
+               lambda: au.cg_bounds_closed(3, 1, 2),
                lambda: au.cn_lower(2, 2)):
         try:
             fn()

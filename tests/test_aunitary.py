@@ -1,5 +1,6 @@
 """Tensor-power grade norms, chain bounds, linear growth."""
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -8,19 +9,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcayley.aunitary import (
-    LegDecomposition,
     _grade_walk,
-    cg_bounds,
     cg_bounds_closed,
     check_index_independence,
     cn_lower,
-    eta_chain,
     parseval_violations,
     ql_norm_sq,
     ql_sums,
 )
 from qcayley.errors import EnumerationSizeError, GateError
 from qcayley.scalars import QQ
+
+
+@dataclass(frozen=True)
+class LegDecomposition:
+    """Per-leg split of e_i e_k^* into scalar and traceless parts (squared norms):
+    the reference for the grade norms below."""
+
+    scalar_part_sq: object
+    traceless_part_sq: object
+
+    @classmethod
+    def of(cls, i: int, k: int, N: int) -> "LegDecomposition":
+        delta = 1 if i == k else 0
+        return cls(QQ(delta, N * N), QQ(1, N) - QQ(delta, N * N))
+
+    @property
+    def total_sq(self):
+        return self.scalar_part_sq + self.traceless_part_sq
 
 
 def test_leg_decomposition_invariants():
@@ -80,12 +96,9 @@ def test_validation_errors():
 @pytest.mark.parametrize("call", [
     lambda: cn_lower(2, 3.5, method="closed"),
     lambda: cn_lower(2, 3.5),
-    lambda: cg_bounds(3, 1, 3.5),
     lambda: cg_bounds_closed(3, 1, 3.5),
-    lambda: eta_chain(3, 1, 3.5),
     lambda: cn_lower(2, 3.0),
-], ids=["cn_lower-closed", "cn_lower-enumerate", "cg_bounds", "cg_bounds_closed",
-        "eta_chain", "cn_lower-float-integral"])
+], ids=["cn_lower-closed", "cn_lower-enumerate", "cg_bounds_closed", "cn_lower-float-integral"])
 def test_gated_functions_refuse_a_non_integer_dimension(call):
     with pytest.raises(ValueError, match="positive integer"):
         call()
@@ -114,30 +127,35 @@ def test_cn_lower_refuses_a_source_of_the_wrong_length(i_idx, method):
         cn_lower(3, 3, i_idx, method=method)
 
 
-def test_eta_chain_norms_and_cutoff():
-    chain = eta_chain(5, 2, 3)
-    assert chain.norms_sq == (1, 9, 81, 729)  # stops at i = n - l + 1
-    assert eta_chain(3, 3, 3).norms_sq == (1,)
+def _reference_cg_bounds(n, l, N):
+    """The chain sum: the preimage chain of a grade-l source has norms
+    m1^{2(i-1)} for i = 1..n-l+1; lower is half the sum of all but the last,
+    upper adds the last in full."""
+    norms_sq = [QQ(N) ** (2 * (i - 1)) for i in range(1, n - l + 2)]
+    lower = sum(norms_sq[:-1], QQ(0)) / 2
+    return lower, lower + norms_sq[-1]
 
 
 def test_cg_bounds_frozen():
-    assert cg_bounds(3, 1, 3) == (5, 86)
-    assert cg_bounds(3, 3, 3) == (0, 1)
-    assert cg_bounds(1, 0, 3) == (QQ(1, 2), QQ(1, 2) + 9)
+    for bounds in (cg_bounds_closed, _reference_cg_bounds):
+        assert bounds(3, 1, 3) == (5, 86)
+        assert bounds(3, 3, 3) == (0, 1)
+        assert bounds(1, 0, 3) == (QQ(1, 2), QQ(1, 2) + 9)
 
 
 def test_cg_bounds_closed_form_agrees():
     for n in range(1, 7):
         for l in range(n + 1):
-            assert cg_bounds(n, l, 3) == cg_bounds_closed(n, l, 3)
-            assert cg_bounds(n, l, 4) == cg_bounds_closed(n, l, 4)
+            assert _reference_cg_bounds(n, l, 3) == cg_bounds_closed(n, l, 3)
+            assert _reference_cg_bounds(n, l, 4) == cg_bounds_closed(n, l, 4)
 
 
 def test_cg_bounds_ordering():
     for n in range(1, 6):
         for l in range(n + 1):
-            lower, upper = cg_bounds(n, l, 3)
+            lower, upper = cg_bounds_closed(n, l, 3)
             assert 0 <= lower <= upper
+            assert (lower, upper) == _reference_cg_bounds(n, l, 3)
 
 
 def test_cn_lower_frozen_values():
@@ -171,9 +189,7 @@ def test_cn_lower_independent_of_source_index():
 
 def test_dimension_two_gates():
     with pytest.raises(GateError):
-        eta_chain(3, 1, 2)
-    with pytest.raises(GateError):
-        cg_bounds(3, 1, 2)
+        cg_bounds_closed(3, 1, 2)
     with pytest.raises(GateError):
         cn_lower(3, 2)
     # the grade decomposition itself is dimension-agnostic

@@ -9,7 +9,6 @@ from qcayley.cayley import (
     build_tree,
     canonical_ray_pattern,
     geodesic,
-    sphere,
     validate,
 )
 from qcayley.errors import TreeSizeError
@@ -19,7 +18,7 @@ from qcayley.fusion import Direction, TRIVIAL, ao_dims, ao_irrep, au_word, parse
 def test_half_line_shape():
     tree = build_tree(parse_spec("Ao(3)"), 5)
     assert tree.n_vertices == 6
-    assert sum(1 for _ in tree.edges()) == 10  # both orientations
+    assert len(list(tree.ascending_edges())) == 5
     assert [tree.length(v) for v in range(6)] == list(range(6))
     assert [int(tree.dim(v)) for v in range(6)] == [1, 3, 8, 21, 55, 144]
 
@@ -39,17 +38,18 @@ def test_unitary_binary_tree_shape():
 def test_radius_zero():
     tree = build_tree(parse_spec("Ao(3)*Au(3)"), 0)
     assert tree.n_vertices == 1
-    assert list(tree.edges()) == []
+    assert list(tree.ascending_edges()) == []
 
 
 def test_sphere_counts_and_errors():
     tree = build_tree(parse_spec("Au(3)"), 4)
-    assert len(sphere(tree, 2)) == 4
-    assert sphere(tree, 0) == [TRIVIAL]
+    assert len(tree.sphere_ids(2)) == 4
+    assert tree.sphere_ids(0) == range(1)
     half = build_tree(parse_spec("Ao(3)"), 7)
-    assert all(len(sphere(half, n)) == 1 for n in range(8))
-    with pytest.raises(ValueError):
-        sphere(tree, 5)
+    assert all(len(half.sphere_ids(n)) == 1 for n in range(8))
+    for n in (5, -1):
+        with pytest.raises(ValueError, match="sphere radius"):
+            tree.sphere_ids(n)
 
 
 def test_geodesic_half_line():
@@ -57,13 +57,12 @@ def test_geodesic_half_line():
     path = geodesic(tree, ao_irrep(3))
     assert [(e.source, e.target) for e in path] == \
         [(ao_irrep(0), ao_irrep(1)), (ao_irrep(1), ao_irrep(2)), (ao_irrep(2), ao_irrep(3))]
-    assert all(e.ascending for e in path)
 
 
 @pytest.mark.parametrize("read", [
     lambda t, v: t.parent(v), lambda t, v: t.dim(v), lambda t, v: t.length(v),
-    lambda t, v: t.word(v), geodesic,
-], ids=["parent", "dim", "length", "word", "geodesic"])
+    lambda t, v: t.word(v), geodesic, lambda t, v: t.geodesic_ids(v),
+], ids=["parent", "dim", "length", "word", "geodesic", "geodesic_ids"])
 def test_negative_vertex_ids_are_refused(read):
     # Python would read -1 as vertex 39, the last one
     tree = build_tree(parse_spec("Ao(3)*Au(3)"), 3)
@@ -75,7 +74,11 @@ def test_negative_vertex_ids_are_refused(read):
 
 @pytest.mark.parametrize("read, vid", [
     (geodesic, 40), (geodesic, True), (geodesic, False), (lambda t, v: t.word(v), 40),
-], ids=["geodesic-40", "geodesic-True", "geodesic-False", "word-40"])
+    (lambda t, v: t.word(v), True), (lambda t, v: t.geodesic_ids(v), 40),
+    (lambda t, v: t.geodesic_ids(v), True), (lambda t, v: t.parent(v), 40),
+    (lambda t, v: t.dim(v), 40), (lambda t, v: t.length(v), 40),
+], ids=["geodesic-40", "geodesic-True", "geodesic-False", "word-40", "word-True",
+        "geodesic_ids-40", "geodesic_ids-True", "parent-40", "dim-40", "length-40"])
 def test_geodesic_and_word_refuse_ids_outside_the_tree(read, vid):
     with pytest.raises(ValueError, match="vertex id"):
         read(build_tree(parse_spec("Ao(3)*Au(3)"), 3), vid)
@@ -129,7 +132,8 @@ def test_rational_dimension_tree():
 def test_infinite_geodesic_lazy_ray():
     spec = parse_spec("Au(3)")
     ray = GeodesicRay(spec, canonical_ray_pattern(spec), 4)
-    assert ray.words() == [TRIVIAL, au_word("u"), au_word("uU"), au_word("uUu"), au_word("uUuU")]
+    assert [ray.word(i) for i in range(5)] == \
+        [TRIVIAL, au_word("u"), au_word("uU"), au_word("uUu"), au_word("uUuU")]
     assert [int(ray.dim(i)) for i in range(5)] == [1, 3, 8, 21, 55]
     # dims along the ray agree with the letterwise product
     for i in range(5):
@@ -157,7 +161,8 @@ def test_rays_match_tree_vertices(pattern):
         if i:
             d = pattern[(i - 1) % len(pattern)]
             assert ray.parent(i) == (i - 1, d)
-            v = tree.child(v, d)
+            u, v = v, tree.vertex_id(ray.word(i))
+            assert tree.parent(v) == (u, d)
         assert ray.word(i) == tree.word(v)
         assert ray.dim(i) == tree.dim(v)
 

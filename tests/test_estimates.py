@@ -20,7 +20,6 @@ from qcayley.estimates import (
     nonuni_norm_sq,
     orientation_chain_check,
     rd_norm_sq,
-    s_norm_ratio,
     toeplitz_schur_bound,
     truncated_toeplitz_norm,
 )
@@ -374,22 +373,6 @@ def test_chain_near_extremal_passes_and_mutation_fails():
     near = _near_extremal(float(golden.mid))
     assert orientation_chain_check(golden, near).ok
     assert not orientation_chain_check(golden, near, tighten=QQ(3, 4)).ok
-
-
-# -- shift-norm ratios ----------------------------------------------------------------
-
-def test_s_norm_ratio_frozen():
-    spec = parse_spec("Ao(3)")
-    assert s_norm_ratio(spec, 1, 1).square().as_rational() == QQ(1, 8)
-    assert s_norm_ratio(spec, 4, 3).as_rational() == 1  # l = j + 1 gives the unit ratio
-
-
-def test_s_norm_ratio_bounds():
-    spec = parse_spec("Ao(3)")
-    with pytest.raises(ValueError):
-        s_norm_ratio(spec, 0, 3)
-    with pytest.raises(ValueError):
-        s_norm_ratio(spec, 5, 3)
 
 
 # -- the shared half-line series and the integer dimension recurrence ------------------

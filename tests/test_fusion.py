@@ -28,8 +28,8 @@ from qcayley.fusion import (
 )
 from qcayley.cayley import build_tree
 from qcayley.cli import main
-from qcayley.aunitary import cg_bounds_closed, cn_lower, eta_chain
-from qcayley.estimates import nonuni_norm_sq, rd_norm_sq, s_norm_ratio
+from qcayley.aunitary import cg_bounds_closed, cn_lower
+from qcayley.estimates import nonuni_norm_sq, rd_norm_sq
 from qcayley.qctree import e2_inverse_ao, fixed_vector, gram, gram_bound
 from qcayley.scalars import QQ, Interval
 
@@ -176,7 +176,6 @@ SINGLE_AO_ENTRY_POINTS = {
     "e2_inverse_ao": lambda spec: e2_inverse_ao(spec, 0, 10),
     "gram": lambda spec: gram(spec, 0, 0, 10),
     "gram_bound": lambda spec: gram_bound(spec, 2, 10),
-    "s_norm_ratio": lambda spec: s_norm_ratio(spec, 1, 1),
     "cli dims": ["dims"],
     "cli rd-norm": ["rd-norm"],
 }
@@ -209,8 +208,6 @@ GATED = {
     "gram_bound Ao(5/2)": lambda: gram_bound(AO5_2, 2, 10),
     "cn_lower N=1": lambda: cn_lower(2, 1),
     "cn_lower N=2": lambda: cn_lower(2, 2),
-    "eta_chain N=1": lambda: eta_chain(3, 1, 1),
-    "eta_chain N=2": lambda: eta_chain(3, 1, 2),
     "cg_bounds_closed N=1": lambda: cg_bounds_closed(3, 1, 1),
     "cg_bounds_closed N=2": lambda: cg_bounds_closed(3, 1, 2),
 }
