@@ -6,6 +6,9 @@ ratio < 1 valid beyond a computed index), never by asymptotic reasoning.
 The inequality checks (Toeplitz/Schur bound, the summation chain, the
 dimension-ratio domination) run in exact rational or quadratic-field
 arithmetic so that a reported pass is a certificate, not an observation.
+The summation chain is decided by exact integer comparisons: its entries
+and each end of the enclosure of 1/a are put over common denominators,
+and `Fraction`s are built only to write a failure's detail.
 """
 
 from __future__ import annotations
@@ -230,6 +233,36 @@ class ChainCheckResult:
         return self.ok
 
 
+def _scaled_suffix_sums(p: int, q: int, xs: Sequence) -> list:
+    """[S_k] for integers xs and rho = p/q, where S_k / q^(n-1-k) is
+    sum_{j>=k} rho^{j-k} xs[j] (n = len(xs)), by S_k = xs[k] q^(n-1-k) + p S_{k+1}."""
+    out = [0] * len(xs)
+    acc, qpow = 0, 1
+    for k in range(len(xs) - 1, -1, -1):
+        acc = xs[k] * qpow + p * acc
+        out[k] = acc
+        qpow *= q
+    return out
+
+
+def _chain_failure(inv: Interval, ints: list, d: int, tighten, per_k_ok: list) -> str:
+    """The first failed test of the chain, both sides as rational intervals over
+    the ends of inv; the entries are ints[j] / d."""
+    constant = Interval.point(QQ(tighten)) / (Interval.point(1) - inv)
+
+    def suffix(vals, scale):  # sum_j inv^j vals[j] / scale, over the two ends of inv
+        return Interval(*(QQ(_scaled_suffix_sums(*rho.as_integer_ratio(), vals)[0],
+                             scale * rho.denominator ** (len(vals) - 1)) for rho in (inv.lo, inv.hi)))
+
+    if False in per_k_ok:
+        k = per_k_ok.index(False)
+        s1, s2 = suffix(ints[k:], d), suffix([v * v for v in ints[k:]], d * d)
+        return f"per-k bound violated at k={k}: lhs in {s1 * s1}, rhs in {constant * s2}"
+    agg_lhs = sum((s * s for s in (suffix(ints[k:], d) for k in range(len(ints)))), Interval.point(0))
+    agg_rhs = constant * constant * QQ(sum(v * v for v in ints), d * d)
+    return f"aggregate bound violated: lhs in {agg_lhs}, rhs in {agg_rhs}"
+
+
 def orientation_chain_check(a, xs: Sequence, tighten=QQ(1)) -> ChainCheckResult:
     """Verify the geometric-weight Cauchy-Schwarz chain on nonnegative data.
 
@@ -239,40 +272,44 @@ def orientation_chain_check(a, xs: Sequence, tighten=QQ(1)) -> ChainCheckResult:
     must never fail); tighten < 1 is the mutation hook for negative controls.
 
     All comparisons are certified (interval endpoints in the right
-    direction); `a` may be rational, an Interval, a Radical or GrowthParam.
+    direction) and exact: each test is one integer comparison.
+    `a` may be rational, an Interval, a Radical or GrowthParam.
     """
     inv = _inverse(a)
     xs = [QQ(x) for x in xs]
     if any(x < 0 for x in xs):
         raise ValueError("entries must be nonnegative")
     n = len(xs)
-    one = Interval.point(1)
-    constant = Interval.point(QQ(tighten)) / (one - inv)
+    # x_j = ints[j] / d.  x_j >= 0 and 0 < inv.lo <= inv.hi, so the sums of the lhs
+    # are largest at inv.hi = ph/qh and those of the rhs smallest at inv.lo = pl/ql:
+    # s1_k = s1[k] / (d qh^m) and s2_k = s2[k] / (d^2 ql^m), m = n-1-k.
+    d = math.lcm(*(x.denominator for x in xs))
+    ints = [x.numerator * (d // x.denominator) for x in xs]
+    squares = [v * v for v in ints]
+    (pl, ql), (ph, qh) = inv.lo.as_integer_ratio(), inv.hi.as_integer_ratio()
+    s1, s2 = _scaled_suffix_sums(ph, qh, ints), _scaled_suffix_sums(pl, ql, squares)
+    # C = t / (1 - inv.lo) = cn / cd is the constant's lower end when t >= 0.  When
+    # t < 0 any negative constant gives the same per-k verdicts, since s1_k = 0
+    # exactly when s2_k = 0, and C^2 is the lower end of the constant's square.
+    t = QQ(tighten)
+    cn, cd = t.numerator * ql, t.denominator * (ql - pl)
 
-    # x_j >= 0 and 0 < inv.lo <= inv.hi, so each end of the weighted sums is
-    # the exact sum at that end of inv
-    squares = [x * x for x in xs]
-    s1lo, s1hi = _suffix_horner(inv.lo, xs), _suffix_horner(inv.hi, xs)
-    s2lo, s2hi = _suffix_horner(inv.lo, squares), _suffix_horner(inv.hi, squares)
-
-    per_k_ok = []
-    agg_lo = agg_hi = QQ(0)
-    detail = ""
-    for k in range(n):
-        lhs_lo, lhs_hi = s1lo[k] * s1lo[k], s1hi[k] * s1hi[k]
-        rhs = constant * Interval(s2lo[k], s2hi[k])
-        ok = lhs_hi <= rhs.lo
-        if not ok and not detail:
-            detail = f"per-k bound violated at k={k}: lhs in {Interval(lhs_lo, lhs_hi)}, rhs in {rhs}"
-        per_k_ok.append(ok)
-        agg_lo += lhs_lo
-        agg_hi += lhs_hi
-    agg_lhs = Interval(agg_lo, agg_hi)
-    agg_rhs = constant * constant * sum(squares, QQ(0))
-    aggregate_ok = agg_lhs.hi <= agg_rhs.lo
-    if not aggregate_ok and not detail:
-        detail = f"aggregate bound violated: lhs in {agg_lhs}, rhs in {agg_rhs}"
-    return ChainCheckResult(all(per_k_ok) and aggregate_ok, per_k_ok, aggregate_ok, detail)
+    per_k_ok = [False] * n
+    agg = 0  # sum_k s1[k]^2 qh^(2k+2) = d^2 qh^(2n) sum_k s1_k^2
+    ql_m = qh_2m = 1  # ql^m and qh^(2m)
+    qh2 = qh * qh
+    for k in range(n - 1, -1, -1):
+        lhs = s1[k] * s1[k]
+        # s1_k^2 <= C s2_k, times d^2 qh^(2m) ql^m cd (d^2 cancels)
+        per_k_ok[k] = lhs * cd * ql_m <= cn * s2[k] * qh_2m
+        agg = (agg + lhs) * qh2
+        ql_m *= ql
+        qh_2m *= qh2
+    # sum_k s1_k^2 <= C^2 sum_j x_j^2, times d^2 qh^(2n) cd^2
+    aggregate_ok = agg * cd * cd <= cn * cn * sum(squares) * qh_2m
+    ok = all(per_k_ok) and aggregate_ok
+    detail = "" if ok else _chain_failure(inv, ints, d, tighten, per_k_ok)
+    return ChainCheckResult(ok, per_k_ok, aggregate_ok, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -387,8 +387,7 @@ def criterion_8(profile: dict, seed: int) -> CriterionResult:
 
     control_ok = True
     for label, a in cases:
-        a_float = float(a.mid) if isinstance(a, Interval) else float(a)
-        near = _near_extremal(a_float)
+        near = _near_extremal(float(a))
         if not est.orientation_chain_check(a, near):
             all_ok = False
         mutated = est.orientation_chain_check(a, near, tighten=QQ(3, 4))

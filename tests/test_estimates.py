@@ -330,18 +330,28 @@ def _reference_chain_check(a, xs, tighten=QQ(1)) -> ChainCheckResult:
     return ChainCheckResult(all(per_k_ok) and aggregate_ok, per_k_ok, aggregate_ok, detail)
 
 
-_CHAIN_AS = [QQ(3, 2), QQ(2), a_param(QQ(3)).interval, a_param(QQ(7, 2)).exact]
+# the wide interval's two ends give different verdicts on most vectors, so a swap of
+# the ends of 1/a shows there
+_CHAIN_AS = [QQ(3, 2), QQ(2), a_param(QQ(3)).interval, a_param(QQ(7, 2)).exact,
+             a_param(QQ(3)), Interval(QQ(3, 2), QQ(5, 2))]
+_CHAIN_TIGHTEN = [QQ(1), QQ(3, 4), QQ(0), QQ(-1)]
 
 
 @given(st.lists(st.fractions(min_value=0, max_value=20, max_denominator=9), max_size=40),
        st.sampled_from(_CHAIN_AS),
-       st.sampled_from([QQ(1), QQ(3, 4), QQ(0)]))
+       st.sampled_from(_CHAIN_TIGHTEN))
 @settings(max_examples=150, deadline=None)
 def test_chain_equals_the_quadratic_sums(xs, a, tighten):
     got = orientation_chain_check(a, xs, tighten)
     want = _reference_chain_check(a, xs, tighten)
     assert (got.ok, got.per_k_ok, got.aggregate_ok, got.detail) \
         == (want.ok, want.per_k_ok, want.aggregate_ok, want.detail)
+
+
+@pytest.mark.parametrize("tighten", _CHAIN_TIGHTEN, ids=str)
+def test_chain_on_the_empty_vector(tighten):
+    for a in _CHAIN_AS:
+        assert orientation_chain_check(a, [], tighten) == ChainCheckResult(True, [], True, "")
 
 
 @pytest.mark.parametrize("tighten", [QQ(1), QQ(3, 4)], ids=str)

@@ -45,6 +45,8 @@ CASES = {
     "schur-rational-a": ["schur", "--a", "3/2", "--size", "7"],
     "chain-check": ["chain-check", "--a", "growth:3", "--seed", "11"],
     "chain-check-rational-a": ["chain-check", "--a", "3/2", "--seed", "5", "--count", "50"],
+    "chain-check-fine-enclosure": ["chain-check", "--a", "growth:3", "--tolerance", "1e-60",
+                                   "--count", "200", "--seed", "3"],
     "verify-quick": ["verify", "--profile", "quick", "--seed", "108"],
 }
 
