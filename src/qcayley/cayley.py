@@ -1,9 +1,9 @@
 """Classical Cayley tree of a free product, built breadth-first up to a radius.
 
-Vertices are interned with BFS-order integer ids (deterministic); per-vertex
-data lives in flat arrays so that trees with ~10^6 vertices stay cheap.  The
-reduced word of a vertex is materialized lazily from the parent chain, since
-the big acceptance sweeps only need ids and dimensions.
+Vertices are BFS-order integer ids (deterministic), and every vertex query
+takes an id; per-vertex data lives in flat arrays so that trees with ~10^6
+vertices stay cheap.  The reduced word of a vertex is materialized lazily from
+the parent chain, since the big acceptance sweeps only need ids and dimensions.
 
 Every vertex has exactly one ascending child per direction and one parent;
 the descending summand of any generator fusion is the parent, which is what
@@ -15,7 +15,7 @@ from __future__ import annotations
 from array import array
 from copy import copy
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Iterator
 
 from .errors import TreeSizeError
 from .fusion import (
@@ -25,9 +25,7 @@ from .fusion import (
     Irrep,
     QuantumGroupSpec,
     fuse_generator,
-    irrep_length,
     quantum_dim,
-    validate_irrep,
 )
 from .scalars import QQ
 
@@ -53,22 +51,14 @@ class Edge:
     ascending: bool
 
 
-def _direction_steps(spec: QuantumGroupSpec, alpha: Irrep) -> list[Direction]:
-    """Directions of the geodesic from the root to alpha, derived letterwise."""
-    steps: list[Direction] = []
-    for fidx, payload in alpha.word:
-        if isinstance(payload, int):
-            steps.extend([Direction(fidx, 0)] * payload)
-        else:
-            steps.extend(Direction(fidx, s) for s in payload)
-    return steps
-
-
 class CayleyTree:
     """Rooted, direction-labelled tree of irreducibles up to a radius: the whole
-    ball (`build_tree`) or the path along one geodesic (`GeodesicRay`).  The
-    vertex accessors refuse an id outside range(n_vertices), a negative one
-    included, which Python would read from the end."""
+    ball (`build_tree`) or the path along one geodesic (`GeodesicRay`).
+
+    A vertex is its int id; a word is read from an id (`word`) but never
+    names a vertex.  Every vertex accessor makes one check, an int (not a
+    bool) in range(n_vertices), and raises ValueError otherwise: a negative
+    id, which Python would read from the end, is refused too."""
 
     def __init__(self, spec, radius, parent, pdir, length, dims):
         self.spec = spec
@@ -81,12 +71,7 @@ class CayleyTree:
         # a Fraction per factor even when the vertex dimensions are ints, so
         # that quotients like 2 / (dir_dim * dim * dim) stay exact
         self._dir_dims = tuple(f.dimq for f in spec.factors)
-        n = len(dims)
-        ndir = len(self.directions)
-        children = [-1] * (n * ndir)
-        for v in range(1, n):
-            children[parent[v] * ndir + pdir[v]] = v
-        self._children = children
+        self._n = n = len(dims)
         self._words: list = [None] * n
         self._words[0] = Irrep(())
         # BFS order sorts by length; record sphere boundaries once
@@ -101,39 +86,28 @@ class CayleyTree:
 
     @property
     def n_vertices(self) -> int:
-        return len(self._dims)
+        return self._n
 
     @property
     def n_geometric_edges(self) -> int:
-        return len(self._dims) - 1
+        return self._n - 1
 
     def dim(self, vid: int):
         """Quantum dimension of a vertex, in the type of `spec.dim_scalars`."""
-        if vid < 0:
+        if not (type(vid) is int and 0 <= vid < self._n):
             raise _id_error(self, vid)
-        try:
-            return self._dims[vid]
-        except IndexError:
-            raise _id_error(self, vid) from None
+        return self._dims[vid]
 
     def length(self, vid: int) -> int:
-        if vid < 0:
+        if not (type(vid) is int and 0 <= vid < self._n):
             raise _id_error(self, vid)
-        try:
-            return self._length[vid]
-        except IndexError:
-            raise _id_error(self, vid) from None
+        return self._length[vid]
 
     def parent(self, vid: int):
         """(parent id, direction of the ascending parent edge), None at the root."""
-        if vid <= 0:
-            if vid:
-                raise _id_error(self, vid)
-            return None
-        try:
-            return self._parent[vid], self.directions[self._pdir[vid]]
-        except IndexError:
-            raise _id_error(self, vid) from None
+        if not (type(vid) is int and 0 <= vid < self._n):
+            raise _id_error(self, vid)
+        return (self._parent[vid], self.directions[self._pdir[vid]]) if vid else None
 
     def dir_dim(self, d: Direction):
         return self._dir_dims[d.factor]
@@ -148,7 +122,7 @@ class CayleyTree:
 
     def word(self, vid: int) -> Irrep:
         """Reduced word of a vertex, materialized from the parent chain."""
-        if type(vid) is bool or not 0 <= vid < len(self._words):
+        if not (type(vid) is int and 0 <= vid < self._n):
             raise _id_error(self, vid)
         w = self._words[vid]
         if w is not None:
@@ -174,27 +148,6 @@ class CayleyTree:
             self._words[v2] = Irrep(tuple(letters))
         return self._words[vid]
 
-    def vertex_id(self, alpha: Irrep) -> int:
-        """BFS id of a word; raises KeyError when it lies outside the tree."""
-        validate_irrep(self.spec, alpha)
-        if irrep_length(alpha) > self.radius:
-            raise KeyError(f"{alpha} lies beyond radius {self.radius}")
-        v = 0
-        ndir = len(self.directions)
-        for d in _direction_steps(self.spec, alpha):
-            c = self._children[v * ndir + self.directions.index(d)]
-            if c < 0:
-                raise KeyError(f"{alpha} not generated; tree too small")
-            v = c
-        return v
-
-    def __contains__(self, alpha: Irrep) -> bool:
-        try:
-            self.vertex_id(alpha)
-            return True
-        except (KeyError, ValueError):
-            return False
-
     # -- traversal -----------------------------------------------------------
 
     def sphere_ids(self, n: int) -> range:
@@ -205,7 +158,7 @@ class CayleyTree:
 
     def geodesic_ids(self, vid: int) -> list[int]:
         """Vertex ids along the unique ascending path root -> vid."""
-        if type(vid) is bool or not 0 <= vid < len(self._dims):
+        if not (type(vid) is int and 0 <= vid < self._n):
             raise _id_error(self, vid)
         chain = [vid]
         while vid != 0:
@@ -221,20 +174,9 @@ class CayleyTree:
 
 
 def _id_error(tree: CayleyTree, vid) -> ValueError:
+    """The refusal of every vertex accessor: `vid` is not an int (a bool is
+    not one) in range(n_vertices)."""
     return ValueError(f"vertex id {vid!r} is not in range({tree.n_vertices})")
-
-
-def _resolve_vid(tree: CayleyTree, alpha: Union[Irrep, int]) -> int:
-    """The id of a vertex given by its id or its word; ValueError for an id
-    outside the tree, KeyError for a word outside it."""
-    # type(...) is int: a bool is not a vertex id
-    if type(alpha) is int and 0 <= alpha < tree.n_vertices:
-        return alpha
-    if isinstance(alpha, Irrep):
-        return tree.vertex_id(alpha)
-    if isinstance(alpha, int):
-        raise _id_error(tree, alpha)
-    raise TypeError("expected a vertex id or an Irrep")
 
 
 def _bfs_tree(spec: QuantumGroupSpec, factor_m1, radius: int, cap: int, pattern=None):
@@ -317,9 +259,9 @@ def build_tree(spec: QuantumGroupSpec, radius: int,
     return CayleyTree(spec, radius, parent, pdir, length, dims)
 
 
-def geodesic(tree: CayleyTree, alpha: Union[Irrep, int]) -> list[Edge]:
-    """The unique ascending path root -> alpha as Edge objects."""
-    ids = tree.geodesic_ids(_resolve_vid(tree, alpha))
+def geodesic(tree: CayleyTree, vid: int) -> list[Edge]:
+    """The unique ascending path root -> vid as Edge objects."""
+    ids = tree.geodesic_ids(vid)
     out = []
     for p, c in zip(ids, ids[1:]):
         out.append(Edge(tree.word(p), tree.word(c),
@@ -345,8 +287,14 @@ def validate(tree: CayleyTree) -> ValidationReport:
     m1s = spec.dim_scalars
     issues = []
     n = tree.n_vertices
+    ndir = len(tree.directions)
+    taken = bytearray(n * ndir)  # one flag per (parent, direction)
     for v in range(1, n):
         p = tree._parent[v]
+        slot = p * ndir + tree._pdir[v]
+        if taken[slot]:
+            issues.append(f"vertex {v}: a second child of {p} in one direction")
+        taken[slot] = 1
         if tree.length(v) != tree.length(p) + 1:
             issues.append(f"vertex {v}: length not graded along parent edge")
         if quantum_dim(spec, tree.word(v)) != tree.dim(v):
@@ -362,9 +310,6 @@ def validate(tree: CayleyTree) -> ValidationReport:
             # the generator absorbed the last letter of p: the reduced word is p's parent
             if p == 0 or summands[0] != tree.word(tree._parent[p]):
                 issues.append(f"edge {p}->{c}: descending summand is not p's parent")
-    edge_entries = sum(1 for c in tree._children if c >= 0)
-    if edge_entries != n - 1:
-        issues.append("child table does not have exactly V-1 entries")
     return ValidationReport(not issues, n, n - 1, issues)
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .fusion import GrowthParam, a_param, ao_dims, gate_dimension, growth_floor
+from .fusion import a_param, ao_dims, gate_dimension, growth_floor
 from .scalars import QQ, Interval, Radical
 
 __all__ = [
@@ -127,17 +127,12 @@ def nonuni_norm_sq(s, r, dimq, radius: int) -> SeriesResult:
 # ---------------------------------------------------------------------------
 
 def _as_interval(a) -> Interval:
-    if isinstance(a, Interval):
-        return a
-    if isinstance(a, GrowthParam):
-        return a.interval
-    if isinstance(a, Radical):
-        return a.interval(96)
-    return Interval.point(QQ(a))
+    """`a` itself when it is an Interval, else the point at the rational a."""
+    return a if isinstance(a, Interval) else Interval.point(QQ(a))
 
 
 def _inverse(a) -> Interval:
-    """Enclosure of 1/a; a (rational, Interval, Radical or GrowthParam) must be > 1."""
+    """Enclosure of 1/a; a (a rational, or an Interval enclosing it) must be > 1."""
     ia = _as_interval(a)
     if not ia.lo > 1:
         raise ValueError(f"need a > 1, got enclosure {ia}")
@@ -273,7 +268,7 @@ def orientation_chain_check(a, xs: Sequence, tighten=QQ(1)) -> ChainCheckResult:
 
     All comparisons are certified (interval endpoints in the right
     direction) and exact: each test is one integer comparison.
-    `a` may be rational, an Interval, a Radical or GrowthParam.
+    `a` is a rational or an Interval enclosing it (`a_param(dimq).interval`).
     """
     inv = _inverse(a)
     xs = [QQ(x) for x in xs]

@@ -172,25 +172,6 @@ def au_word(symbols: str, factor: int = 0) -> Irrep:
     return Irrep(((factor, tuple(payload)),))
 
 
-def validate_irrep(spec: QuantumGroupSpec, alpha: Irrep) -> None:
-    prev_factor = None
-    for letter in alpha.word:
-        fidx, payload = letter
-        if not 0 <= fidx < len(spec.factors):
-            raise ValueError(f"letter factor {fidx} out of range")
-        if fidx == prev_factor:
-            raise ValueError("consecutive letters from the same factor")
-        kind = spec.factors[fidx].kind
-        if kind == ORTHOGONAL:
-            if not (isinstance(payload, int) and payload >= 1):
-                raise ValueError(f"Ao letter must be an int >= 1, got {payload!r}")
-        else:
-            if not (isinstance(payload, tuple) and payload
-                    and all(s in (1, -1) for s in payload)):
-                raise ValueError(f"Au letter must be a nonempty tuple of +-1, got {payload!r}")
-        prev_factor = fidx
-
-
 # ---------------------------------------------------------------------------
 # spec grammar: Factor ( "*" Factor )*,  Factor = Ao(<rational>) | Au(<rational>)
 # ---------------------------------------------------------------------------
@@ -248,10 +229,11 @@ def format_spec(spec: QuantumGroupSpec) -> str:
     return "*".join(f"{f.kind}({_format_rational(f.dimq)})" for f in spec.factors)
 
 
-def single_ao_dimq(source) -> object:
+def single_ao_dimq(spec: QuantumGroupSpec) -> object:
     """Generator dimension of a single Ao factor, the domain of every half-line
-    operation; `source` is a spec or anything with a `.spec` (a tree, a ray)."""
-    spec = source if isinstance(source, QuantumGroupSpec) else source.spec
+    operation; TypeError for anything but a spec (a tree or a ray included)."""
+    if not isinstance(spec, QuantumGroupSpec):
+        raise TypeError(f"expected a QuantumGroupSpec, got {type(spec).__name__}")
     if len(spec.factors) != 1 or spec.factors[0].kind != ORTHOGONAL:
         raise GateError(f"half-line operations need a single Ao factor, got {format_spec(spec)}")
     return spec.factors[0].dimq

@@ -16,9 +16,12 @@ square-root weights collapse to rationals exactly, which is what the
 telescoping checks rely on.
 
 Path vectors sum ``sqrt(2/m_g) xt_{a_i ^ a_{i+1}} / sqrt(m_i m_{i+1})``
-along geodesics.  Their infinite-geodesic limits, the half-line inverse
-series and its Gram entries are returned as truncations with certified
-geometric tail bounds (per-step dimension growth >= a floor rho > 1).
+along geodesics; the tree functions take a tree and an int vertex id.  Their
+infinite-geodesic limits, the half-line inverse series and its Gram entries
+are returned as truncations with certified geometric tail bounds (per-step
+dimension growth >= a floor rho > 1).  These take a QuantumGroupSpec, never
+a tree: a truncated vector is keyed by the ids of a fresh GeodesicRay, its
+`basis`.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .cayley import CayleyTree, GeodesicRay, _resolve_vid, canonical_ray_pattern
+from .cayley import GeodesicRay, canonical_ray_pattern
 from .estimates import _half_line
-from .fusion import a_param, gate_dimension, growth_floor, single_ao_dimq
+from .fusion import QuantumGroupSpec, a_param, gate_dimension, growth_floor, single_ao_dimq
 from .scalars import QQ, Interval, Radical, sqrt_rational
 
 __all__ = [
@@ -198,21 +201,18 @@ def _path_terms(tree, vid: int):
         yield c, _edge_term(tree, c)[1]
 
 
-def path_vector(tree, alpha) -> GeomEdgeVector:
+def path_vector(tree, vid: int) -> GeomEdgeVector:
     """Canonical preimage of xt_a/m_a - xt_root under E2, summed along the geodesic."""
-    vid = _resolve_vid(tree, alpha)
     return GeomEdgeVector({c: sqrt_rational(t) for c, t in _path_terms(tree, vid)})
 
 
-def path_norm_sq(tree, alpha):
+def path_norm_sq(tree, vid: int):
     """Exact rational ||path_vector||^2 without building the vector."""
-    vid = _resolve_vid(tree, alpha)
     return sum((t for _, t in _path_terms(tree, vid)), QQ(0))
 
 
-def path_target(tree, alpha) -> VertexVector:
+def path_target(tree, vid: int) -> VertexVector:
     """xt_a / m_a - xt_root: what E2 of the path vector must equal exactly."""
-    vid = _resolve_vid(tree, alpha)
     m = tree.dim(vid)
     if vid == 0:
         return VertexVector({0: QQ(1) / m - 1})
@@ -231,24 +231,6 @@ class TailCertificate:
     start: int
 
 
-def _deep_tree(source, steps: int):
-    """`source` when it is a tree from `build_tree` (refused unless `steps` deep
-    and weighted), else None.
-
-    A truncated vector lives on such a tree (keyed by its vertex ids) and on
-    a fresh GeodesicRay (keyed by ray ids) otherwise.  A ray passed as `source`
-    gives only its spec: its ids follow its own pattern, not the one asked for.
-    """
-    if type(source) is not CayleyTree:
-        return None
-    if source.dir_dim(source.directions[0]) == 1:
-        raise ValueError("a classical tree (every weight 1) has no fixed vector or inverse series")
-    if source.radius < steps:
-        raise ValueError(f"tree of radius {source.radius} is too shallow: "
-                         f"the vector needs a tree at least {steps} deep")
-    return source
-
-
 @dataclass
 class FixedVectorResult:
     vector: GeomEdgeVector
@@ -264,30 +246,27 @@ class FixedVectorResult:
         return Interval(self.norm_sq, self.norm_sq + self.tail_bound)
 
 
-def fixed_vector(source, radius: int, pattern=None) -> FixedVectorResult:
+def fixed_vector(spec: QuantumGroupSpec, radius: int, pattern=None) -> FixedVectorResult:
     """Truncated infinite-geodesic path vector with a certified tail.
 
-    `source` is a tree from `build_tree` (vector keyed by its vertex ids; it
-    must be at least `radius` deep, so that it holds the end vertex, else
-    ValueError), a QuantumGroupSpec or a GeodesicRay (vector keyed by the ids
-    of a fresh ray along `pattern`).  The default geodesic is
-    `canonical_ray_pattern`.  Refused when a factor used by the pattern has
-    generator dimension <= 2: the dimensions along the ray then grow too
+    The geodesic follows `pattern` (default `canonical_ray_pattern`), and the
+    vector is keyed by the ids of a fresh GeodesicRay along it, returned as
+    `basis`: ray id i is the vertex at distance i.  A tree or a ray in place
+    of the spec raises TypeError.  Refused when a factor used by the pattern
+    has generator dimension <= 2: the dimensions along the ray then grow too
     slowly for the defining series to converge (the exceptional generators
     of quantum dimension 1 and 2).
     """
+    if not isinstance(spec, QuantumGroupSpec):
+        raise TypeError(f"expected a QuantumGroupSpec, got {type(spec).__name__}")
     if radius < 0:
         raise ValueError("need radius >= 0")
-    spec = getattr(source, "spec", source)
     if pattern is None:
         pattern = canonical_ray_pattern(spec)
     used = sorted({d.factor for d in pattern})
     rho = min(growth_floor(spec.factors[f].dimq) for f in used)
     ray = GeodesicRay(spec, pattern, radius + 1)
-    basis = _deep_tree(source, radius) or ray
-    # ray ids == tree ids only for the half line; look the end vertex up otherwise
-    end = radius if basis is ray else basis.vertex_id(ray.word(radius))
-    terms = list(_path_terms(basis, end))
+    terms = list(_path_terms(ray, radius))
     vector = GeomEdgeVector({c: sqrt_rational(t) for c, t in terms})
     norm_sq = sum((t for _, t in terms), QQ(0))
 
@@ -300,9 +279,9 @@ def fixed_vector(source, radius: int, pattern=None) -> FixedVectorResult:
     # the truncation is the path vector of the ray's end vertex a_R, so E2
     # sends it to xt_{a_R}/m_R - xi_0: it approximates a preimage of -xi_0
     # with residual norm 1/m_R
-    if e2(basis, vector) != path_target(basis, end):
+    if e2(ray, vector) != path_target(ray, radius):
         raise AssertionError("fixed-vector residual audit failed")
-    return FixedVectorResult(vector, tail, norm_sq, QQ(1) / m_r, radius, basis,
+    return FixedVectorResult(vector, tail, norm_sq, QQ(1) / m_r, radius, ray,
                              TailCertificate(ratio, radius))
 
 
@@ -320,49 +299,48 @@ class InverseResult:
 _gram_series = lru_cache(maxsize=64)(_half_line)  # sum_i 1/(m_i m_{i+1}) by (dimq, radius)
 
 
-def e2_inverse_ao(source, k: int, radius: int) -> InverseResult:
+def e2_inverse_ao(spec: QuantumGroupSpec, k: int, radius: int) -> InverseResult:
     """Truncation of the half-line inverse series for E2.
 
     E2^{-1}(xt_k) = -m_k sqrt(2/m_1) sum_{i>=k} xt_{i^i+1} / sqrt(m_i m_{i+1});
     the truncation at `radius` satisfies
     E2(truncation) = xt_k - (m_k/m_{R+1}) xt_{R+1}  exactly.
-    A `build_tree` tree as `source` must be at least `radius + 1` deep.
+    `spec` is a single Ao factor (a tree or a ray raises TypeError); the
+    vector is keyed by the ids of a fresh half-line ray, returned as `basis`.
     """
     if k < 0 or radius < k:
         raise ValueError("need 0 <= k <= radius")
-    dims, _, tail, ratio = _gram_series(gate_dimension(single_ao_dimq(source)), radius)
-    spec = getattr(source, "spec", source)
-    basis = _deep_tree(source, radius + 1) \
-        or GeodesicRay(spec, canonical_ray_pattern(spec), radius + 1)
+    dims, _, tail, ratio = _gram_series(gate_dimension(single_ao_dimq(spec)), radius)
+    ray = GeodesicRay(spec, canonical_ray_pattern(spec), radius + 1)
 
     m1, mk = dims[1], dims[k]
     # -m_k times the path vector of vertex R+1, restricted to the edges above k
     vector = GeomEdgeVector({c: -(mk * sqrt_rational(t))
-                             for c, t in _path_terms(basis, radius + 1) if c > k})
+                             for c, t in _path_terms(ray, radius + 1) if c > k})
 
-    residual = e2(basis, vector) - VertexVector({k: QQ(1)})
+    residual = e2(ray, vector) - VertexVector({k: QQ(1)})
     expected = VertexVector({radius + 1: -(mk / dims[radius + 1])})
     if residual != expected:
         raise AssertionError("inverse-series residual audit failed")
     return InverseResult(vector, 2 * mk * mk / m1 * tail, mk / dims[radius + 1], k, radius,
-                         basis, TailCertificate(ratio, radius))
+                         ray, TailCertificate(ratio, radius))
 
 
-def gram(source, k: int, l: int, radius: int) -> Interval:
+def gram(spec: QuantumGroupSpec, k: int, l: int, radius: int) -> Interval:
     """Certified interval for the Gram entry of the half-line inverse series:
 
         (2/m_1) sum_{i >= max(k,l)} m_k m_l / (m_i m_{i+1}).
     """
     if min(k, l) < 0 or radius < max(k, l):
         raise ValueError("need 0 <= k, l <= radius")
-    dims, prefix, tail, _ = _gram_series(gate_dimension(single_ao_dimq(source)), radius)
+    dims, prefix, tail, _ = _gram_series(gate_dimension(single_ao_dimq(spec)), radius)
     j = max(k, l)
     weight = 2 * dims[k] * dims[l] / dims[1]
     partial = weight * (prefix[radius] - prefix[j - 1] if j else prefix[radius])
     return Interval(partial, partial + weight * tail)
 
 
-def gram_bound(source, kmax: int, radius: Optional[int] = None):
+def gram_bound(spec: QuantumGroupSpec, kmax: int, radius: Optional[int] = None):
     """Smallest D with every computed entry (k, l <= kmax) <= D * a^{-|k-l|}.
 
     Upper interval ends are used on both the entries and the powers of a, so
@@ -370,9 +348,9 @@ def gram_bound(source, kmax: int, radius: Optional[int] = None):
     """
     if radius is None:
         radius = kmax + 40
-    dimq = gate_dimension(single_ao_dimq(source))
+    dimq = gate_dimension(single_ao_dimq(spec))
     a_hi = a_param(dimq).interval.hi
     if not 0 <= kmax <= radius:
         raise ValueError("need 0 <= kmax <= radius")
-    return max(gram(source, k, l, radius).hi * a_hi ** (l - k)
+    return max(gram(spec, k, l, radius).hi * a_hi ** (l - k)
                for k in range(kmax + 1) for l in range(k, kmax + 1))

@@ -38,6 +38,29 @@ __all__ = [
 QQ = Fraction
 RATIONAL_BACKEND = "fractions"
 
+_CHUNK = 10 ** 600  # below 640 digits, the least limit sys.set_int_max_str_digits takes
+
+
+def _digits(n: int) -> str:
+    """str(n) at any length: str refuses an int of more than
+    sys.get_int_max_str_digits() digits (4300 by default)."""
+    if n < 0:
+        return "-" + _digits(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(600))
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
+def _text(q) -> str:
+    """str(q) of a rational at any length."""
+    if q.denominator == 1:
+        return _digits(q.numerator)
+    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
+
+
 _ZERO = QQ(0)
 _ONE = QQ(1)
 
@@ -188,7 +211,7 @@ class Interval:
         return Interval(_round_down(self.lo, bits), _round_up(self.hi, bits))
 
     def __repr__(self):
-        return f"Interval({self.lo}, {self.hi})"
+        return f"Interval({_text(self.lo)}, {_text(self.hi)})"
 
     def __float__(self):
         return float(self.mid)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qcayley.cayley import (
+    CayleyTree,
     GeodesicRay,
     build_tree,
     canonical_ray_pattern,
@@ -13,6 +14,13 @@ from qcayley.cayley import (
 )
 from qcayley.errors import TreeSizeError
 from qcayley.fusion import Direction, TRIVIAL, ao_dims, ao_irrep, au_word, parse_spec, quantum_dim
+
+
+def _ids(tree):
+    """The test-side word -> id lookup of a tree: the ball holds each word once."""
+    ids = {tree.word(v): v for v in range(tree.n_vertices)}
+    assert len(ids) == tree.n_vertices
+    return ids
 
 
 def test_half_line_shape():
@@ -54,7 +62,8 @@ def test_sphere_counts_and_errors():
 
 def test_geodesic_half_line():
     tree = build_tree(parse_spec("Ao(3)"), 5)
-    path = geodesic(tree, ao_irrep(3))
+    assert tree.word(3) == ao_irrep(3)
+    path = geodesic(tree, 3)
     assert [(e.source, e.target) for e in path] == \
         [(ao_irrep(0), ao_irrep(1)), (ao_irrep(1), ao_irrep(2)), (ao_irrep(2), ao_irrep(3))]
 
@@ -67,7 +76,8 @@ def test_negative_vertex_ids_are_refused(read):
     # Python would read -1 as vertex 39, the last one
     tree = build_tree(parse_spec("Ao(3)*Au(3)"), 3)
     assert tree.n_vertices == 40
-    for vid in (-1, -40, -41):
+    # nor is a bool, a float or a word a vertex id
+    for vid in (-1, -40, -41, True, 2.0, tree.word(2)):
         with pytest.raises(ValueError, match="vertex id"):
             read(tree, vid)
 
@@ -77,8 +87,14 @@ def test_negative_vertex_ids_are_refused(read):
     (lambda t, v: t.word(v), True), (lambda t, v: t.geodesic_ids(v), 40),
     (lambda t, v: t.geodesic_ids(v), True), (lambda t, v: t.parent(v), 40),
     (lambda t, v: t.dim(v), 40), (lambda t, v: t.length(v), 40),
+    (lambda t, v: t.dim(v), True), (lambda t, v: t.length(v), True),
+    (lambda t, v: t.parent(v), True), (lambda t, v: t.dim(v), 2.0),
+    (lambda t, v: t.parent(v), 2.0), (lambda t, v: t.word(v), 2.0),
+    (geodesic, au_word("u", 1)), (geodesic, TRIVIAL),
 ], ids=["geodesic-40", "geodesic-True", "geodesic-False", "word-40", "word-True",
-        "geodesic_ids-40", "geodesic_ids-True", "parent-40", "dim-40", "length-40"])
+        "geodesic_ids-40", "geodesic_ids-True", "parent-40", "dim-40", "length-40",
+        "dim-True", "length-True", "parent-True", "dim-2.0", "parent-2.0", "word-2.0",
+        "geodesic-word", "geodesic-trivial-word"])
 def test_geodesic_and_word_refuse_ids_outside_the_tree(read, vid):
     with pytest.raises(ValueError, match="vertex id"):
         read(build_tree(parse_spec("Ao(3)*Au(3)"), 3), vid)
@@ -86,9 +102,9 @@ def test_geodesic_and_word_refuse_ids_outside_the_tree(read, vid):
 
 def test_geodesic_directions_match_letters():
     tree = build_tree(parse_spec("Au(3)"), 4)
-    path = geodesic(tree, au_word("uU"))
+    path = geodesic(tree, _ids(tree)[au_word("uU")])
     assert [e.direction for e in path] == [Direction(0, 1), Direction(0, -1)]
-    assert geodesic(tree, TRIVIAL) == []
+    assert geodesic(tree, 0) == []
 
 
 def test_geodesic_alternates_factors_exactly_when_letters_do():
@@ -104,10 +120,13 @@ def test_geodesic_alternates_factors_exactly_when_letters_do():
 
 
 def test_vertex_lookup_round_trip():
+    # the words of a ball are distinct, each read back from the parent chain
     tree = build_tree(parse_spec("Ao(3)*Au(3)"), 5)
+    ids = _ids(tree)
     for v in range(tree.n_vertices):
-        assert tree.vertex_id(tree.word(v)) == v
-    assert au_word("uuuuuuuu") not in tree
+        assert ids[tree.word(v)] == v
+        assert [ids[e.target] for e in geodesic(tree, v)] == tree.geodesic_ids(v)[1:]
+    assert au_word("uuuuuuuu", 1) not in ids
 
 
 def test_vertex_cap_raises_instead_of_truncating():
@@ -119,6 +138,17 @@ def test_validate_clean_trees():
     for text in ("Ao(3)", "Au(3)", "Ao(3)*Au(3)", "Ao(7/2)"):
         report = validate(build_tree(parse_spec(text), 4))
         assert report.ok, report.issues
+
+
+def test_validate_flags_two_children_in_one_direction():
+    # vertex 2 is a second u-child of the root: its word, dimension and fusion
+    # all check out, so only the one-child-per-direction check sees it
+    spec = parse_spec("Au(3)")
+    tree = CayleyTree(spec, 1, [-1, 0, 0], [-1, 0, 0], [0, 1, 1], [1, 3, 3])
+    assert tree.word(1) == tree.word(2) == au_word("u")
+    report = validate(tree)
+    assert not report.ok
+    assert report.issues == ["vertex 2: a second child of 0 in one direction"]
 
 
 def test_rational_dimension_tree():
@@ -156,12 +186,13 @@ def test_rays_match_tree_vertices(pattern):
     tree = build_tree(MIXED, 8)
     ray = GeodesicRay(MIXED, pattern, 8)
     assert ray.n_vertices == 9
+    ids = _ids(tree)
     v = 0
     for i in range(9):
         if i:
             d = pattern[(i - 1) % len(pattern)]
             assert ray.parent(i) == (i - 1, d)
-            u, v = v, tree.vertex_id(ray.word(i))
+            u, v = v, ids[ray.word(i)]
             assert tree.parent(v) == (u, d)
         assert ray.word(i) == tree.word(v)
         assert ray.dim(i) == tree.dim(v)

@@ -331,9 +331,10 @@ def _reference_chain_check(a, xs, tighten=QQ(1)) -> ChainCheckResult:
 
 
 # the wide interval's two ends give different verdicts on most vectors, so a swap of
-# the ends of 1/a shows there
-_CHAIN_AS = [QQ(3, 2), QQ(2), a_param(QQ(3)).interval, a_param(QQ(7, 2)).exact,
-             a_param(QQ(3)), Interval(QQ(3, 2), QQ(5, 2))]
+# the ends of 1/a shows there; the 1e-60 enclosure's failure details run past
+# Python's 4300-digit limit on int-to-str conversion
+_CHAIN_AS = [QQ(3, 2), QQ(2), a_param(QQ(3)).interval, a_param(QQ(7, 2)).interval,
+             a_param(QQ(3), QQ(1, 10**60)).interval, Interval(QQ(3, 2), QQ(5, 2))]
 _CHAIN_TIGHTEN = [QQ(1), QQ(3, 4), QQ(0), QQ(-1)]
 
 
@@ -361,6 +362,17 @@ def test_chain_on_near_extremal_vectors_equals_the_quadratic_sums(tighten):
         near = _near_extremal(float(_as_interval(a).mid), 40)
         got = orientation_chain_check(a, near, tighten)
         assert got == _reference_chain_check(a, near, tighten)
+
+
+def test_chain_failure_detail_past_the_int_to_str_limit():
+    # the detail's interval ends have more than 4300 digits; writing them must
+    # not raise, and the verdicts are those of the quadratic sums
+    a = a_param(QQ(3), tol=QQ(1, 10**60)).interval
+    xs = [QQ(1, j + 1) for j in range(30)]
+    got = orientation_chain_check(a, xs, tighten=QQ(3, 4))
+    assert not got.ok and got.detail.startswith("per-k bound violated at k=")
+    assert got == _reference_chain_check(a, xs, QQ(3, 4))
+    assert len(got.detail) > 2 * 4300
 
 
 def test_chain_with_interval_a():

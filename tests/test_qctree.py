@@ -5,7 +5,7 @@ from numbers import Rational
 
 import pytest
 
-from qcayley.cayley import CayleyTree, GeodesicRay, build_tree, validate
+from qcayley.cayley import CayleyTree, GeodesicRay, build_tree, canonical_ray_pattern, validate
 from qcayley.errors import GateError
 from qcayley.estimates import _certified_pd
 from qcayley.fusion import a_param, ao_dims, au_word, parse_spec, quantum_dim
@@ -68,10 +68,12 @@ def test_integral_tree_gives_no_float_and_the_fraction_dims_results(spec):
             got = op(tree, v)
             assert all(isinstance(q, Rational) for q in _rationals(got))
             assert got == op(twin, v)
-    got, want = fixed_vector(tree, 5), fixed_vector(twin, 5)
+    fv = fixed_vector(spec, 5)
     for name in ("vector", "tail_bound", "norm_sq", "residual_norm"):
-        assert all(isinstance(q, Rational) for q in _rationals(getattr(got, name)))
-        assert getattr(got, name) == getattr(want, name)
+        assert all(isinstance(q, Rational) for q in _rationals(getattr(fv, name)))
+    ray = _with_fraction_dims(fv.basis)
+    assert type(fv.basis.dim(1)) is int and type(ray.dim(1)) is Fraction
+    assert (fv.vector, fv.norm_sq) == (path_vector(ray, 5), path_norm_sq(ray, 5))
 
 
 # -- target map ---------------------------------------------------------------
@@ -193,7 +195,7 @@ def test_classical_view_leaves_the_weighted_tree_untouched():
 
 
 @pytest.mark.parametrize("fn", [path_target, path_norm_sq, path_vector], ids=lambda f: f.__name__)
-@pytest.mark.parametrize("vid", [-1, -3, 40, True, False])
+@pytest.mark.parametrize("vid", [-1, -3, 40, True, False, 2.0])
 def test_vertex_ids_outside_the_tree_are_refused(fn, vid):
     tree = build_tree(MIXED, 3)
     assert tree.n_vertices == 40
@@ -245,66 +247,62 @@ def test_fixed_vector_unitary_ray_converges():
         assert fv.basis.dim(i) == quantum_dim(AU3, fv.basis.word(i))
 
 
-def test_fixed_vector_keyed_by_tree_when_deep_enough():
-    tree = build_tree(AO3, 15)
-    fv = fixed_vector(tree, 10)
-    assert fv.basis is tree
-    assert set(fv.vector.support) == set(range(1, 11))
-
-
-def test_fixed_vector_keyed_by_a_tree_exactly_radius_deep():
-    # the end vertex sits at depth `radius`, so such a tree holds the vector
-    tree = build_tree(AU3, 6)
-    fv = fixed_vector(tree, 6)
-    assert fv.basis is tree
-    assert sorted(fv.vector.support) == [1, 4, 9, 20, 41, 84]
-    assert fv.norm_sq == fixed_vector(AU3, 6).norm_sq
-
-
 def test_classical_tree_has_no_fixed_vector_or_inverse_series():
+    # a tree is refused, not read as its spec: the vectors live on fresh rays
     tree = build_tree(AO3, 8).classical()
-    with pytest.raises(ValueError, match="classical tree"):
+    with pytest.raises(TypeError, match="QuantumGroupSpec"):
         fixed_vector(tree, 6)
-    with pytest.raises(ValueError, match="classical tree"):
+    with pytest.raises(TypeError, match="QuantumGroupSpec"):
         e2_inverse_ao(tree, 1, 6)
 
 
-def test_fixed_vector_refuses_a_tree_too_shallow():
-    # ray ids 1..6 would name u, U, uu, uU, Uu, UU in this tree, not the ray
-    with pytest.raises(ValueError, match="at least 6 deep"):
-        fixed_vector(build_tree(AU3, 5), 6)
+_HALF_LINE = canonical_ray_pattern(AO3)
+_SPEC_ENTRY_POINTS = {
+    "fixed_vector": lambda source: fixed_vector(source, 6),
+    "e2_inverse_ao": lambda source: e2_inverse_ao(source, 1, 6),
+    "gram": lambda source: gram(source, 0, 1, 6),
+    "gram_bound": lambda source: gram_bound(source, 2, 6),
+}
 
 
-def test_fixed_vector_keyed_by_unitary_tree():
-    tree = build_tree(AU3, 8)
-    fv = fixed_vector(tree, 7)
-    assert fv.basis is tree
-    # support follows the alternating spine through the binary tree's ids
-    words = [tree.word(v) for v in sorted(fv.vector.support)]
-    assert words[0] == au_word("u") and words[1] == au_word("uU")
-    assert all(tree.length(v) == i + 1 for i, v in enumerate(sorted(fv.vector.support)))
+@pytest.mark.parametrize("fn", sorted(_SPEC_ENTRY_POINTS))
+@pytest.mark.parametrize("source", ["tree", "ray"])
+def test_a_tree_or_a_ray_as_source_is_refused(fn, source):
+    # both would pass a `.spec` lookup; neither may be re-keyed silently
+    given = build_tree(AO3, 8) if source == "tree" else GeodesicRay(AO3, _HALF_LINE, 8)
+    with pytest.raises(TypeError, match="QuantumGroupSpec"):
+        _SPEC_ENTRY_POINTS[fn](given)
 
 
 @pytest.mark.parametrize("q", MIXED_PATTERNS, ids=str)
 def test_fixed_vector_from_a_ray_uses_the_asked_pattern(q):
-    # a ray passed as source gives only its spec, whichever pattern it follows
-    want = fixed_vector(MIXED, 8, q)
+    # the vector is keyed by a fresh ray along q, whatever ray is at hand
+    fv = fixed_vector(MIXED, 8, q)
+    assert fv.basis.pattern == q and fv.basis.n_vertices == 10
+    assert sorted(fv.vector.support) == list(range(1, 9))
+    for i in range(1, 10):
+        assert fv.basis.parent(i) == (i - 1, q[(i - 1) % 2])
     for p in MIXED_PATTERNS:
-        fv = fixed_vector(GeodesicRay(MIXED, p, 20), 8, q)
-        assert fv.vector == want.vector and fv.norm_sq == want.norm_sq
-        assert ([fv.basis.word(i) for i in range(fv.basis.n_vertices)]
-                == [want.basis.word(i) for i in range(want.basis.n_vertices)])
+        with pytest.raises(TypeError, match="QuantumGroupSpec"):
+            fixed_vector(GeodesicRay(MIXED, p, 20), 8, q)
 
 
 def test_fixed_vector_on_a_tree_matches_the_ray():
-    tree = build_tree(MIXED, 9)
-    for q in MIXED_PATTERNS:
-        on_tree, on_ray = fixed_vector(tree, 8, q), fixed_vector(MIXED, 8, q)
-        assert on_tree.basis is tree
-        assert (on_tree.norm_sq, on_tree.tail_bound, on_tree.residual_norm) \
-            == (on_ray.norm_sq, on_ray.tail_bound, on_ray.residual_norm)
-        assert {tree.word(c): x for c, x in on_tree.vector.items()} \
-            == {on_ray.basis.word(c): x for c, x in on_ray.vector.items()}
+    # the truncation is the path vector of the ball vertex at the ray's end,
+    # found through a test-side word -> id lookup; a ball of radius 8 holds it
+    for spec, patterns in ((MIXED, MIXED_PATTERNS), (AU3, [None])):
+        tree = build_tree(spec, 8)
+        ids = {tree.word(v): v for v in range(tree.n_vertices)}
+        for q in patterns:
+            fv = fixed_vector(spec, 8, q)
+            end = ids[fv.basis.word(8)]
+            assert fv.norm_sq == path_norm_sq(tree, end)
+            assert {tree.word(c): x for c, x in path_vector(tree, end).items()} \
+                == {fv.basis.word(c): x for c, x in fv.vector.items()}
+            assert [tree.length(ids[fv.basis.word(c)]) for c in sorted(fv.vector.support)] \
+                == list(range(1, 9))
+    # Au(3)'s default ray is the alternating spine u, uU, uUu, ... of the binary tree
+    assert [fv.basis.word(i) for i in (1, 2)] == [au_word("u"), au_word("uU")]
 
 
 def test_fixed_vector_tail_brackets_refinement():
@@ -343,14 +341,6 @@ def test_inverse_tail_is_m_k_squared_times_the_ray_tail(k, radius):
     m_k = ao_dims(QQ(3), k + 1)[k]
     assert e2_inverse_ao(AO3, k, radius).tail_bound == \
         m_k * m_k * fixed_vector(AO3, radius + 1).tail_bound
-
-
-def test_inverse_refuses_a_tree_too_shallow():
-    # the truncation ends at vertex radius + 1 = 11, one level below this tree
-    with pytest.raises(ValueError, match="at least 11 deep"):
-        e2_inverse_ao(build_tree(AO3, 10), 2, 10)
-    tree = build_tree(AO3, 11)
-    assert e2_inverse_ao(tree, 2, 10).basis is tree
 
 
 def test_inverse_gates():
