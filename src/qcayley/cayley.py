@@ -6,13 +6,17 @@ vertices stay cheap.  The reduced word of a vertex is materialized lazily from
 the parent chain, since the big acceptance sweeps only need ids and dimensions.
 
 Every vertex has exactly one ascending child per direction and one parent;
-the descending summand of any generator fusion is the parent, which is what
-makes the incremental dimension recursion in `_bfs_tree` exact.
+the descending summand of any generator fusion is the parent.  So a child's
+dimension is m1 * m_v, less m_parent when the generator absorbs the last
+letter of v, and whether it does is read from the direction of v's parent
+edge alone (the absorption table of `_bfs_tree`): building a tree reads no
+letter of any word.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from copy import copy
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -74,13 +78,8 @@ class CayleyTree:
         self._n = n = len(dims)
         self._words: list = [None] * n
         self._words[0] = Irrep(())
-        # BFS order sorts by length; record sphere boundaries once
-        starts = [0] * (radius + 2)
-        for v in range(n):
-            starts[length[v] + 1] = v + 1
-        for i in range(1, radius + 2):
-            starts[i] = max(starts[i], starts[i - 1])
-        self._level_start = starts
+        # BFS order sorts by length: sphere i starts at the first id of length >= i
+        self._level_start = [bisect_left(length, i) for i in range(radius + 2)]
 
     # -- basic accessors -----------------------------------------------------
 
@@ -135,16 +134,12 @@ class CayleyTree:
         letters = list(self._words[v].word)
         for v2 in reversed(chain):
             d = self.directions[self._pdir[v2]]
-            kind = self.spec.factors[d.factor].kind
+            # an Ao letter counts its steps, an Au letter lists its symbols
+            step = 1 if self.spec.factors[d.factor].kind == ORTHOGONAL else (d.bar,)
             if letters and letters[-1][0] == d.factor:
-                fidx, payload = letters[-1]
-                if kind == ORTHOGONAL:
-                    letters[-1] = (fidx, payload + 1)
-                else:
-                    letters[-1] = (fidx, payload + (d.bar,))
+                letters[-1] = (d.factor, letters[-1][1] + step)
             else:
-                payload = 1 if kind == ORTHOGONAL else (d.bar,)
-                letters.append((d.factor, payload))
+                letters.append((d.factor, step))
             self._words[v2] = Irrep(tuple(letters))
         return self._words[vid]
 
@@ -179,69 +174,68 @@ def _id_error(tree: CayleyTree, vid) -> ValueError:
     return ValueError(f"vertex id {vid!r} is not in range({tree.n_vertices})")
 
 
-def _bfs_tree(spec: QuantumGroupSpec, factor_m1, radius: int, cap: int, pattern=None):
-    """Breadth-first structural closure of the Cayley tree.
+def _bfs_tree(spec: QuantumGroupSpec, radius: int, cap: int, pattern=None):
+    """Breadth-first structural closure of the Cayley tree, one level at a time.
 
-    With a `pattern` of direction indices, a vertex at length n expands only
-    direction pattern[n % len(pattern)]: the closure is then one geodesic.
+    With a `pattern` of direction indices, level n + 1 expands only direction
+    pattern[n % len(pattern)]: the closure is then one geodesic.  Returns the
+    per-vertex arrays (index = BFS id, root = 0) parent, pdir (direction index
+    of the parent edge), length and dims (in the type of `spec.dim_scalars`).
 
-    Per-vertex outputs (index = BFS id, root = 0):
-      parent, pdir      -- parent id and the direction index of the parent edge
-      length            -- distance to the root
-      dims              -- quantum dimension, in the arithmetic type of `factor_m1`
+    m_child = m1 * m_v - m_parent  when the child's generator d absorbs the
+    last letter of v, else  m1 * m_v.  It absorbs exactly when v was entered
+    along a direction p of d's factor with p.bar == -d.bar (always for Ao,
+    whose bars are 0; for Au when a symbol meets its conjugate): `absorbs`
+    holds those (p, d).  The root, entered along no direction (-1), absorbs
+    nothing.
 
-    Every vertex has exactly one ascending child per direction; the
-    descending summand of any fusion is the parent, which gives the dimension
-    recursion  m_child = m1 * m_v - m_parent  when the generator is absorbed
-    and  m_child = m1 * m_v  otherwise.  The recursion needs the factor and
-    the code (Ao: the letter's k; Au: the last symbol +-1) of each vertex's
-    last letter, kept here and dropped on return.
+    Every vertex of a level expands the same k directions, so with P the
+    previous level's k, vertex r of a level was entered along the previous
+    directions[r % P] and hangs below vertex r // P of the previous level:
+    class i, level[i::P], lines up with the previous level, and its children
+    along the j-th direction are one list comprehension, stored at
+    children[i*k + j :: P*k].  The whole tree is complete k-ary in BFS
+    order: vertex v > 0 hangs below (v - 1) // k along cycle[(v - 1) % len(cycle)].
     """
-    dir_factor = [d.factor for d in spec.directions]
-    dir_bar = [d.bar for d in spec.directions]
-    factor_is_ao = [f.kind == ORTHOGONAL for f in spec.factors]
-    ndir = len(dir_factor)
-    parent = array("q", [-1])
-    pdir = array("h", [-1])
+    dirs = spec.directions
+    ndir = len(dirs)
+    absorbs = {(p, d) for p in range(ndir) for d in range(ndir)
+               if dirs[p].factor == dirs[d].factor and dirs[p].bar == -dirs[d].bar}
+    m1 = [spec.dim_scalars[d.factor] for d in dirs]
+    cycle = range(ndir) if pattern is None else tuple(pattern)
+    level = [spec.dim_scalars[0] ** 0]  # 1, in the type of spec.dim_scalars
+    dims = list(level)
     length = array("i", [0])
-    last_factor = array("h", [-1])
-    last_code = array("q", [0])
-    dims = [factor_m1[0] * 0 + 1]  # 1 in the caller's arithmetic type
-    all_dirs = range(ndir)
+    depth = array("i", [0])  # one entry, repeated over each level of `length`
+    prev, prev_dirs = [], (-1,)  # the root was entered along no direction
+    for n in range(radius):
+        new_dirs = cycle if pattern is None else (cycle[n % len(cycle)],)
+        period, k = len(prev_dirs), len(new_dirs)
+        size = len(level) * k
+        if len(dims) + size > cap:
+            raise TreeSizeError(
+                f"tree for {spec} at radius {radius} exceeds the vertex cap "
+                f"{cap}; raise max_vertices explicitly if intended"
+            )
+        children = [None] * size
+        for i, p in enumerate(prev_dirs):
+            cls = level[i::period]
+            for j, d in enumerate(new_dirs):
+                m = m1[d]
+                children[i * k + j::period * k] = (
+                    [x * m - y for x, y in zip(cls, prev)] if (p, d) in absorbs
+                    else [x * m for x in cls])
+        dims += children
+        depth[0] = n + 1
+        length += depth * size
+        prev, level, prev_dirs = level, children, new_dirs
 
-    v = 0
-    while v < len(dims):
-        if length[v] >= radius:
-            break  # BFS order: all later vertices are at least this deep
-        lf = last_factor[v]
-        lc = last_code[v]
-        dv = dims[v]
-        dpar = dims[parent[v]] if v else None
-        for d in all_dirs if pattern is None else (pattern[length[v] % len(pattern)],):
-            f = dir_factor[d]
-            b = dir_bar[d]
-            m1 = factor_m1[f]
-            if lf != f:
-                child_dim = dv * m1
-                code = 1 if factor_is_ao[f] else b
-            elif factor_is_ao[f]:
-                child_dim = dv * m1 - dpar
-                code = lc + 1
-            else:
-                child_dim = dv * m1 - dpar if lc == -b else dv * m1
-                code = b
-            if len(dims) >= cap:
-                raise TreeSizeError(
-                    f"tree for {spec} at radius {radius} exceeds the vertex cap "
-                    f"{cap}; raise max_vertices explicitly if intended"
-                )
-            parent.append(v)
-            pdir.append(d)
-            length.append(length[v] + 1)
-            last_factor.append(f)
-            last_code.append(code)
-            dims.append(child_dim)
-        v += 1
+    edges = len(dims) - 1
+    k = ndir if pattern is None else 1
+    parent = array("q", [-1]) * (edges + 1)
+    for j in range(k):
+        parent[1 + j::k] = array("q", range(edges // k))
+    pdir = array("h", [-1]) + (array("h", cycle) * (edges // len(cycle) + 1))[:edges]
     return parent, pdir, length, dims
 
 
@@ -254,19 +248,14 @@ def build_tree(spec: QuantumGroupSpec, radius: int,
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    # ints when every dimq is integral, Fractions otherwise
-    parent, pdir, length, dims = _bfs_tree(spec, spec.dim_scalars, radius, max_vertices)
-    return CayleyTree(spec, radius, parent, pdir, length, dims)
+    return CayleyTree(spec, radius, *_bfs_tree(spec, radius, max_vertices))
 
 
 def geodesic(tree: CayleyTree, vid: int) -> list[Edge]:
     """The unique ascending path root -> vid as Edge objects."""
     ids = tree.geodesic_ids(vid)
-    out = []
-    for p, c in zip(ids, ids[1:]):
-        out.append(Edge(tree.word(p), tree.word(c),
-                        tree.directions[tree._pdir[c]], True))
-    return out
+    return [Edge(tree.word(p), tree.word(c), tree.parent(c)[1], True)
+            for p, c in zip(ids, ids[1:])]
 
 
 @dataclass
@@ -347,5 +336,4 @@ class GeodesicRay(CayleyTree):
         codes = [spec.directions.index(d) for d in self.pattern]
         steps = max(steps, 0)
         # a path of steps + 1 vertices: the cap cannot be reached
-        super().__init__(spec, steps,
-                         *_bfs_tree(spec, spec.dim_scalars, steps, steps + 1, codes))
+        super().__init__(spec, steps, *_bfs_tree(spec, steps, steps + 1, codes))

@@ -27,7 +27,6 @@ from .cayley import DEFAULT_VERTEX_CAP, build_tree
 from .errors import QCayleyError
 from .fusion import (
     ORTHOGONAL,
-    _format_rational,
     a_param,
     ao_dims,
     dual_direction,
@@ -35,7 +34,7 @@ from .fusion import (
     parse_spec,
     single_ao_dimq,
 )
-from .scalars import QQ, Interval
+from .scalars import QQ, Interval, _digits, _text
 
 __all__ = ["main"]
 
@@ -54,7 +53,7 @@ def _dec(q, digits: int, round_up: bool) -> str:
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
     whole, frac = divmod(scaled, scale)
-    return f"{sign}{whole}.{frac:0{digits}d}".rstrip("0").rstrip(".") or "0"
+    return f"{sign}{_digits(whole)}.{frac:0{digits}d}".rstrip("0").rstrip(".") or "0"
 
 
 def _rational(value):
@@ -88,7 +87,7 @@ class Reporter:
         }
         if self.fmt == "json":
             if exact is not None:
-                rec["exact"] = _format_rational(exact)
+                rec["exact"] = _text(exact)
             self.stream.write(json.dumps(rec, sort_keys=True) + "\n")
         else:
             if not self._csv_header_done:
@@ -113,7 +112,7 @@ def cmd_dims(args, out) -> int:
     dimq = single_ao_dimq(spec)
     dims = ao_dims(dimq, args.count)
     if args.format == "csv":
-        out.write(",".join(_format_rational(d) for d in dims) + "\n")
+        out.write(",".join(_text(d) for d in dims) + "\n")
     else:
         rep = Reporter("json", out, "dims", args.spec)
         for k, d in enumerate(dims):
@@ -131,7 +130,7 @@ def cmd_tree(args, out) -> int:
             "id": v,
             "word": format_irrep(tree.word(v)),
             "length": tree.length(v),
-            "dimq": _format_rational(tree.dim(v)),
+            "dimq": _text(tree.dim(v)),
         }, sort_keys=True) + "\n")
     for p, c, d in tree.ascending_edges():
         out.write(json.dumps({"src": p, "dst": c, "dir": dir_name[d], "ascending": True},
@@ -208,9 +207,9 @@ def cmd_growth(args, out) -> int:
         out.write("n,cn_lower,first_diff,slope\n")
         for i, v in enumerate(values):
             n = i + 1
-            diff = "" if i == 0 else _format_rational(v - values[i - 1])
-            slope = "" if i == 0 else _format_rational((v - values[0]) / (n - 1))
-            out.write(f"{n},{_format_rational(v)},{diff},{slope}\n")
+            diff = "" if i == 0 else _text(v - values[i - 1])
+            slope = "" if i == 0 else _text((v - values[0]) / (n - 1))
+            out.write(f"{n},{_text(v)},{diff},{slope}\n")
     else:
         rep = Reporter("json", out, "growth", args.spec)
         for i, v in enumerate(values):

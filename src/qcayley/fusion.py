@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 from math import isqrt
 
 from .errors import GateError, SpecSyntaxError
-from .scalars import QQ, Interval, Radical, rational
+from .scalars import QQ, Interval, Radical, _text, rational
 
 __all__ = [
     "ORTHOGONAL",
@@ -220,13 +220,9 @@ def parse_spec(text: str) -> QuantumGroupSpec:
     return QuantumGroupSpec(tuple(factors))
 
 
-def _format_rational(q) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def format_spec(spec: QuantumGroupSpec) -> str:
     """Canonical printer; parse_spec(format_spec(s)) == s."""
-    return "*".join(f"{f.kind}({_format_rational(f.dimq)})" for f in spec.factors)
+    return "*".join(f"{f.kind}({_text(f.dimq)})" for f in spec.factors)
 
 
 def single_ao_dimq(spec: QuantumGroupSpec) -> object:

@@ -16,18 +16,23 @@ square-root weights collapse to rationals exactly, which is what the
 telescoping checks rely on.
 
 Path vectors sum ``sqrt(2/m_g) xt_{a_i ^ a_{i+1}} / sqrt(m_i m_{i+1})``
-along geodesics; the tree functions take a tree and an int vertex id.  Their
-infinite-geodesic limits, the half-line inverse series and its Gram entries
-are returned as truncations with certified geometric tail bounds (per-step
-dimension growth >= a floor rho > 1).  These take a QuantumGroupSpec, never
-a tree: a truncated vector is keyed by the ids of a fresh GeodesicRay, its
-`basis`.
+along geodesics; the tree functions take a tree and an int vertex id.  An
+edge's squared coefficient ``2/(m_g m_i m_{i+1})`` is an integer pair built
+from the three dimensions' numerators and denominators (`_edge_term`), so a
+path term is one rational and `path_norm_sq` one integer sum.
+
+The infinite-geodesic limits of path vectors, the half-line inverse series
+and its Gram entries are returned as truncations with certified geometric
+tail bounds (per-step dimension growth >= a floor rho > 1).  These take a
+QuantumGroupSpec, never a tree: a truncated vector is keyed by the ids of a
+fresh GeodesicRay, its `basis`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Optional
 
 from .cayley import GeodesicRay, canonical_ray_pattern
@@ -189,16 +194,19 @@ def e2(tree, vec: GeomEdgeVector) -> VertexVector:
 # ---------------------------------------------------------------------------
 
 def _edge_term(tree, c: int):
-    """(parent, 2/(m_g m_p m_c)) of the edge below c: its squared path-vector coefficient."""
-    ma, mb, mg, p = _edge_data(tree, c)
-    return p, 2 / (mg * ma * mb)
+    """(num, den) of 2/(m_g m_p m_c), the squared path-vector coefficient of
+    the edge below c: positive ints from the numerators and denominators of
+    the three dimensions, not in lowest terms."""
+    mp, mc, mg, _ = _edge_data(tree, c)
+    return (2 * mg.denominator * mp.denominator * mc.denominator,
+            mg.numerator * mp.numerator * mc.numerator)
 
 
 def _path_terms(tree, vid: int):
     """(c, t) for each edge on the geodesic root -> vid, keyed by its upper
     endpoint c, with t its `_edge_term`: the squared path-vector coefficients."""
     for c in tree.geodesic_ids(vid)[1:]:
-        yield c, _edge_term(tree, c)[1]
+        yield c, QQ(*_edge_term(tree, c))
 
 
 def path_vector(tree, vid: int) -> GeomEdgeVector:
@@ -207,8 +215,15 @@ def path_vector(tree, vid: int) -> GeomEdgeVector:
 
 
 def path_norm_sq(tree, vid: int):
-    """Exact rational ||path_vector||^2 without building the vector."""
-    return sum((t for _, t in _path_terms(tree, vid)), QQ(0))
+    """Exact rational ||path_vector||^2 without building the vector, summed
+    in integers and reduced at every edge, so a deep path's sum stays short."""
+    num, den = 0, 1
+    for c in tree.geodesic_ids(vid)[1:]:
+        n, d = _edge_term(tree, c)
+        num, den = num * d + n * den, den * d
+        g = gcd(num, den)
+        num, den = num // g, den // g
+    return QQ(num, den)
 
 
 def path_target(tree, vid: int) -> VertexVector:

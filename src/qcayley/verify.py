@@ -82,7 +82,7 @@ _TOL_1E12 = QQ(1, 10**12)
 
 def _edge_term(tree, child):
     """Path-vector coefficient of the single geodesic edge below `child`."""
-    return qt.GeomEdgeVector({child: sqrt_rational(qt._edge_term(tree, child)[1])})
+    return qt.GeomEdgeVector({child: sqrt_rational(QQ(*qt._edge_term(tree, child)))})
 
 
 # ---------------------------------------------------------------------------

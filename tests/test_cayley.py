@@ -13,7 +13,16 @@ from qcayley.cayley import (
     validate,
 )
 from qcayley.errors import TreeSizeError
-from qcayley.fusion import Direction, TRIVIAL, ao_dims, ao_irrep, au_word, parse_spec, quantum_dim
+from qcayley.fusion import (
+    Direction,
+    TRIVIAL,
+    ao_dims,
+    ao_irrep,
+    au_word,
+    irrep_length,
+    parse_spec,
+    quantum_dim,
+)
 
 
 def _ids(tree):
@@ -132,6 +141,38 @@ def test_vertex_lookup_round_trip():
 def test_vertex_cap_raises_instead_of_truncating():
     with pytest.raises(TreeSizeError, match="vertex cap"):
         build_tree(parse_spec("Au(3)"), 20, max_vertices=1000)
+
+
+@pytest.mark.parametrize("text, radius", [("Ao(3)", 12), ("Ao(7/2)", 10), ("Au(3)", 8),
+                                          ("Au(3)*Au(4)", 5), ("Ao(3)*Ao(4)*Au(3)", 5)])
+def test_level_builder_matches_the_letterwise_dimensions(text, radius):
+    # the builder reads no letter: the words, the letterwise product and the
+    # fusion rules are an independent route to every dimension and sphere
+    spec = parse_spec(text)
+    tree = build_tree(spec, radius)
+    ndir = len(spec.directions)
+    assert tree.n_vertices == sum(ndir ** n for n in range(radius + 1))
+    for n in range(radius + 1):
+        sphere = tree.sphere_ids(n)
+        assert len(sphere) == ndir ** n
+        words = {tree.word(v) for v in sphere}
+        assert len(words) == ndir ** n
+        assert all(irrep_length(w) == n for w in words)
+        assert all(tree.length(v) == n for v in sphere)
+    for v in range(tree.n_vertices):
+        assert tree.dim(v) == quantum_dim(spec, tree.word(v))
+    report = validate(tree)
+    assert report.ok, report.issues[:5]
+
+
+@pytest.mark.parametrize("text, radius", [("Au(3)", 6), ("Ao(3)*Au(3)", 4), ("Ao(3)", 9),
+                                          ("Ao(3)*Ao(4)*Au(3)", 3)])
+def test_vertex_cap_is_exact(text, radius):
+    spec = parse_spec(text)
+    n = build_tree(spec, radius).n_vertices
+    assert build_tree(spec, radius, max_vertices=n).n_vertices == n
+    with pytest.raises(TreeSizeError, match="vertex cap"):
+        build_tree(spec, radius, max_vertices=n - 1)
 
 
 def test_validate_clean_trees():

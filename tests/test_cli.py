@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import qcayley
 from qcayley.cli import _CONFIG_KEYS, main
-from qcayley.fusion import _format_rational
+from qcayley.scalars import _text
 
 
 def run_cli(capsys, *argv):
@@ -28,6 +28,39 @@ def test_dims_csv_frozen_row(capsys):
     code, out, _ = run_cli(capsys, "dims", "--spec", "Ao(3)", "--count", "6", "--format", "csv")
     assert code == 0
     assert out == "1,3,8,21,55,144\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("dimq", ["3", "7/2"])
+def test_dims_past_the_int_to_str_limit(capsys, fmt, dimq):
+    # with the limit at 640 digits, the last of 1600 dimensions is too long for str()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, _ = run_cli(capsys, "dims", "--spec", f"Ao({dimq})", "--count", "1600",
+                               "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    dims = [Fraction(n, 2 ** k) for k, n in enumerate(_scaled_ao_dims(Fraction(dimq), 1600))]
+    assert len(str(dims[-1].numerator)) > 640
+    if fmt == "csv":
+        assert out == ",".join(map(str, dims)) + "\n"
+        return
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["exact"] for r in rows] == [str(d) for d in dims]
+    assert [r["params"]["index"] for r in rows] == list(range(1600))
+    last, whole = rows[-1], dims[-1].numerator // dims[-1].denominator
+    assert last["value_lo"].split(".")[0] == last["value_hi"].split(".")[0] == str(whole)
+
+
+def _scaled_ao_dims(dimq, count):
+    """2^k m_k for the Ao recursion m_{k+1} = dimq m_k - m_{k-1}, in integers."""
+    c = int(2 * dimq)
+    out = [1, c]
+    while len(out) < count:
+        out.append(c * out[-1] - 4 * out[-2])
+    return out[:count]
 
 
 def test_dims_json_records(capsys):
@@ -328,7 +361,7 @@ def test_schur_and_criterion_4_import_no_numpy():
     (Fraction(-9, 4), "-9/4"),
 ])
 def test_format_rational(value, text):
-    assert _format_rational(value) == text
+    assert _text(value) == text
 
 
 _DIMQ_LITERALS = ["0", "1", "3/2", "2", "3", "7/2", "4.5", "-3", "1/0", "x", ""]

@@ -9,6 +9,7 @@ from qcayley.cayley import CayleyTree, GeodesicRay, build_tree, canonical_ray_pa
 from qcayley.errors import GateError
 from qcayley.estimates import _certified_pd
 from qcayley.fusion import a_param, ao_dims, au_word, parse_spec, quantum_dim
+from qcayley import qctree
 from qcayley.qctree import (
     GeomEdgeVector,
     VertexVector,
@@ -215,6 +216,42 @@ def test_path_norms_match_vector_norms():
     for v in range(0, tree.n_vertices, 37):
         norm_sq = sum((c * c for _, c in path_vector(tree, v).items()), Radical())
         assert norm_sq.as_rational() == path_norm_sq(tree, v)
+
+
+def _fraction_term(tree, c):
+    """2/(m_g m_p m_c) of the edge below c, in Fraction arithmetic."""
+    p, d = tree.parent(c)
+    return Fraction(2) / (Fraction(tree.dir_dim(d)) * Fraction(tree.dim(p)) * Fraction(tree.dim(c)))
+
+
+def test_integer_path_norms_equal_the_fraction_sums():
+    tree = build_tree(parse_spec("Ao(7/2)*Au(3)"), 6)
+    assert tree.n_vertices == 1093
+    for v in range(tree.n_vertices):
+        ids = tree.geodesic_ids(v)[1:]
+        got = path_norm_sq(tree, v)
+        assert type(got) is Fraction
+        assert got == sum((Fraction(*qctree._edge_term(tree, c)) for c in ids), Fraction(0))
+        assert got == sum((_fraction_term(tree, c) for c in ids), Fraction(0))
+    classical = tree.classical()
+    assert all(path_norm_sq(classical, v) == 2 * classical.length(v)
+               for v in range(classical.n_vertices))
+
+
+@pytest.mark.parametrize("text", ["Ao(3)", "Ao(7/2)", "Ao(3)*Au(3)"])
+def test_deep_integer_path_norm_equals_the_fraction_sum(text):
+    spec = parse_spec(text)
+    ray = GeodesicRay(spec, canonical_ray_pattern(spec), 300)
+    expected = sum((_fraction_term(ray, c) for c in range(1, 301)), Fraction(0))
+    assert path_norm_sq(ray, 300) == expected
+
+
+@pytest.mark.parametrize("text", ["Ao(7/2)*Au(3)", "Ao(3)*Au(3)", "Ao(4)"])
+def test_path_vector_coefficients_are_the_fraction_terms(text):
+    tree = build_tree(parse_spec(text), 4)
+    for v in range(tree.n_vertices):
+        expected = {c: sqrt_rational(_fraction_term(tree, c)) for c in tree.geodesic_ids(v)[1:]}
+        assert path_vector(tree, v) == GeomEdgeVector(expected)
 
 
 # -- fixed vector ---------------------------------------------------------------------
