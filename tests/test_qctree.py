@@ -5,11 +5,11 @@ from numbers import Rational
 
 import pytest
 
+from qcayley import qctree
 from qcayley.cayley import CayleyTree, GeodesicRay, build_tree, canonical_ray_pattern, validate
 from qcayley.errors import GateError
 from qcayley.estimates import _certified_pd
 from qcayley.fusion import a_param, ao_dims, au_word, parse_spec, quantum_dim
-from qcayley import qctree
 from qcayley.qctree import (
     GeomEdgeVector,
     VertexVector,
