@@ -1,9 +1,11 @@
 """Classical Cayley tree of a free product, built breadth-first up to a radius.
 
 Vertices are BFS-order integer ids (deterministic), and every vertex query
-takes an id; per-vertex data lives in flat arrays so that trees with ~10^6
-vertices stay cheap.  The reduced word of a vertex is materialized lazily from
-the parent chain, since the big acceptance sweeps only need ids and dimensions.
+takes an id.  A tree stores only its dimension list: it is complete k-ary in
+BFS order, so the parent, the parent-edge direction and the depth of a vertex
+are arithmetic on its id, and trees with ~10^6 vertices stay cheap.  The
+reduced word of a vertex is materialized lazily from the parent chain, since
+the big acceptance sweeps only need ids and dimensions.
 
 Every vertex has exactly one ascending child per direction and one parent;
 the descending summand of any generator fusion is the parent.  So a child's
@@ -15,10 +17,10 @@ letter of any word.
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left
+from bisect import bisect_right
 from copy import copy
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import TreeSizeError
@@ -62,15 +64,19 @@ class CayleyTree:
     A vertex is its int id; a word is read from an id (`word`) but never
     names a vertex.  Every vertex accessor makes one check, an int (not a
     bool) in range(n_vertices), and raises ValueError otherwise: a negative
-    id, which Python would read from the end, is refused too."""
+    id, which Python would read from the end, is refused too.
 
-    def __init__(self, spec, radius, parent, pdir, length, dims):
+    The layout is complete k-ary in BFS order: vertex v > 0 hangs below
+    (v - 1) // k along directions[cycle[(v - 1) % len(cycle)]], with `cycle`
+    a sequence of direction indices, and `dims` holds one dimension per id."""
+
+    def __init__(self, spec, radius, k, cycle, dims):
         self.spec = spec
         self.radius = radius
         self.directions = spec.directions
-        self._parent = parent
-        self._pdir = pdir
-        self._length = length
+        self._k = k
+        self._cycle = tuple(spec.directions[c] for c in cycle)
+        self._period = len(cycle)
         self._dims = dims
         # a Fraction per factor even when the vertex dimensions are ints, so
         # that quotients like 2 / (dir_dim * dim * dim) stay exact
@@ -78,8 +84,8 @@ class CayleyTree:
         self._n = n = len(dims)
         self._words: list = [None] * n
         self._words[0] = Irrep(())
-        # BFS order sorts by length: sphere i starts at the first id of length >= i
-        self._level_start = [bisect_left(length, i) for i in range(radius + 2)]
+        # sphere i holds k**i ids, and BFS order lists the spheres in turn
+        self._level_start = list(accumulate((k ** i for i in range(radius + 1)), initial=0))
 
     # -- basic accessors -----------------------------------------------------
 
@@ -100,20 +106,23 @@ class CayleyTree:
     def length(self, vid: int) -> int:
         if not (type(vid) is int and 0 <= vid < self._n):
             raise _id_error(self, vid)
-        return self._length[vid]
+        return bisect_right(self._level_start, vid) - 1
 
     def parent(self, vid: int):
         """(parent id, direction of the ascending parent edge), None at the root."""
         if not (type(vid) is int and 0 <= vid < self._n):
             raise _id_error(self, vid)
-        return (self._parent[vid], self.directions[self._pdir[vid]]) if vid else None
+        if not vid:
+            return None
+        vid -= 1
+        return vid // self._k, self._cycle[vid % self._period]
 
     def dir_dim(self, d: Direction):
         return self._dir_dims[d.factor]
 
     def classical(self) -> CayleyTree:
         """The classical Cayley tree of the free product: this tree, sharing its
-        arrays and words, with every vertex and generator weight 1."""
+        layout and words, with every vertex and generator weight 1."""
         view = copy(self)
         view._dims = [1] * self.n_vertices
         view._dir_dims = (QQ(1),) * len(self._dir_dims)
@@ -126,14 +135,15 @@ class CayleyTree:
         w = self._words[vid]
         if w is not None:
             return w
+        k, cycle, period = self._k, self._cycle, self._period
         chain = []
         v = vid
         while self._words[v] is None:
             chain.append(v)
-            v = self._parent[v]
+            v = (v - 1) // k
         letters = list(self._words[v].word)
         for v2 in reversed(chain):
-            d = self.directions[self._pdir[v2]]
+            d = cycle[(v2 - 1) % period]
             # an Ao letter counts its steps, an Au letter lists its symbols
             step = 1 if self.spec.factors[d.factor].kind == ORTHOGONAL else (d.bar,)
             if letters and letters[-1][0] == d.factor:
@@ -155,17 +165,35 @@ class CayleyTree:
         """Vertex ids along the unique ascending path root -> vid."""
         if not (type(vid) is int and 0 <= vid < self._n):
             raise _id_error(self, vid)
+        k = self._k
         chain = [vid]
         while vid != 0:
-            vid = self._parent[vid]
+            vid = (vid - 1) // k
             chain.append(vid)
         chain.reverse()
         return chain
 
     def ascending_edges(self) -> Iterator[tuple]:
         """(parent id, child id, direction) for every geometric edge."""
-        for v in range(1, self.n_vertices):
-            yield self._parent[v], v, self.directions[self._pdir[v]]
+        k, cycle, period = self._k, self._cycle, self._period
+        for v in range(1, self._n):
+            yield (v - 1) // k, v, cycle[(v - 1) % period]
+
+    def edge_classes(self) -> dict:
+        """{(m_p, m_c, direction index, p == 0): (first child id, edge count)}
+        over the edges p -> c, in order of each class's first edge."""
+        dims, k, period = self._dims, self._k, self._period
+        cycle = [self.directions.index(d) for d in self._cycle]
+        classes = {}
+        for c in range(1, self._n):
+            p = (c - 1) // k
+            key = (dims[p], dims[c], cycle[(c - 1) % period], p == 0)
+            hit = classes.get(key)  # one hash of the key per edge
+            if hit is None:
+                classes[key] = [c, 1]
+            else:
+                hit[1] += 1
+        return {key: tuple(hit) for key, hit in classes.items()}
 
 
 def _id_error(tree: CayleyTree, vid) -> ValueError:
@@ -179,8 +207,10 @@ def _bfs_tree(spec: QuantumGroupSpec, radius: int, cap: int, pattern=None):
 
     With a `pattern` of direction indices, level n + 1 expands only direction
     pattern[n % len(pattern)]: the closure is then one geodesic.  Returns the
-    per-vertex arrays (index = BFS id, root = 0) parent, pdir (direction index
-    of the parent edge), length and dims (in the type of `spec.dim_scalars`).
+    layout and the dimensions, `CayleyTree`'s (k, cycle, dims): k children per
+    vertex (len(directions) for a tree, 1 for a ray), the cycle of direction
+    indices (range(len(directions)) or the pattern) and the dims list (index =
+    BFS id, root = 0, in the type of `spec.dim_scalars`).
 
     m_child = m1 * m_v - m_parent  when the child's generator d absorbs the
     last letter of v, else  m1 * m_v.  It absorbs exactly when v was entered
@@ -205,8 +235,6 @@ def _bfs_tree(spec: QuantumGroupSpec, radius: int, cap: int, pattern=None):
     cycle = range(ndir) if pattern is None else tuple(pattern)
     level = [spec.dim_scalars[0] ** 0]  # 1, in the type of spec.dim_scalars
     dims = list(level)
-    length = array("i", [0])
-    depth = array("i", [0])  # one entry, repeated over each level of `length`
     prev, prev_dirs = [], (-1,)  # the root was entered along no direction
     for n in range(radius):
         new_dirs = cycle if pattern is None else (cycle[n % len(cycle)],)
@@ -226,17 +254,8 @@ def _bfs_tree(spec: QuantumGroupSpec, radius: int, cap: int, pattern=None):
                     [x * m - y for x, y in zip(cls, prev)] if (p, d) in absorbs
                     else [x * m for x in cls])
         dims += children
-        depth[0] = n + 1
-        length += depth * size
         prev, level, prev_dirs = level, children, new_dirs
-
-    edges = len(dims) - 1
-    k = ndir if pattern is None else 1
-    parent = array("q", [-1]) * (edges + 1)
-    for j in range(k):
-        parent[1 + j::k] = array("q", range(edges // k))
-    pdir = array("h", [-1]) + (array("h", cycle) * (edges // len(cycle) + 1))[:edges]
-    return parent, pdir, length, dims
+    return (ndir if pattern is None else 1), cycle, dims
 
 
 def build_tree(spec: QuantumGroupSpec, radius: int,
@@ -267,37 +286,33 @@ class ValidationReport:
 
 
 def validate(tree: CayleyTree) -> ValidationReport:
-    """Re-check the tree axioms and the fusion-dimension bookkeeping.
+    """Re-check the tree axioms and the fusion-dimension bookkeeping, in one
+    pass over the ascending edges p -> c.
 
     Dimensions are recomputed letterwise from the words, independently of the
-    incremental recursion used during the build.
+    incremental recursion used during the build: the last summand of p's
+    fusion with the edge's generator is c's word, so its dimension is c's
+    letterwise check.  One child per (parent, direction) needs no check: the
+    layout has one slot for each.
     """
     spec = tree.spec
     m1s = spec.dim_scalars
     issues = []
     n = tree.n_vertices
-    ndir = len(tree.directions)
-    taken = bytearray(n * ndir)  # one flag per (parent, direction)
-    for v in range(1, n):
-        p = tree._parent[v]
-        slot = p * ndir + tree._pdir[v]
-        if taken[slot]:
-            issues.append(f"vertex {v}: a second child of {p} in one direction")
-        taken[slot] = 1
-        if tree.length(v) != tree.length(p) + 1:
-            issues.append(f"vertex {v}: length not graded along parent edge")
-        if quantum_dim(spec, tree.word(v)) != tree.dim(v):
-            issues.append(f"vertex {v}: stored dimension disagrees with letterwise product")
     for p, c, d in tree.ascending_edges():
+        if tree.length(c) != tree.length(p) + 1:
+            issues.append(f"vertex {c}: length not graded along parent edge")
         summands = fuse_generator(spec, tree.word(p), d)
         if tree.word(c) != summands[-1]:
             issues.append(f"edge {p}->{c}: ascending fusion result mismatch")
-        total = sum(quantum_dim(spec, s) for s in summands)
-        if total != tree.dim(p) * m1s[d.factor]:
+        dims = [quantum_dim(spec, s) for s in summands]
+        if dims[-1] != tree.dim(c):
+            issues.append(f"vertex {c}: stored dimension disagrees with letterwise product")
+        if sum(dims) != tree.dim(p) * m1s[d.factor]:
             issues.append(f"edge {p}->{c}: dimension bookkeeping fails")
         if len(summands) == 2:
             # the generator absorbed the last letter of p: the reduced word is p's parent
-            if p == 0 or summands[0] != tree.word(tree._parent[p]):
+            if p == 0 or summands[0] != tree.word(tree.parent(p)[0]):
                 issues.append(f"edge {p}->{c}: descending summand is not p's parent")
     return ValidationReport(not issues, n, n - 1, issues)
 

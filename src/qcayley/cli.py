@@ -411,10 +411,7 @@ def main(argv=None) -> int:
         else:
             code = args.fn(args, sys.stdout)
         return code
-    except QCayleyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (QCayleyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

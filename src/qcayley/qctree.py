@@ -281,9 +281,8 @@ def fixed_vector(spec: QuantumGroupSpec, radius: int, pattern=None) -> FixedVect
     used = sorted({d.factor for d in pattern})
     rho = min(growth_floor(spec.factors[f].dimq) for f in used)
     ray = GeodesicRay(spec, pattern, radius + 1)
-    terms = list(_path_terms(ray, radius))
-    vector = GeomEdgeVector({c: sqrt_rational(t) for c, t in terms})
-    norm_sq = sum((t for _, t in terms), QQ(0))
+    vector = GeomEdgeVector({c: sqrt_rational(t) for c, t in _path_terms(ray, radius)})
+    norm_sq = path_norm_sq(ray, radius)
 
     # the edge terms past the radius shrink by 1/rho^2 per step
     mg_min = min(ray.dir_dim(d) for d in pattern)
@@ -355,14 +354,12 @@ def gram(spec: QuantumGroupSpec, k: int, l: int, radius: int) -> Interval:
     return Interval(partial, partial + weight * tail)
 
 
-def gram_bound(spec: QuantumGroupSpec, kmax: int, radius: Optional[int] = None):
+def gram_bound(spec: QuantumGroupSpec, kmax: int, radius: int):
     """Smallest D with every computed entry (k, l <= kmax) <= D * a^{-|k-l|}.
 
     Upper interval ends are used on both the entries and the powers of a, so
     the returned rational D certifies the decay inequality for every entry.
     """
-    if radius is None:
-        radius = kmax + 40
     dimq = gate_dimension(single_ao_dimq(spec))
     a_hi = a_param(dimq).interval.hi
     if not 0 <= kmax <= radius:

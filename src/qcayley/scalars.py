@@ -410,9 +410,6 @@ class Radical:
             raise ValueError(f"not a rational value: {self}")
         return self._p
 
-    def square(self) -> "Radical":
-        return self * self
-
     def interval(self, bits: int = 96) -> Interval:
         lo = hi = self._p
         for s in self._s:

@@ -36,7 +36,6 @@ C1_VERTEX_CAP = 900_000  # criterion 1 builds trees past the default vertex cap
 class CriterionResult:
     number: int
     name: str
-    anchor: str
     passed: bool
     details: list = field(default_factory=list)
 
@@ -113,17 +112,11 @@ def criterion_1(profile: dict, seed: int) -> CriterionResult:
             # and e2 has no branch on them.  So the exact check runs on the
             # first edge of each class and every other edge takes its verdict;
             # an e2 defect keyed by vertex id would show only in the recheck.
-            parent, pdir, dims = tree._parent, tree._pdir, tree._dims
-            verdicts = {}
-            for c in range(1, n):
-                p = parent[c]
-                key = (dims[p], dims[c], pdir[c], p == 0)
-                holds = verdicts.get(key)
-                if holds is None:
-                    lhs = qt.e2(tree, _edge_term(tree, c)) + qt.path_target(tree, p)
-                    holds = verdicts[key] = lhs == qt.path_target(tree, c)
-                if not holds:
-                    bad += 1
+            for c, count in tree.edge_classes().values():
+                p = tree.parent(c)[0]
+                lhs = qt.e2(tree, _edge_term(tree, c)) + qt.path_target(tree, p)
+                if lhs != qt.path_target(tree, c):
+                    bad += count
             direct_ids = list(range(tree.sphere_ids(profile["c1_direct_radius"]).stop))
             for level in range(profile["c1_direct_radius"] + 1, radius + 1):
                 direct_ids.extend(list(tree.sphere_ids(level))[:: profile["c1_deep_stride"]])
@@ -132,7 +125,7 @@ def criterion_1(profile: dict, seed: int) -> CriterionResult:
                    if qt.e2(tree, qt.path_vector(tree, v)) != qt.path_target(tree, v))
         ok &= bad == 0
         details.append(f"{spec_text}: {n} vertices radius<={radius} exact ({mode}), {bad} residuals")
-    return CriterionResult(1, "path-telescoping-identity", "path-telescoping-identity", ok, details)
+    return CriterionResult(1, "path-telescoping-identity", ok, details)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +154,7 @@ def criterion_2(profile: dict, seed: int) -> CriterionResult:
     details.append(f"Ao(3): sup ||path||^2 over radius<={radius} = {float(sup):.10f} < 0.2547: {cap_ok}")
     details.append(f"monotone along the half line: {monotone}; within tail of radius-{profile['c2_fixed_radius']} truncation: {within}")
     details.append(f"weight-1 mode ||path||^2 = 2*length exactly at all {tree.n_vertices} vertices: {unit_ok}")
-    return CriterionResult(2, "bounded-paths-vs-classical-properness",
-                           "bounded-paths-vs-classical-properness", ok, details)
+    return CriterionResult(2, "bounded-paths-vs-classical-properness", ok, details)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +197,7 @@ def criterion_3(profile: dict, seed: int) -> CriterionResult:
             f"{float(tol):.0e} at R = {r_needed} "
             f"(verified: {float(check.residual_norm):.3e})"
         )
-    return CriterionResult(3, "inverse-series-residual", "inverse-series-residual",
-                           ok and numeric_ok, details)
+    return CriterionResult(3, "inverse-series-residual", ok and numeric_ok, details)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +257,7 @@ def criterion_4(profile: dict, seed: int) -> CriterionResult:
                    f"{float(schur.hi):.9f} + 1e-9: {toeplitz_ok}")
 
     ok = width_ok and closed_ok and pd_ok and decay_ok and toeplitz_ok
-    return CriterionResult(4, "gram-decay-certification", "gram-decay-certification", ok, details)
+    return CriterionResult(4, "gram-decay-certification", ok, details)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +279,7 @@ def criterion_5(profile: dict, seed: int) -> CriterionResult:
         f"first differences == 1/(2N^2) = {step}: {diffs_ok}",
         f"cn_lower(n) >= (n-1)/(2N^2): {floor_ok} (so the cocycle matrix norm grows like sqrt(n))",
     ]
-    return CriterionResult(5, "unitary-linear-growth", "unitary-linear-growth", ok, details)
+    return CriterionResult(5, "unitary-linear-growth", ok, details)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +317,7 @@ def criterion_6(profile: dict, seed: int) -> CriterionResult:
         f"Parseval over {pairs} index pairs (n <= {nmax}, N <= 4): {violations} violations",
         f"special-case grade norm m1^(-2n+l) on {checked} hypothesis patterns: {special_ok}",
     ]
-    return CriterionResult(6, "tensor-grade-parseval", "tensor-grade-parseval", ok, details)
+    return CriterionResult(6, "tensor-grade-parseval", ok, details)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +346,7 @@ def criterion_7(profile: dict, seed: int) -> CriterionResult:
         f"weighted series dimq=7/2, r=2: growth gate passes: {gate_ok}; "
         f"tail < {float(profile['c7_nonuni_tol']):.0e}: {nonuni_tail_ok}",
     ]
-    return CriterionResult(7, "rapid-decay-series", "rapid-decay-series", ok, details)
+    return CriterionResult(7, "rapid-decay-series", ok, details)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +389,7 @@ def criterion_8(profile: dict, seed: int) -> CriterionResult:
         f"{count} seeded random nonneg vectors x 3 values of a: all pass: {all_ok}",
         f"tightened constant (3/4) fails on the near-extremal input for every a: {control_ok}",
     ]
-    return CriterionResult(8, "geometric-weight-cauchy-schwarz-chain",
-                           "geometric-weight-cauchy-schwarz-chain", ok, details)
+    return CriterionResult(8, "geometric-weight-cauchy-schwarz-chain", ok, details)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +437,7 @@ def criterion_9(profile: dict, seed: int) -> CriterionResult:
     details.append(f"dimension-2 gates fire on all gated operations: {gates_fire}; "
                    f"fusion/tree still accept the degenerate spec: {degenerate_ok}")
     ok = closed_ok and book_ok and gates_fire and degenerate_ok
-    return CriterionResult(9, "dimension-engine", "dimension-engine", ok, details)
+    return CriterionResult(9, "dimension-engine", ok, details)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +453,7 @@ def criterion_10(profile: dict, seed: int) -> CriterionResult:
     render = lambda results: "\n".join(r.line() + "|" + "|".join(r.details) for r in results)
     ok = render(first) == render(second)
     details = [f"criteria 2 and 8 re-run with seed {seed}: byte-identical: {ok}"]
-    return CriterionResult(10, "deterministic-reports", "deterministic-reports", ok, details)
+    return CriterionResult(10, "deterministic-reports", ok, details)
 
 
 CRITERIA = {

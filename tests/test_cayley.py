@@ -181,15 +181,22 @@ def test_validate_clean_trees():
         assert report.ok, report.issues
 
 
-def test_validate_flags_two_children_in_one_direction():
-    # vertex 2 is a second u-child of the root: its word, dimension and fusion
-    # all check out, so only the one-child-per-direction check sees it
+@pytest.mark.parametrize("where", ["inner", "leaf"])
+def test_validate_flags_a_wrong_stored_dimension(where):
+    # a built Au(3) tree with one stored dimension off by one: the letterwise
+    # check names that vertex, and an inner vertex fails its children's
+    # bookkeeping too
     spec = parse_spec("Au(3)")
-    tree = CayleyTree(spec, 1, [-1, 0, 0], [-1, 0, 0], [0, 1, 1], [1, 3, 3])
-    assert tree.word(1) == tree.word(2) == au_word("u")
-    report = validate(tree)
+    tree = build_tree(spec, 3)
+    n, ndir = tree.n_vertices, len(spec.directions)
+    v = 2 if where == "inner" else n - 1
+    dims = [tree.dim(u) for u in range(n)]
+    dims[v] += 1
+    report = validate(CayleyTree(spec, 3, ndir, range(ndir), dims))
     assert not report.ok
-    assert report.issues == ["vertex 2: a second child of 0 in one direction"]
+    assert [i for i in report.issues if i.startswith("vertex")] == \
+        [f"vertex {v}: stored dimension disagrees with letterwise product"]
+    assert len(report.issues) == (1 + ndir if where == "inner" else 1)
 
 
 def test_rational_dimension_tree():

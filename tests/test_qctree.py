@@ -54,8 +54,12 @@ def _rationals(x) -> list:
 
 
 def _with_fraction_dims(tree):
-    return CayleyTree(tree.spec, tree.radius, tree._parent, tree._pdir, tree._length,
-                      [Fraction(m) for m in tree._dims])
+    """The same layout with Fraction dims, read through the public accessors:
+    k is the root's child count, and the cycle lists every parent-edge direction."""
+    n = tree.n_vertices
+    cycle = [tree.directions.index(tree.parent(v)[1]) for v in range(1, n)]
+    return CayleyTree(tree.spec, tree.radius, len(tree.sphere_ids(1)), cycle,
+                      [Fraction(tree.dim(v)) for v in range(n)])
 
 
 @pytest.mark.parametrize("spec", [AO3, AU3, MIXED], ids=str)
@@ -426,7 +430,7 @@ def test_gram_refinement_bracketing():
 
 
 def test_gram_decay_bound():
-    dee = gram_bound(AO3, 10)
+    dee = gram_bound(AO3, 10, 50)
     a_hi = a_param(QQ(3)).interval.hi
     g = gram(AO3, 0, 5, 50)
     assert g.hi * a_hi ** 5 <= dee

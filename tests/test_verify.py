@@ -20,8 +20,8 @@ def _mixed_line(result) -> str:
 
 
 def _edge_class(tree, c):
-    p = tree._parent[c]
-    return tree.dim(p), tree.dim(c), tree._pdir[c], p == 0
+    p, d = tree.parent(c)
+    return tree.dim(p), tree.dim(c), tree.directions.index(d), p == 0
 
 
 def test_criterion_1_at_radius_9_takes_the_incremental_route():
@@ -38,6 +38,7 @@ def test_criterion_1_catches_e2_wrong_on_one_deep_edge_class(monkeypatch):
     members = [c for c in range(1, tree.n_vertices) if _edge_class(tree, c) == target]
     # the class occurs only beyond radius 8, and has more than one edge
     assert len(members) > 1 and all(tree.length(c) == 9 for c in members)
+    assert tree.edge_classes()[target] == (members[0], len(members))
     real_e2 = qt.e2
 
     def e2_wrong_on_the_class(t, vec):
