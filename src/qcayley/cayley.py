@@ -68,9 +68,15 @@ class CayleyTree:
 
     The layout is complete k-ary in BFS order: vertex v > 0 hangs below
     (v - 1) // k along directions[cycle[(v - 1) % len(cycle)]], with `cycle`
-    a sequence of direction indices, and `dims` holds one dimension per id."""
+    a sequence of direction indices, and `dims` holds one dimension per id,
+    sum(k**i for i <= radius) of them; any other count raises ValueError."""
 
     def __init__(self, spec, radius, k, cycle, dims):
+        # sphere i holds k**i ids, and BFS order lists the spheres in turn
+        self._level_start = list(accumulate((k ** i for i in range(radius + 1)), initial=0))
+        if len(dims) != self._level_start[-1]:
+            raise ValueError(f"{len(dims)} dims do not fill a tree of radius {radius} "
+                             f"with {k} children per vertex ({self._level_start[-1]} ids)")
         self.spec = spec
         self.radius = radius
         self.directions = spec.directions
@@ -84,8 +90,6 @@ class CayleyTree:
         self._n = n = len(dims)
         self._words: list = [None] * n
         self._words[0] = Irrep(())
-        # sphere i holds k**i ids, and BFS order lists the spheres in turn
-        self._level_start = list(accumulate((k ** i for i in range(radius + 1)), initial=0))
 
     # -- basic accessors -----------------------------------------------------
 

@@ -6,17 +6,12 @@ Three layers, from cheap to rich:
 * ``Interval`` -- closed interval with rational endpoints.  Ring operations
   are exact (no rounding is ever needed for +,-,*,/ of rationals); square
   roots are enclosed via integer square roots, outward.
-* ``Radical`` -- a rational plus surds ``s_i``, each stored as its signed
-  square ``s_i * |s_i|``, at most one per square class.  Products of surds
-  collapse to rationals exactly whenever their signed squares multiply to a
-  rational square, which is what makes the telescoping identities of the
-  weighted tree hold with zero residual.
-
-Square roots of distinct squarefree integers are linearly independent over
-the rationals (Besicovitch 1940), so the ``Radical`` form is canonical:
-equality, hashing and zero testing compare the stored rationals.  The sign
-of a rational plus one surd is an exact comparison of squares; a value with
-more surds refines its interval enclosure until zero is excluded.
+* ``Radical`` -- a rational plus at most one surd, stored as its signed
+  square.  Products of surds of one square class collapse to rationals
+  exactly, which is what makes the telescoping identities of the weighted
+  tree hold with zero residual.  Equality, hashing and sign are exact
+  comparisons of the stored rationals.  A sum or product that would need
+  surds of two square classes raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -232,62 +227,53 @@ def _rational_sqrt(q):
     return QQ(s, d) if s * s == n * d else None
 
 
-def _scaled_sigmas(q, sigmas) -> tuple:
-    """Signed squares of q*s for the surds s of `sigmas` and a rational q."""
-    if not sigmas or not q:
-        return ()
+def _scaled_square(q, s):
+    """Signed square of q*t for the surd t of signed square s (0: none) and a rational q."""
+    if not s or not q:
+        return 0
     q2 = q * q
-    if q > 0:
-        return tuple(q2 * s for s in sigmas)
-    return tuple(-q2 * s for s in reversed(sigmas))
+    return q2 * s if q > 0 else -q2 * s
 
 
-def _merged(p, sigmas, extra) -> "Radical":
-    """p plus the surds of the canonical `sigmas` and of `extra`, one per square class.
+def _surd_product(a, b):
+    """s*t for the surds s, t of signed squares a, b when it is rational, else None.
 
-    Surds s, t with signed squares a, b share a class when |ab| is a rational
-    square; then (s + t)^2 = |a| + |b| + 2st with st = +-sqrt(|ab|), and s + t
-    has the sign of a + b.
+    It is rational exactly when s and t share a square class: |ab| is a
+    rational square.
     """
-    out = list(sigmas)
-    for b in extra:
-        for i, a in enumerate(out):
-            ab = a * b
-            r = _rational_sqrt(abs(ab))
-            if r is not None:
-                if a + b:
-                    m = abs(a) + abs(b) + (2 * r if ab > 0 else -2 * r)
-                    out[i] = m if a + b > 0 else -m
-                else:
-                    del out[i]
-                break
-        else:
-            out.append(b)
-    out.sort()
-    return Radical(p, tuple(out))
+    ab = a * b
+    r = _rational_sqrt(abs(ab))
+    if r is None:
+        return None
+    return r if ab > 0 else -r
+
+
+def _two_classes(a, b) -> ValueError:
+    return ValueError(f"sqrt({abs(a)}) and sqrt({abs(b)}) lie in two square classes; "
+                      "a Radical holds one surd")
 
 
 class Radical:
-    """Exact element of the square-root closure of the rationals.
+    """Exact real number ``p + t``: a rational ``p`` plus at most one surd ``t``.
 
-    A value ``p + s_1 + ... + s_k`` is stored as its rational part ``p`` and
-    the sorted tuple of the signed squares ``s_i * |s_i|`` of its surds.  No
-    signed square is a rational square and no two surds share a square class
-    (``s_i * s_j`` is irrational), so each surd is the whole component of the
-    value in its class.  Square roots of distinct squarefree integers are
-    linearly independent over Q, so the form is unique without factoring any
-    radicand: equal values have equal ``(p, sigmas)``, hash and repr.  Closed
-    under +, -, * and division by a rational or a single surd, which covers
-    every computation in the weighted tree.
+    It is stored as ``p`` and the signed square ``s = t * |t|`` of the surd,
+    or the int 0 when there is none; ``s`` is never a rational square.  The
+    pair is determined by the value, so equal values have equal ``(p, s)``,
+    hash and repr, and no radicand is ever factored.  Closed under negation,
+    division by a rational, and the +, - and * whose result needs one surd:
+    operands whose surds share a square class (``|ab|`` a rational square for
+    signed squares ``a``, ``b``), or a product of two pure surds (``sqrt(2) *
+    sqrt(3) = sqrt(6)``).  Any other sum or product would need surds of two
+    classes and raises ``ValueError`` naming both radicands.
     """
 
     __slots__ = ("_p", "_s")
 
-    def __init__(self, p=_ZERO, sigmas=()):
-        # internal constructor: p rational, sigmas already canonical;
-        # use from_rational / sqrt_of and arithmetic to build surds
+    def __init__(self, p=_ZERO, s=0):
+        # internal constructor: p rational, s a signed square that is not a
+        # rational square, or 0; use from_rational / sqrt_of and arithmetic
         self._p = p
-        self._s = sigmas
+        self._s = s
 
     # -- constructors --------------------------------------------------------
 
@@ -303,7 +289,7 @@ class Radical:
         if q.numerator < 0:
             raise ValueError("sqrt of negative rational")
         r = _rational_sqrt(q)
-        return cls(_ZERO, (q,)) if r is None else cls(r)
+        return cls(_ZERO, q) if r is None else cls(r)
 
     def times_sqrt(self, num: int, den: int) -> "Radical":
         """self * sqrt(num/den) for positive ints num and den.
@@ -312,18 +298,18 @@ class Radical:
         and the product is rational, it is found with one integer square
         root; anything else takes the general product.
         """
-        p, sigmas = self._p, self._s
-        if not sigmas:
+        p, s = self._p, self._s
+        if not s:
             n = num * den
-            s = isqrt(n)
-            if s * s == n:
-                return Radical(QQ(p.numerator * s, p.denominator * den))
-        elif len(sigmas) == 1 and not p:
-            N, d = sigmas[0].numerator, sigmas[0].denominator * den
+            r = isqrt(n)
+            if r * r == n:
+                return Radical(QQ(p.numerator * r, p.denominator * den))
+        elif not p:
+            N, d = s.numerator, s.denominator * den
             n = abs(N) * num * d
-            s = isqrt(n)
-            if s * s == n:
-                return Radical(QQ(s if N > 0 else -s, d))
+            r = isqrt(n)
+            if r * r == n:
+                return Radical(QQ(r if N > 0 else -r, d))
         return self * Radical.sqrt_of(QQ(num, den))
 
     @staticmethod
@@ -334,23 +320,28 @@ class Radical:
 
     def _scaled(self, q) -> "Radical":
         """self * q for a rational q."""
-        return Radical(self._p * q, _scaled_sigmas(q, self._s))
+        return Radical(self._p * q, _scaled_square(q, self._s))
 
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other):
         o = self._coerce(other)
         p = self._p + o._p
-        if not o._s:
-            return Radical(p, self._s)
-        if not self._s:
-            return Radical(p, o._s)
-        return _merged(p, self._s, o._s)
+        a, b = self._s, o._s
+        if not b:
+            return Radical(p, a)
+        if not a:
+            return Radical(p, b)
+        st = _surd_product(a, b)
+        if st is None:
+            raise _two_classes(a, b)
+        # t = (st/|a|) * s, so s + t = (1 + st/|a|) * s
+        return Radical(p, _scaled_square(1 + st / abs(a), a))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Radical(-self._p, tuple(-s for s in reversed(self._s)) if self._s else ())
+        return Radical(-self._p, -self._s)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -360,42 +351,30 @@ class Radical:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if not o._s:
+        a, b = self._s, o._s
+        if not b:
             return self._scaled(o._p)
-        if not self._s:
+        if not a:
             return o._scaled(self._p)
-        p = self._p * o._p
-        extra = list(_scaled_sigmas(self._p, o._s))
-        for s in self._s:
-            for t in o._s:
-                st = s * t  # the signed square of the product of the surds
-                r = _rational_sqrt(abs(st))
-                if r is None:
-                    extra.append(st)
-                else:
-                    p += r if st > 0 else -r
-        return _merged(p, _scaled_sigmas(o._p, self._s), extra)
+        p, q = self._p, o._p
+        st = _surd_product(a, b)
+        if st is None:
+            if p or q:
+                raise _two_classes(a, b)
+            return Radical(_ZERO, a * b)
+        # (p + s)(q + t) = pq + st + (q + p*st/|a|) * s
+        return Radical(p * q + st, _scaled_square(q + p * st / abs(a), a))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if not o._s:
-            if not o._p:
-                raise ZeroDivisionError("division by zero Radical")
-            return self._scaled(1 / o._p)
-        if len(o._s) == 1 and not o._p:
-            # 1/s has the signed square 1/(s|s|)
-            return self * Radical(_ZERO, (1 / o._s[0],))
-        raise NotImplementedError("division by multi-term radical values")
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        """self / other for a rational other; a surd divisor raises ValueError."""
+        return self._scaled(1 / self._coerce(other).as_rational())
 
     # -- predicates and conversions -------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._p and not self._s
+        return not self._s and not self._p
 
     def __bool__(self):
         return not self.is_zero()
@@ -411,37 +390,19 @@ class Radical:
         return self._p
 
     def interval(self, bits: int = 96) -> Interval:
-        lo = hi = self._p
-        for s in self._s:
-            slo, shi = sqrt_bounds(abs(s), bits)
-            if s > 0:
-                lo, hi = lo + slo, hi + shi
-            else:
-                lo, hi = lo - shi, hi - slo
-        return Interval(lo, hi)
+        lo, hi = sqrt_bounds(abs(self._s), bits)
+        if self._s < 0:
+            lo, hi = -hi, -lo
+        return Interval(self._p + lo, self._p + hi)
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}.
-
-        With at most one surd s the sign is that of p when p^2 > s^2 and that
-        of s otherwise (p^2 = s^2 would make s rational).  With more, the
-        enclosure is refined until it excludes zero, which a nonzero value's
-        does at some precision because its surds are independent over Q.
-        """
-        p, sigmas = self._p, self._s
-        if not sigmas:
+        """Exact sign in {-1, 0, 1}: that of p when p^2 > |s|, else that of
+        the surd (p^2 = |s| would make the surd rational)."""
+        p, s = self._p, self._s
+        if not s:
             return (p > 0) - (p < 0)
-        if len(sigmas) == 1:
-            lead = p if p * p > abs(sigmas[0]) else sigmas[0]
-            return 1 if lead > 0 else -1
-        bits = 64
-        while True:
-            iv = self.interval(bits)
-            if iv.lo > 0:
-                return 1
-            if iv.hi < 0:
-                return -1
-            bits *= 2
+        lead = p if p * p > abs(s) else s
+        return 1 if lead > 0 else -1
 
     # -- comparisons (exact) ----------------------------------------------------
 
@@ -471,11 +432,14 @@ class Radical:
         return float(self.interval(64).mid)
 
     def __repr__(self):
-        # a surd s prints as +-sqrt(|s|^2)
-        text = "".join(f" {'-' if s < 0 else '+'} sqrt({abs(s)})" for s in self._s)
-        if self._p or not text:
-            return f"Radical({self._p}{text})"
-        return f"Radical({text[1] if text[1] == '-' else ''}{text[3:]})"
+        # the surd prints as +-sqrt(|s|)
+        p, s = self._p, self._s
+        if not s:
+            return f"Radical({p})"
+        surd = f"sqrt({abs(s)})"
+        if not p:
+            return f"Radical({'-' if s < 0 else ''}{surd})"
+        return f"Radical({p} {'-' if s < 0 else '+'} {surd})"
 
 
 def sqrt_rational(q) -> Radical:

@@ -199,6 +199,18 @@ def test_validate_flags_a_wrong_stored_dimension(where):
     assert len(report.issues) == (1 + ndir if where == "inner" else 1)
 
 
+@pytest.mark.parametrize("radius, count", [(1, 7), (2, 5)])
+def test_tree_refuses_dims_of_another_size(radius, count):
+    # the seven dims of the radius-2 Au(3) ball read at radius 1 would put
+    # vertex 5 past the radius; five of them at radius 2 would give a
+    # sphere 2 of ids 3..6 in a five-vertex tree
+    spec = parse_spec("Au(3)")
+    tree = build_tree(spec, 2)
+    dims = [tree.dim(v) for v in range(tree.n_vertices)][:count]
+    with pytest.raises(ValueError, match=f"{count} dims do not fill a tree of radius {radius}"):
+        CayleyTree(spec, radius, 2, range(2), dims)
+
+
 def test_rational_dimension_tree():
     tree = build_tree(parse_spec("Ao(7/2)"), 4)
     from qcayley.scalars import QQ

@@ -325,6 +325,15 @@ def test_config_flag_forms_before_the_command(config_flags, tmp_path):
     assert res.stdout == b"1,3,8\n"
 
 
+def test_package_runs_as_a_module():
+    golden = json.loads(Path(__file__).with_name("golden_cli.json").read_text())["dims-csv"]
+    src = str(Path(qcayley.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-m", "qcayley", *golden["argv"]],
+                         capture_output=True, timeout=600, env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == golden["exit"] == 0, res.stderr.decode()
+    assert res.stdout.decode() == golden["stdout"]
+
+
 def test_verify_quick_profile_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--profile", "quick", "--seed", "7")
     assert code == 0

@@ -47,7 +47,7 @@ def _oracle_e2_unit_edge(tree, child):
 def _rationals(x) -> list:
     """Every scalar inside x: a rational, a Radical or a vector of Radicals."""
     if isinstance(x, Radical):
-        return [x._p, *x._s]
+        return [x._p, x._s]
     if hasattr(x, "items"):
         return [q for _, r in x.items() for q in _rationals(r)]
     return [x]
@@ -112,12 +112,13 @@ def test_e2_matches_unnormalized_oracle_everywhere():
 
 def _coefficient_cases(tree, child):
     """A path coefficient (every image rational), a single-term coefficient whose
-    images stay irrational, and a multi-term coefficient."""
+    images stay irrational, and a rational plus a surd in the square class of
+    both images: the up and down weights differ by the square (m_a/m_b)^2."""
     pvid, d = tree.parent(child)
     ma, mb, mg = tree.dim(pvid), tree.dim(child), tree.dir_dim(d)
     return (sqrt_rational(2 / (mg * ma * mb)),
             QQ(3, 7) * sqrt_rational(QQ(5, 11)),
-            1 + QQ(2, 3) * sqrt_rational(2))
+            1 + QQ(2, 3) * sqrt_rational(mg * ma / (2 * mb)))
 
 
 @pytest.mark.parametrize("text", ["Ao(3)*Au(3)", "Ao(7/2)*Au(3)"])
@@ -128,13 +129,32 @@ def test_edge_maps_match_general_product(text):
         pvid, d = tree.parent(child)
         ma, mb, mg = tree.dim(pvid), tree.dim(child), tree.dir_dim(d)
         up, down = mg * ma / mb, mg * mb / ma
+        square = sqrt_rational(up / 2).is_rational  # then the third case is rational
         for n, coeff in enumerate(_coefficient_cases(tree, child)):
             img = e2(tree, GeomEdgeVector({child: coeff}))
             assert img == VertexVector({child: coeff * Radical.sqrt_of(up / 2),
                                         pvid: -(coeff * Radical.sqrt_of(down / 2))})
-            assert (n == 0) == all(v.is_rational for _, v in img.items())
+            assert (n == 0 or n == 2 and square) == all(v.is_rational for _, v in img.items())
         half = Radical.sqrt_of(QQ(1, 2))
         assert e2(classical, GeomEdgeVector.unit(child)) == VertexVector({child: half, pvid: -half})
+
+
+def test_e2_refuses_a_coefficient_of_another_square_class():
+    # on an edge whose weight m_g m_a / (2 m_b) is neither a rational square
+    # nor in the class of 2, (1 + sqrt 2) times its root would need two surds
+    tree = build_tree(parse_spec("Ao(3)*Au(3)"), 3)
+    refused = 0
+    for child in range(1, tree.n_vertices):
+        pvid, d = tree.parent(child)
+        weight = tree.dir_dim(d) * tree.dim(pvid) / (2 * tree.dim(child))
+        vec = GeomEdgeVector({child: 1 + sqrt_rational(2)})
+        if sqrt_rational(weight).is_rational or sqrt_rational(2 * weight).is_rational:
+            e2(tree, vec)
+            continue
+        with pytest.raises(ValueError, match=r"sqrt\(2\) and sqrt\(" + str(weight) + r"\)"):
+            e2(tree, vec)
+        refused += 1
+    assert refused
 
 
 def test_path_target_entries():

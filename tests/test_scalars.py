@@ -62,16 +62,20 @@ def test_radical_merging_equivalent_radicands():
 
 
 def test_radical_multi_term_products():
-    s = sqrt_rational(2) + sqrt_rational(3)
+    s = 1 + sqrt_rational(2)
     sq = s * s
-    assert sq == Radical.from_rational(5) + 2 * sqrt_rational(6)
+    assert sq == Radical.from_rational(3) + 2 * sqrt_rational(2)
     assert not sq.is_rational
+    assert s * (1 - sqrt_rational(2)) == Radical.from_rational(-1)
+    # one square class: sqrt(8) = 2 sqrt(2)
+    assert (s + sqrt_rational(8)) * (QQ(1, 3) - sqrt_rational(QQ(1, 2))) == \
+        Radical.from_rational(QQ(-8, 3)) + QQ(1, 2) * sqrt_rational(2)
 
 
 def test_radical_zero_iff_all_coefficients_zero():
-    v = sqrt_rational(2) + sqrt_rational(3) - sqrt_rational(3) - sqrt_rational(2)
+    v = sqrt_rational(2) + 1 - sqrt_rational(8) + sqrt_rational(2) - 1
     assert v.is_zero()
-    w = sqrt_rational(2) - sqrt_rational(3)
+    w = 1 - sqrt_rational(2)
     assert not w.is_zero() and w.sign() == -1
 
 
@@ -84,19 +88,26 @@ def test_radical_signs_and_ordering():
 
 
 def test_radical_division():
-    x = 3 * sqrt_rational(7)
-    assert x / x == Radical.from_rational(1)
-    assert Radical.from_rational(1) / sqrt_rational(2) == sqrt_rational(QQ(1, 2))
-    with pytest.raises(NotImplementedError):
-        Radical.from_rational(1) / (sqrt_rational(2) + sqrt_rational(3))
+    x = 3 * sqrt_rational(7) - 1
+    assert x / 3 == sqrt_rational(7) - QQ(1, 3)
+    assert x / QQ(-1, 2) == 2 - 6 * sqrt_rational(7)
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    # a Radical holds no surd denominator: dividing by a surd raises
+    with pytest.raises(ValueError):
+        Radical.from_rational(1) / sqrt_rational(2)
+    with pytest.raises(TypeError):
+        1 / sqrt_rational(2)
 
 
 def test_radical_interval_encloses_value():
-    v = sqrt_rational(2) - sqrt_rational(3) + Radical.from_rational(QQ(7, 3))
-    iv = v.interval(96)
-    approx = 2 ** 0.5 - 3 ** 0.5 + 7 / 3
-    assert iv.lo <= QQ(Fraction(approx).limit_denominator(10**12)) + QQ(1, 10**9)
-    assert float(iv.width) < 1e-25
+    for sign in (1, -1):
+        # v = 7/3 + sign*sqrt(3) lies in iv exactly when sqrt(3) lies between
+        # sign*(iv.lo - 7/3) and sign*(iv.hi - 7/3)
+        iv = (QQ(7, 3) + sign * sqrt_rational(3)).interval(96)
+        near, far = sorted((sign * (iv.lo - QQ(7, 3)), sign * (iv.hi - QQ(7, 3))))
+        assert 0 < near and near * near <= 3 <= far * far
+        assert float(iv.width) < 1e-25
 
 
 @given(pos_rationals, pos_rationals)
@@ -106,9 +117,10 @@ def test_radical_product_square_property(p, q):
     assert (prod * prod).as_rational() == QQ(p) * QQ(q)
 
 
-@given(pos_rationals, pos_rationals)
+@given(pos_rationals, st.fractions(min_value=Fraction(1, 20), max_value=20, max_denominator=20))
 @settings(max_examples=60)
-def test_radical_binomial_square(p, q):
+def test_radical_binomial_square(p, k):
+    q = p * k * k  # in the square class of p
     s = sqrt_rational(QQ(p)) + sqrt_rational(QQ(q))
     expected = Radical.from_rational(QQ(p) + QQ(q)) + 2 * sqrt_rational(QQ(p) * QQ(q))
     assert s * s == expected
@@ -155,8 +167,8 @@ def test_times_sqrt_single_term_irrational(x, num, den):
 
 @pytest.mark.parametrize("x, num, den", [
     (1 + Radical.sqrt_of(2), 2, 1),
-    (Radical.sqrt_of(3) - QQ(2, 7) * Radical.sqrt_of(5), 15, 4),
-    (Radical.sqrt_of(2) + Radical.sqrt_of(3), 6, 1),
+    (QQ(2, 7) - Radical.sqrt_of(15), 15, 4),
+    (1 + Radical.sqrt_of(QQ(3, 2)), 6, 1),
 ])
 def test_times_sqrt_multi_term(x, num, den):
     assert repr(x.times_sqrt(num, den)) == repr(_general_product(x, num, den))
@@ -205,6 +217,20 @@ def test_sign_of_one_surd_is_exact_at_any_precision():
     assert (below + sqrt_rational(2)).sign() == 1
 
 
+def test_two_square_classes_are_refused():
+    for build in (lambda: sqrt_rational(2) + sqrt_rational(3),
+                  lambda: sqrt_rational(3) - sqrt_rational(2),
+                  lambda: (1 + sqrt_rational(2)) * sqrt_rational(3),
+                  lambda: sqrt_rational(3) * (sqrt_rational(2) - QQ(1, 5))):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert "sqrt(2)" in str(info.value) and "sqrt(3)" in str(info.value)
+    # the product of two pure surds is one surd
+    assert sqrt_rational(2) * sqrt_rational(3) == sqrt_rational(6)
+    assert (-sqrt_rational(2)) * sqrt_rational(QQ(3, 4)) == -sqrt_rational(QQ(3, 2))
+    assert repr(sqrt_rational(2) * sqrt_rational(3)) == repr(sqrt_rational(6))
+
+
 def test_repr_is_canonical():
     assert repr(Radical.sqrt_of(578)) == repr(17 * Radical.sqrt_of(2))
     assert repr(Radical.sqrt_of(QQ(9, 4))) == repr(Radical.from_rational(QQ(3, 2)))
@@ -233,3 +259,8 @@ def test_square_factors_give_one_form(c, k, n):
         assert form == whole
         assert repr(form) == repr(whole)
         assert hash(form) == hash(whole)
+    # and beside a nonzero rational part
+    left, right = QQ(5, 3) + whole, QQ(5, 3) + QQ(c * k) * Radical.sqrt_of(n)
+    assert left == right
+    assert repr(left) == repr(right)
+    assert hash(left) == hash(right)
