@@ -16,7 +16,6 @@ from .fusion import (
     QuantumGroupSpec,
     a_param,
     ao_dims,
-    dual,
     format_spec,
     fuse_generator,
     irrep_length,
@@ -45,7 +44,6 @@ __all__ = [
     "QuantumGroupSpec",
     "a_param",
     "ao_dims",
-    "dual",
     "format_spec",
     "fuse_generator",
     "irrep_length",

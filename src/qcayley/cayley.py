@@ -97,10 +97,6 @@ class CayleyTree:
     def n_vertices(self) -> int:
         return self._n
 
-    @property
-    def n_geometric_edges(self) -> int:
-        return self._n - 1
-
     def dim(self, vid: int):
         """Quantum dimension of a vertex, in the type of `spec.dim_scalars`."""
         if not (type(vid) is int and 0 <= vid < self._n):
@@ -297,15 +293,15 @@ def validate(tree: CayleyTree) -> ValidationReport:
     incremental recursion used during the build: the last summand of p's
     fusion with the edge's generator is c's word, so its dimension is c's
     letterwise check.  One child per (parent, direction) needs no check: the
-    layout has one slot for each.
+    layout has one slot for each.  Nor does the length grading: the sphere
+    starts satisfy S_L = 1 + k * S_(L-1), so the parent (c - 1) // k of an id c
+    in sphere L lies in sphere L - 1.
     """
     spec = tree.spec
     m1s = spec.dim_scalars
     issues = []
     n = tree.n_vertices
     for p, c, d in tree.ascending_edges():
-        if tree.length(c) != tree.length(p) + 1:
-            issues.append(f"vertex {c}: length not graded along parent edge")
         summands = fuse_generator(spec, tree.word(p), d)
         if tree.word(c) != summands[-1]:
             issues.append(f"edge {p}->{c}: ascending fusion result mismatch")
@@ -337,6 +333,17 @@ def canonical_ray_pattern(spec: QuantumGroupSpec) -> tuple:
     return (Direction(0, 0), Direction(1, 0))
 
 
+def _checked_pattern(spec: QuantumGroupSpec, pattern) -> tuple:
+    """`pattern` as a tuple; ValueError unless it is a nonempty sequence of
+    directions of `spec`."""
+    pattern = tuple(pattern)
+    if not pattern:
+        raise ValueError("empty direction pattern")
+    if not set(pattern) <= set(spec.directions):
+        raise ValueError(f"pattern {pattern} has a direction outside {spec}")
+    return pattern
+
+
 class GeodesicRay(CayleyTree):
     """Finite prefix of an infinite geodesic: the path tree of its first `steps` edges.
 
@@ -347,12 +354,9 @@ class GeodesicRay(CayleyTree):
     """
 
     def __init__(self, spec: QuantumGroupSpec, pattern, steps: int):
-        self.pattern = tuple(pattern)
-        if not self.pattern:
-            raise ValueError("empty direction pattern")
-        if not set(self.pattern) <= set(spec.directions):
-            raise ValueError(f"pattern {self.pattern} has a direction outside {spec}")
+        if steps < 0:
+            raise ValueError("steps must be >= 0")
+        self.pattern = _checked_pattern(spec, pattern)
         codes = [spec.directions.index(d) for d in self.pattern]
-        steps = max(steps, 0)
         # a path of steps + 1 vertices: the cap cannot be reached
         super().__init__(spec, steps, *_bfs_tree(spec, steps, steps + 1, codes))

@@ -8,7 +8,8 @@ dimension-ratio domination) run in exact rational or quadratic-field
 arithmetic so that a reported pass is a certificate, not an observation.
 The summation chain is decided by exact integer comparisons: its entries
 and each end of the enclosure of 1/a are put over common denominators,
-and `Fraction`s are built only to write a failure's detail.
+and a failed check names the tests that failed (`per_k_ok`,
+`aggregate_ok`), not the values of their two sides.
 """
 
 from __future__ import annotations
@@ -50,13 +51,6 @@ class SeriesResult:
     @property
     def hi(self):
         return self.partial + self.tail_bound
-
-    @property
-    def interval(self) -> Interval:
-        return Interval(self.partial, self.hi)
-
-    def __float__(self):
-        return float(self.partial)
 
 
 def _even_exponent(s) -> int:
@@ -222,7 +216,6 @@ class ChainCheckResult:
     ok: bool
     per_k_ok: list
     aggregate_ok: bool
-    detail: str = ""
 
     def __bool__(self):
         return self.ok
@@ -238,24 +231,6 @@ def _scaled_suffix_sums(p: int, q: int, xs: Sequence) -> list:
         out[k] = acc
         qpow *= q
     return out
-
-
-def _chain_failure(inv: Interval, ints: list, d: int, tighten, per_k_ok: list) -> str:
-    """The first failed test of the chain, both sides as rational intervals over
-    the ends of inv; the entries are ints[j] / d."""
-    constant = Interval.point(QQ(tighten)) / (Interval.point(1) - inv)
-
-    def suffix(vals, scale):  # sum_j inv^j vals[j] / scale, over the two ends of inv
-        return Interval(*(QQ(_scaled_suffix_sums(*rho.as_integer_ratio(), vals)[0],
-                             scale * rho.denominator ** (len(vals) - 1)) for rho in (inv.lo, inv.hi)))
-
-    if False in per_k_ok:
-        k = per_k_ok.index(False)
-        s1, s2 = suffix(ints[k:], d), suffix([v * v for v in ints[k:]], d * d)
-        return f"per-k bound violated at k={k}: lhs in {s1 * s1}, rhs in {constant * s2}"
-    agg_lhs = sum((s * s for s in (suffix(ints[k:], d) for k in range(len(ints)))), Interval.point(0))
-    agg_rhs = constant * constant * QQ(sum(v * v for v in ints), d * d)
-    return f"aggregate bound violated: lhs in {agg_lhs}, rhs in {agg_rhs}"
 
 
 def orientation_chain_check(a, xs: Sequence, tighten=QQ(1)) -> ChainCheckResult:
@@ -302,9 +277,7 @@ def orientation_chain_check(a, xs: Sequence, tighten=QQ(1)) -> ChainCheckResult:
         qh_2m *= qh2
     # sum_k s1_k^2 <= C^2 sum_j x_j^2, times d^2 qh^(2n) cd^2
     aggregate_ok = agg * cd * cd <= cn * cn * sum(squares) * qh_2m
-    ok = all(per_k_ok) and aggregate_ok
-    detail = "" if ok else _chain_failure(inv, ints, d, tighten, per_k_ok)
-    return ChainCheckResult(ok, per_k_ok, aggregate_ok, detail)
+    return ChainCheckResult(all(per_k_ok) and aggregate_ok, per_k_ok, aggregate_ok)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ __all__ = [
     "letter_dim",
     "quantum_dim",
     "fuse_generator",
-    "dual",
     "dual_direction",
     "irrep_length",
     "format_irrep",
@@ -414,17 +413,6 @@ def fuse_generator(spec: QuantumGroupSpec, alpha: Irrep, d: Direction):
             descending = Irrep(word[:-1])
         return (descending, ascending)
     return (ascending,)
-
-
-def dual(alpha: Irrep) -> Irrep:
-    """Reverse the word, bar each Au letter; Ao letters are self-dual."""
-    out = []
-    for fidx, payload in reversed(alpha.word):
-        if isinstance(payload, int):
-            out.append((fidx, payload))
-        else:
-            out.append((fidx, tuple(-s for s in reversed(payload))))
-    return Irrep(tuple(out))
 
 
 def dual_direction(spec: QuantumGroupSpec, d: Direction) -> Direction:

@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Optional
 
-from .cayley import GeodesicRay, canonical_ray_pattern
+from .cayley import GeodesicRay, _checked_pattern, canonical_ray_pattern
 from .estimates import _half_line
 from .fusion import QuantumGroupSpec, a_param, gate_dimension, growth_floor, single_ao_dimq
 from .scalars import QQ, Interval, Radical, sqrt_rational
@@ -85,10 +85,6 @@ class _SparseVector:
     @classmethod
     def unit(cls, key):
         return cls({key: Radical.from_rational(1)})
-
-    @property
-    def support(self):
-        return self._coeffs.keys()
 
     def coeff(self, key) -> Radical:
         return self._coeffs.get(key, Radical())
@@ -202,16 +198,12 @@ def _edge_term(tree, c: int):
             mg.numerator * mp.numerator * mc.numerator)
 
 
-def _path_terms(tree, vid: int):
-    """(c, t) for each edge on the geodesic root -> vid, keyed by its upper
-    endpoint c, with t its `_edge_term`: the squared path-vector coefficients."""
-    for c in tree.geodesic_ids(vid)[1:]:
-        yield c, QQ(*_edge_term(tree, c))
-
-
 def path_vector(tree, vid: int) -> GeomEdgeVector:
-    """Canonical preimage of xt_a/m_a - xt_root under E2, summed along the geodesic."""
-    return GeomEdgeVector({c: sqrt_rational(t) for c, t in _path_terms(tree, vid)})
+    """Canonical preimage of xt_a/m_a - xt_root under E2, summed along the
+    geodesic: keyed by each edge's upper endpoint c, the square root of its
+    `_edge_term`."""
+    return GeomEdgeVector({c: sqrt_rational(QQ(*_edge_term(tree, c)))
+                           for c in tree.geodesic_ids(vid)[1:]})
 
 
 def path_norm_sq(tree, vid: int):
@@ -256,10 +248,6 @@ class FixedVectorResult:
     basis: object
     certificate: TailCertificate
 
-    @property
-    def norm_sq_interval(self) -> Interval:
-        return Interval(self.norm_sq, self.norm_sq + self.tail_bound)
-
 
 def fixed_vector(spec: QuantumGroupSpec, radius: int, pattern=None) -> FixedVectorResult:
     """Truncated infinite-geodesic path vector with a certified tail.
@@ -276,12 +264,10 @@ def fixed_vector(spec: QuantumGroupSpec, radius: int, pattern=None) -> FixedVect
         raise TypeError(f"expected a QuantumGroupSpec, got {type(spec).__name__}")
     if radius < 0:
         raise ValueError("need radius >= 0")
-    if pattern is None:
-        pattern = canonical_ray_pattern(spec)
-    used = sorted({d.factor for d in pattern})
-    rho = min(growth_floor(spec.factors[f].dimq) for f in used)
+    pattern = _checked_pattern(spec, canonical_ray_pattern(spec) if pattern is None else pattern)
+    rho = min(growth_floor(spec.factors[f].dimq) for f in sorted({d.factor for d in pattern}))
     ray = GeodesicRay(spec, pattern, radius + 1)
-    vector = GeomEdgeVector({c: sqrt_rational(t) for c, t in _path_terms(ray, radius)})
+    vector = path_vector(ray, radius)
     norm_sq = path_norm_sq(ray, radius)
 
     # the edge terms past the radius shrink by 1/rho^2 per step
@@ -329,8 +315,7 @@ def e2_inverse_ao(spec: QuantumGroupSpec, k: int, radius: int) -> InverseResult:
 
     m1, mk = dims[1], dims[k]
     # -m_k times the path vector of vertex R+1, restricted to the edges above k
-    vector = GeomEdgeVector({c: -(mk * sqrt_rational(t))
-                             for c, t in _path_terms(ray, radius + 1) if c > k})
+    vector = GeomEdgeVector({c: -(mk * x) for c, x in path_vector(ray, radius + 1).items() if c > k})
 
     residual = e2(ray, vector) - VertexVector({k: QQ(1)})
     expected = VertexVector({radius + 1: -(mk / dims[radius + 1])})

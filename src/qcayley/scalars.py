@@ -4,8 +4,9 @@ Three layers, from cheap to rich:
 
 * ``QQ`` -- exact rational constructor, ``fractions.Fraction``.
 * ``Interval`` -- closed interval with rational endpoints.  Ring operations
-  are exact (no rounding is ever needed for +,-,*,/ of rationals); square
-  roots are enclosed via integer square roots, outward.
+  are exact (no rounding is ever needed for +,-,*,/ of rationals); the
+  square root of a rational is enclosed via integer square roots, outward
+  (``sqrt_bounds``).
 * ``Radical`` -- a rational plus at most one surd, stored as its signed
   square.  Products of surds of one square class collapse to rationals
   exactly, which is what makes the telescoping identities of the weighted
@@ -166,25 +167,6 @@ class Interval:
 
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inverse()
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            raise TypeError("only integer powers")
-        if k < 0:
-            return (self ** (-k)).inverse()
-        out = Interval.point(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def sqrt(self, bits: int = 96) -> "Interval":
-        lo, _ = sqrt_bounds(self.lo, bits)
-        _, hi = sqrt_bounds(self.hi, bits)
-        return Interval(lo, hi)
 
     # -- structure ---------------------------------------------------------
 

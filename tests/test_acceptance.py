@@ -5,11 +5,14 @@ line (visible with `pytest -s` or in the failure report).  The quick-profile
 end-to-end byte-determinism of the `verify` command is part of criterion 10.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qcayley
 from qcayley import verify
 
 
@@ -70,7 +73,8 @@ def test_criterion_10_deterministic_reports():
     _run(10)
     cmd = [sys.executable, "-m", "qcayley.cli", "verify", "--profile", "quick",
            "--seed", "108"]
-    first = subprocess.run(cmd, capture_output=True, timeout=900)
-    second = subprocess.run(cmd, capture_output=True, timeout=900)
+    env = {**os.environ, "PYTHONPATH": str(Path(qcayley.__file__).resolve().parents[1])}
+    first = subprocess.run(cmd, capture_output=True, timeout=900, env=env)
+    second = subprocess.run(cmd, capture_output=True, timeout=900, env=env)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout and first.stdout

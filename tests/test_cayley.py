@@ -272,6 +272,12 @@ def test_ray_refuses_empty_pattern():
         GeodesicRay(MIXED, (), 3)
 
 
+def test_ray_refuses_negative_steps():
+    with pytest.raises(ValueError, match="steps"):
+        GeodesicRay(MIXED, canonical_ray_pattern(MIXED), -3)
+    assert GeodesicRay(MIXED, canonical_ray_pattern(MIXED), 0).n_vertices == 1
+
+
 @pytest.mark.parametrize("pattern", [(Direction(2, 0),), (Direction(0, 0), Direction(0, 1)),
                                      (Direction(1, 0),)], ids=str)
 def test_ray_refuses_a_direction_outside_the_spec(pattern):

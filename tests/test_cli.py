@@ -345,8 +345,9 @@ def test_verify_quick_profile_passes(capsys):
 def test_verify_deterministic_bytes():
     cmd = [sys.executable, "-m", "qcayley.cli", "verify", "--profile", "quick",
            "--seed", "7"]
-    first = subprocess.run(cmd, capture_output=True, timeout=600)
-    second = subprocess.run(cmd, capture_output=True, timeout=600)
+    env = {**os.environ, "PYTHONPATH": str(Path(qcayley.__file__).resolve().parents[1])}
+    first = subprocess.run(cmd, capture_output=True, timeout=600, env=env)
+    second = subprocess.run(cmd, capture_output=True, timeout=600, env=env)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
 

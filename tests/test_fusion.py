@@ -17,7 +17,6 @@ from qcayley.fusion import (
     ao_irrep,
     au_word,
     au_word_dim,
-    dual,
     format_irrep,
     format_spec,
     fuse_generator,
@@ -324,27 +323,13 @@ def test_quantum_dim_multiplicative_across_letters():
     assert quantum_dim(spec, alpha) == 8 * 8 * 3
 
 
-# -- duality and length -----------------------------------------------------------
+# -- length -----------------------------------------------------------------------
 
-def test_dual_bars_and_reverses():
-    assert dual(au_word("uUu")) == au_word("UuU")
+def test_irrep_length_counts_generator_steps():
     assert irrep_length(au_word("uUu")) == 3
     assert irrep_length(TRIVIAL) == 0
-
-
-def test_dual_involution_on_tree_vertices():
-    spec = parse_spec("Ao(3)*Au(3)")
-    tree = build_tree(spec, 6)
-    for v in range(tree.n_vertices):
-        w = tree.word(v)
-        assert dual(dual(w)) == w
-        assert irrep_length(dual(w)) == irrep_length(w)
-
-
-def test_dual_ao_words_self_dual_after_reversal():
-    alpha = Irrep(((0, 1), (1, 1), (0, 1)))  # palindromic two-Ao-factor word
-    assert dual(alpha) == alpha
-    assert irrep_length(alpha) == 3
+    assert irrep_length(Irrep(((0, 1), (1, 1), (0, 1)))) == 3
+    assert irrep_length(Irrep(((0, 2), (1, (1, -1))))) == 4
 
 
 def test_length_is_lipschitz_along_edges():

@@ -9,7 +9,7 @@ from qcayley import qctree
 from qcayley.cayley import CayleyTree, GeodesicRay, build_tree, canonical_ray_pattern, validate
 from qcayley.errors import GateError
 from qcayley.estimates import _certified_pd
-from qcayley.fusion import a_param, ao_dims, au_word, parse_spec, quantum_dim
+from qcayley.fusion import Direction, a_param, ao_dims, au_word, parse_spec, quantum_dim
 from qcayley.qctree import (
     GeomEdgeVector,
     VertexVector,
@@ -283,7 +283,7 @@ def test_path_vector_coefficients_are_the_fraction_terms(text):
 def test_fixed_vector_half_line_bounds():
     fv = fixed_vector(AO3, 40)
     assert QQ(2546, 10**4) < fv.norm_sq < QQ(2547, 10**4)
-    assert fv.norm_sq_interval.width < QQ(1, 10**30)
+    assert fv.tail_bound < QQ(1, 10**30)
     dims = ao_dims(QQ(3), 41)
     assert fv.residual_norm == 1 / dims[40]
     assert fv.residual_norm < QQ(1, 10**16)
@@ -297,6 +297,14 @@ def test_fixed_vector_dimension_two_refused():
 def test_fixed_vector_negative_radius_refused():
     with pytest.raises(ValueError, match="radius"):
         fixed_vector(AO3, -1)
+
+
+@pytest.mark.parametrize("pattern, match", [((), "empty direction pattern"),
+                                            ((Direction(1, 0),), "direction outside")], ids=str)
+def test_fixed_vector_refuses_a_bad_pattern_before_reading_it(pattern, match):
+    # the ray's pattern check runs before the growth floor reads the factors
+    with pytest.raises(ValueError, match=match):
+        fixed_vector(AO3, 5, pattern)
 
 
 def test_fixed_vector_unitary_ray_converges():
@@ -340,7 +348,7 @@ def test_fixed_vector_from_a_ray_uses_the_asked_pattern(q):
     # the vector is keyed by a fresh ray along q, whatever ray is at hand
     fv = fixed_vector(MIXED, 8, q)
     assert fv.basis.pattern == q and fv.basis.n_vertices == 10
-    assert sorted(fv.vector.support) == list(range(1, 9))
+    assert sorted(c for c, _ in fv.vector.items()) == list(range(1, 9))
     for i in range(1, 10):
         assert fv.basis.parent(i) == (i - 1, q[(i - 1) % 2])
     for p in MIXED_PATTERNS:
@@ -360,7 +368,7 @@ def test_fixed_vector_on_a_tree_matches_the_ray():
             assert fv.norm_sq == path_norm_sq(tree, end)
             assert {tree.word(c): x for c, x in path_vector(tree, end).items()} \
                 == {fv.basis.word(c): x for c, x in fv.vector.items()}
-            assert [tree.length(ids[fv.basis.word(c)]) for c in sorted(fv.vector.support)] \
+            assert [tree.length(ids[fv.basis.word(c)]) for c in sorted(c for c, _ in fv.vector.items())] \
                 == list(range(1, 9))
     # Au(3)'s default ray is the alternating spine u, uU, uUu, ... of the binary tree
     assert [fv.basis.word(i) for i in (1, 2)] == [au_word("u"), au_word("uU")]

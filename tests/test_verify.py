@@ -44,7 +44,7 @@ def test_criterion_1_catches_e2_wrong_on_one_deep_edge_class(monkeypatch):
     def e2_wrong_on_the_class(t, vec):
         out = real_e2(t, vec)
         if t.spec == MIXED and len(vec) == 1:
-            (c,) = vec.support
+            ((c, _),) = vec.items()
             if _edge_class(t, c) == target:
                 out = out + qt.VertexVector({c: 1})
         return out
