@@ -10,10 +10,13 @@ two-sided bounds for the squared cocycle norms, growing linearly in n.
 Everything is per unit source vector; only norms are materialized, never the
 chain vectors themselves (their norms are pinned, their ambient spaces are
 not needed).  The exhaustive multi-index enumerations are the definitional
-route and double as the oracle for the closed-form summations.  Every grade
-norm, ql_norm_sq included, is read from one exact integer walk over the legs,
-scaled by m1^{2n} with m1 = N (see _grade_walk); an enumeration passes all its
-multi-indices k to one walk call, which visits each of them.
+route and double as the oracle for the closed-form summations.  The grade
+norms of a pair (i, k), scaled by m1^{2n} with m1 = N, are one row of an exact
+integer table fixed by the last leg where k differs from i (_grade_rows), and
+ql_norm_sq reads its entry there.  One walk call (_last_disagreements) takes a
+source i and all its targets k and counts the k of each last disagreeing leg;
+the enumerations add those counts times the table rows, and
+parseval_violations adds the counts of every row that misses the full norm.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ __all__ = [
     "parseval_violations",
 ]
 
-# At the cap, cn_lower and ql_sums take about 1.2 s (0.28 us per grade walk, Python 3.11
-# on 2 vCPU) and parseval_violations, one walk call per pair, about 7 s (N = 2, n = 11);
-# the largest size in use (cn_lower for N = 4, n = 9: 262,144 walks) is 16 times smaller.
+# At the cap, cn_lower and ql_sums take about 0.8-0.9 s (0.2 us per grade walk, Python
+# 3.11 on 2 vCPU) and parseval_violations, one walk call per source, about 0.7-0.9 s
+# (N = 2, n = 11); the largest size in use (cn_lower for N = 4, n = 9: 262,144 walks) is
+# 16 times smaller.
 MAX_GRADE_WALKS = 2 ** 22
 
 
@@ -74,9 +78,8 @@ def ql_norm_sq(i_idx, k_idx, l: int, N: int):
     n = _validate_indices(i_idx, k_idx, N)
     if not (isinstance(l, int) and 0 <= l <= n):
         raise ValueError(f"l = {l!r} is not an integer in 0..{n}")
-    row = [0] * (n + 1)
-    _grade_walk(i_idx, (k_idx,), N, row)
-    return QQ(row[l], N ** (2 * n))
+    j = _last_disagreements(i_idx, (k_idx,)).index(1)
+    return QQ(_grade_rows(n, N)[j][l], N ** (2 * n))
 
 
 # Per leg p the components of the rank-one e_i e_k^* under x = x0 + (Tr x/N) id,
@@ -87,31 +90,39 @@ def ql_norm_sq(i_idx, k_idx, l: int, N: int):
 # so ql_norm_sq(i, k, l) * N^(2n) is the integer product
 #   prod_{p<l} N  *  (N - delta_l)  *  prod_{p>l} delta_p      (l >= 1)
 #   prod_p delta_p                                             (l = 0).
-# Grade l is nonzero only when legs l+1..n agree, so one walk down from l = n
-# visits every nonzero grade and stops at the first disagreeing leg.
+# Grade l is nonzero only when legs l+1..n agree, so the whole row of a pair is
+# fixed by j, its last disagreeing leg (j = 0 when k == i).
+
+def _last_disagreements(i_idx, k_idxs):
+    """hist[j] = how many k in k_idxs have j as their last leg differing from i
+    (j = 0 when k == i); each k is walked down from leg n."""
+    n = len(i_idx)
+    hist = [0] * (n + 1)
+    for k_idx in k_idxs:
+        j = n
+        while j and i_idx[j - 1] == k_idx[j - 1]:
+            j -= 1
+        hist[j] += 1
+    return hist
+
 
 @lru_cache(maxsize=64)
-def _leg_weights(n: int, N: int):
-    """For l = 0..n, the scaled grade-l norm N^l when leg l is the last
-    disagreeing leg, and N^(l-1) (N-1) when legs l..n agree (0 at l = 0, unused)."""
-    return (tuple(N ** l for l in range(n + 1)),
-            (0,) + tuple(N ** (l - 1) * (N - 1) for l in range(1, n + 1)))
+def _grade_rows(n: int, N: int):
+    """Row j (j = 0..n) is [ql_norm_sq(i, k, l, N) * N^(2n) for l = 0..n] of any
+    pair whose last disagreeing leg is j: N^j at l = j, N^(l-1) (N-1) above j
+    (those legs agree), 0 below.  Every row sums to N^n."""
+    return tuple(
+        tuple(0 if l < j else N ** j if l == j else N ** (l - 1) * (N - 1) for l in range(n + 1))
+        for j in range(n + 1))
 
 
 def _grade_walk(i_idx, k_idxs, N, row):
     """Add ql_norm_sq(i, k, l, N) * N^(2n) to row[l] for every l = 0..n and k in k_idxs."""
-    n = len(i_idx)
-    differ, agree = _leg_weights(n, N)
-    for k_idx in k_idxs:
-        l = n
-        while l:
-            if i_idx[l - 1] != k_idx[l - 1]:
-                row[l] += differ[l]
-                break
-            row[l] += agree[l]
-            l -= 1
-        else:
-            row[0] += 1
+    rows = _grade_rows(len(i_idx), N)
+    for j, count in enumerate(_last_disagreements(i_idx, k_idxs)):
+        if count:
+            for l, w in enumerate(rows[j]):
+                row[l] += count * w
 
 
 def ql_sums(i_idx, N: int):
@@ -195,13 +206,11 @@ def parseval_violations(n: int, N: int) -> int:
     """
     _check_n(N)
     _check_walks(N, 2 * n)
-    bad = 0
     target = N ** n  # the scaled norm m1^{-n} * m1^{2n}
-    rng = range(1, N + 1)
-    for i_idx in product(rng, repeat=n):
-        for k_idx in product(rng, repeat=n):
-            row = [0] * (n + 1)
-            _grade_walk(i_idx, (k_idx,), N, row)
-            if sum(row) != target:
-                bad += 1
+    wrong = [j for j, r in enumerate(_grade_rows(n, N)) if sum(r) != target]
+    indices = list(product(range(1, N + 1), repeat=n))
+    bad = 0
+    for i_idx in indices:
+        hist = _last_disagreements(i_idx, indices)
+        bad += sum(hist[j] for j in wrong)
     return bad

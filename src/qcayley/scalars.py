@@ -281,7 +281,7 @@ class Radical:
         root; anything else takes the general product.
         """
         p, s = self._p, self._s
-        if not s:
+        if type(s) is int:  # no surd: s is the int 0, so no Fraction.__bool__ call
             n = num * den
             r = isqrt(n)
             if r * r == n:

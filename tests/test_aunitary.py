@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcayley import aunitary
 from qcayley.aunitary import (
     _grade_walk,
     cg_bounds_closed,
@@ -323,3 +324,57 @@ def test_parseval_matches_the_per_grade_loop():
     for N, n_max in ((2, 4), (3, 3), (4, 2)):
         for n in range(n_max + 1):
             assert parseval_violations(n, N) == _reference_parseval_violations(n, N) == 0
+
+
+@st.composite
+def _source_and_targets(draw):
+    """(i, ks, N): a source and a list of targets, repeats allowed, possibly empty."""
+    N = draw(st.sampled_from([1, 2, 3, 4]))
+    n = draw(st.integers(0, 5))
+    leg = st.integers(1, N)
+    i_idx = tuple(draw(leg) for _ in range(n))
+    pool = draw(st.lists(st.tuples(*[leg] * n), min_size=1, max_size=4))
+    return i_idx, draw(st.lists(st.sampled_from(pool), max_size=10)), N
+
+
+@given(_source_and_targets())
+@settings(max_examples=200, deadline=None)
+def test_grade_walk_of_a_batch_is_the_sum_of_its_single_walks(case):
+    i_idx, ks, N = case
+    n = len(i_idx)
+    batch = [0] * (n + 1)
+    _grade_walk(i_idx, ks, N, batch)
+    total = [0] * (n + 1)
+    for k_idx in ks:
+        single = [0] * (n + 1)
+        _grade_walk(i_idx, (k_idx,), N, single)
+        total = [a + b for a, b in zip(total, single)]
+    assert batch == total
+
+
+def test_parseval_counts_the_pairs_of_a_wrong_grade_row(monkeypatch):
+    """A grade row that misses N^n is one violation for every pair whose last
+    disagreeing leg is that row's j, and ql_norm_sq reads the same table."""
+    n, N, j = 3, 3, 2
+    grade_rows = aunitary._grade_rows
+
+    def bent_rows(n_, N_):
+        rows = grade_rows(n_, N_)
+        if (n_, N_) != (n, N):
+            return rows
+        row = rows[j][:j] + (rows[j][j] + 1,) + rows[j][j + 1:]
+        return rows[:j] + (row,) + rows[j + 1:]
+
+    grade_rows.cache_clear()
+    monkeypatch.setattr(aunitary, "_grade_rows", bent_rows)
+    try:
+        indices = list(product(range(1, N + 1), repeat=n))
+        expected = sum(
+            max((p + 1 for p in range(n) if i_idx[p] != k_idx[p]), default=0) == j
+            for i_idx in indices for k_idx in indices)
+        assert expected == N ** n * N ** (j - 1) * (N - 1)
+        assert parseval_violations(n, N) == expected
+        assert parseval_violations(n, 2) == 0
+        assert ql_norm_sq((1, 1, 1), (3, 2, 1), j, N) == QQ(N ** j + 1, N ** (2 * n))
+    finally:
+        grade_rows.cache_clear()
