@@ -7,7 +7,14 @@ their queries) -> `aunitary` (tensor-power norm bounds for the unitary factor)
 vectors, inverse series, Gram estimates), with `cli`/`verify` on top.
 """
 
-from .errors import EnumerationSizeError, GateError, QCayleyError, SpecSyntaxError, TreeSizeError
+from .errors import (
+    EnumerationSizeError,
+    GateError,
+    QCayleyError,
+    SpecSyntaxError,
+    ToeplitzSizeError,
+    TreeSizeError,
+)
 from .fusion import (
     Direction,
     FactorSpec,
@@ -37,6 +44,7 @@ __all__ = [
     "GateError",
     "TreeSizeError",
     "EnumerationSizeError",
+    "ToeplitzSizeError",
     "Direction",
     "FactorSpec",
     "GrowthParam",

@@ -206,7 +206,9 @@ def _bfs_tree(spec: QuantumGroupSpec, radius: int, cap: int, pattern=None):
     """Breadth-first structural closure of the Cayley tree, one level at a time.
 
     With a `pattern` of direction indices, level n + 1 expands only direction
-    pattern[n % len(pattern)]: the closure is then one geodesic.  Returns the
+    pattern[n % len(pattern)]: the closure is then one geodesic, one vertex a
+    level, built by one step of the same recursion per level (its radius + 1
+    vertices are not checked against the cap).  Returns the
     layout and the dimensions, `CayleyTree`'s (k, cycle, dims): k children per
     vertex (len(directions) for a tree, 1 for a ray), the cycle of direction
     indices (range(len(directions)) or the pattern) and the dims list (index =
@@ -232,13 +234,22 @@ def _bfs_tree(spec: QuantumGroupSpec, radius: int, cap: int, pattern=None):
     absorbs = {(p, d) for p in range(ndir) for d in range(ndir)
                if dirs[p].factor == dirs[d].factor and dirs[p].bar == -dirs[d].bar}
     m1 = [spec.dim_scalars[d.factor] for d in dirs]
-    cycle = range(ndir) if pattern is None else tuple(pattern)
-    level = [spec.dim_scalars[0] ** 0]  # 1, in the type of spec.dim_scalars
-    dims = list(level)
+    dims = [spec.dim_scalars[0] ** 0]  # 1, in the type of spec.dim_scalars
+    if pattern is not None:
+        # a ray level is one vertex: one multiply per step, no level loop
+        cycle, p = tuple(pattern), -1
+        for n in range(radius):
+            d = cycle[n % len(cycle)]
+            m = dims[n] * m1[d]
+            dims.append(m - dims[n - 1] if (p, d) in absorbs else m)
+            p = d
+        return 1, cycle, dims
+    cycle = range(ndir)
+    level = list(dims)
     prev, prev_dirs = [], (-1,)  # the root was entered along no direction
-    for n in range(radius):
-        new_dirs = cycle if pattern is None else (cycle[n % len(cycle)],)
-        period, k = len(prev_dirs), len(new_dirs)
+    k = ndir
+    for _ in range(radius):
+        period = len(prev_dirs)
         size = len(level) * k
         if len(dims) + size > cap:
             raise TreeSizeError(
@@ -248,14 +259,14 @@ def _bfs_tree(spec: QuantumGroupSpec, radius: int, cap: int, pattern=None):
         children = [None] * size
         for i, p in enumerate(prev_dirs):
             cls = level[i::period]
-            for j, d in enumerate(new_dirs):
+            for j, d in enumerate(cycle):
                 m = m1[d]
                 children[i * k + j::period * k] = (
                     [x * m - y for x, y in zip(cls, prev)] if (p, d) in absorbs
                     else [x * m for x in cls])
         dims += children
-        prev, level, prev_dirs = level, children, new_dirs
-    return (ndir if pattern is None else 1), cycle, dims
+        prev, level, prev_dirs = level, children, cycle
+    return ndir, cycle, dims
 
 
 def build_tree(spec: QuantumGroupSpec, radius: int,

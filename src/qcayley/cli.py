@@ -256,8 +256,8 @@ def cmd_schur(args, out) -> int:
     a = _parse_a(args.a, args.tolerance)
     rep = Reporter(args.format, out, "schur", "")
     bound = est.toeplitz_schur_bound(a)
+    trunc = est.truncated_toeplitz_norm(a, args.size)  # refuses a size past the cap before any row
     rep.interval_row("schur_bound", bound, anchor="toeplitz-schur-bound", a=args.a)
-    trunc = est.truncated_toeplitz_norm(a, args.size)
     rep.interval_row("truncated_norm", trunc, anchor="toeplitz-truncated-norm",
                      a=args.a, size=args.size)
     return 0 if trunc.hi <= bound.hi + QQ(1, 10**9) else 1

@@ -8,6 +8,7 @@ __all__ = [
     "GateError",
     "TreeSizeError",
     "EnumerationSizeError",
+    "ToeplitzSizeError",
 ]
 
 
@@ -36,3 +37,7 @@ class TreeSizeError(QCayleyError):
 
 class EnumerationSizeError(QCayleyError):
     """An exhaustive enumeration would exceed the grade-walk cap."""
+
+
+class ToeplitzSizeError(QCayleyError):
+    """A truncated Toeplitz matrix would exceed the size cap."""

@@ -6,10 +6,14 @@ ratio < 1 valid beyond a computed index), never by asymptotic reasoning.
 The inequality checks (Toeplitz/Schur bound, the summation chain, the
 dimension-ratio domination) run in exact rational or quadratic-field
 arithmetic so that a reported pass is a certificate, not an observation.
-The summation chain is decided by exact integer comparisons: its entries
-and each end of the enclosure of 1/a are put over common denominators,
-and a failed check names the tests that failed (`per_k_ok`,
-`aggregate_ok`), not the values of their two sides.
+The truncated Toeplitz norm and the summation chain are decided by exact
+integer comparisons: the entries and each end of the enclosure of 1/a are
+put over common denominators, the one-sided geometric sums are integer
+recurrences (`_scaled_suffix_sums`), and a result is built as one Fraction
+(the Toeplitz bounds) or not at all: a failed chain check names the tests
+that failed (`per_k_ok`, `aggregate_ok`), not the values of their two
+sides.  The dimension-ratio domination builds the powers of a once, in the
+quadratic field of a, and shares them across every row.
 """
 
 from __future__ import annotations
@@ -17,9 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import cmp_to_key
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Sequence
 
+from .errors import ToeplitzSizeError
 from .fusion import a_param, ao_dims, gate_dimension, growth_floor
 from .scalars import QQ, Interval, Radical
 
@@ -120,6 +127,12 @@ def nonuni_norm_sq(s, r, dimq, radius: int) -> SeriesResult:
 # Toeplitz decay matrix (a^{-|k-l|})
 # ---------------------------------------------------------------------------
 
+# At the cap, truncated_toeplitz_norm on the enclosure `schur --a growth:3` reads (width
+# 1e-30) takes about 10-13 s (Python 3.11 on 2 vCPU; 1.3-1.7 s at size 400, 60 s at
+# 2000): the exact sums carry q^(size-1) for 1/a = p/q.  The golden `schur` and c4 use
+# size 50 (0.01 s).
+MAX_TOEPLITZ_SIZE = 1000
+
 def _as_interval(a) -> Interval:
     """`a` itself when it is an Interval, else the point at the rational a."""
     return a if isinstance(a, Interval) else Interval.point(QQ(a))
@@ -165,19 +178,52 @@ def _toeplitz_candidate(rho: float, size: int) -> list:
     return [max(Fraction(v).limit_denominator(1 << 40), QQ(1, 1 << 40)) for v in x]
 
 
+_BY_RATIO = cmp_to_key(lambda u, v: u[0] * v[1] - v[0] * u[1])  # (y, x) as y/x, x > 0
+
+
+def _collatz_bound(pick, rho, xs):
+    """pick (min or max) over k of (Tx)_k / x_k, for T = (rho^|k-l|)_{k,l < n} and
+    x = xs / D with positive integers xs, as one Fraction.
+
+    With rho = p/q, the one-sided sums of xs reversed and of xs
+    (`_scaled_suffix_sums`) give (Tx)_k / x_k = Y_k / (X_k q^(n-1)) with
+    Y_k = left_k q^(n-1-k) + right_k q^k - X_k q^(n-1): D cancels, and the pairs
+    (Y_k, X_k) are compared by cross-multiplication."""
+    p, q = rho.as_integer_ratio()
+    n = len(xs)
+    qpow = list(accumulate(repeat(q, n - 1), mul, initial=1))  # q^0 .. q^(n-1)
+    top = qpow[-1]
+    left = _scaled_suffix_sums(p, q, xs[::-1])[::-1]  # sum_{j<=k} rho^(k-j) X_j = left_k / q^k
+    right = _scaled_suffix_sums(p, q, xs)
+    y, x = pick(((lt * ql + rt * qr - v * top, v)
+                 for lt, ql, rt, qr, v in zip(left, reversed(qpow), right, qpow, xs)),
+                key=_BY_RATIO)
+    return QQ(y, x * top)
+
+
 def truncated_toeplitz_norm(a, size: int) -> Interval:
     """Certified enclosure of the largest eigenvalue of (a^{-|k-l|})_{k,l < size}.
 
-    A float candidate x > 0 picks where the bounds min/max (Ax)_i / x_i, valid
-    for entrywise nonnegative symmetric A, are taken; Ax grows with 1/a, so they
-    are exact O(size) mat-vecs at the two ends of the enclosure of 1/a.
+    A float candidate x > 0 picks where the bounds min/max (Tx)_k / x_k, valid
+    for entrywise nonnegative symmetric T, are taken; Tx grows with 1/a, so the
+    min is taken at the lower end of the enclosure of 1/a and the max at the
+    upper end.  Both are decided in integers: x is put over the common
+    denominator D of its entries, the extreme k is picked by cross-multiplied
+    comparisons (`_collatz_bound`), and one Fraction is built per end.
+
+    Refused with ToeplitzSizeError above MAX_TOEPLITZ_SIZE, before anything is
+    allocated.
     """
-    inv = _inverse(a)
     if size < 1:
         raise ValueError("size must be >= 1")
+    if size > MAX_TOEPLITZ_SIZE:
+        raise ToeplitzSizeError(f"size {size} exceeds the Toeplitz size cap of {MAX_TOEPLITZ_SIZE}")
+    inv = _inverse(a)
     xr = _toeplitz_candidate(float(inv.mid), size)
-    lo = min(y / v for y, v in zip(_toeplitz_matvec(inv.lo, xr), xr))
-    hi = max(y / v for y, v in zip(_toeplitz_matvec(inv.hi, xr), xr))
+    d = math.lcm(*(x.denominator for x in xr))
+    ints = [x.numerator * (d // x.denominator) for x in xr]
+    lo = _collatz_bound(min, inv.lo, ints)
+    hi = _collatz_bound(max, inv.hi, ints)
     return Interval(max(lo, QQ(1)), hi)  # diagonal alone forces the norm >= 1
 
 
@@ -287,18 +333,18 @@ def orientation_chain_check(a, xs: Sequence, tighten=QQ(1)) -> ChainCheckResult:
 def dim_ratio_domination(dimq, kmax: int, jmax: int) -> bool:
     """Exact check of m_{k-1} / m_j <= a^{-(j-k)} for 1 <= k <= kmax, k-1 <= j <= jmax.
 
-    Decided in the quadratic field of a (no rounding): a^{-1} = dimq - a.
+    Decided in the quadratic field of a (no rounding): a^{-1} = dimq - a.  The
+    powers a^t, t = -1 .. jmax-1, are built once by repeated multiplication and
+    shared by every k, and each m_{k-1} is made a Radical once per k.
     """
     dimq = QQ(dimq)
-    growth = a_param(dimq)
-    a = growth.exact
-    a_inv = Radical.from_rational(dimq) - a
-    dims = ao_dims(dimq, jmax + 2)
-    for k in range(1, kmax + 1):
-        power = a_inv  # a^{j-k} at j = k-1
+    a = a_param(dimq).exact
+    powers = list(accumulate(repeat(a, jmax), mul, initial=Radical.from_rational(dimq) - a))
+    dims = [Radical.from_rational(m) for m in ao_dims(dimq, jmax + 2)]
+    for k in range(1, min(kmax, jmax + 1) + 1):  # past jmax + 1 no j is left
+        m = dims[k - 1]
+        # at j the power is a^(j-k) = powers[j - k + 1]
         for j in range(k - 1, jmax + 1):
-            lhs = Radical.from_rational(dims[k - 1]) * power
-            if not (lhs <= Radical.from_rational(dims[j])):
+            if not (m * powers[j - k + 1] <= dims[j]):
                 return False
-            power = power * a
     return True

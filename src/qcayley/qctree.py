@@ -325,6 +325,14 @@ def e2_inverse_ao(spec: QuantumGroupSpec, k: int, radius: int) -> InverseResult:
                          ray, TailCertificate(ratio, radius))
 
 
+def _entry_sums(prefix, tail, j: int, radius: int):
+    """(lo, hi) of sum_{i >= j} 1/(m_i m_{i+1}): the exact sum up to the radius, and
+    that plus the tail bound.  The Gram entry (k, l) is 2 m_k m_l / m_1 times it,
+    at j = max(k, l)."""
+    s = prefix[radius] - prefix[j - 1] if j else prefix[radius]
+    return s, s + tail
+
+
 def gram(spec: QuantumGroupSpec, k: int, l: int, radius: int) -> Interval:
     """Certified interval for the Gram entry of the half-line inverse series:
 
@@ -333,10 +341,9 @@ def gram(spec: QuantumGroupSpec, k: int, l: int, radius: int) -> Interval:
     if min(k, l) < 0 or radius < max(k, l):
         raise ValueError("need 0 <= k, l <= radius")
     dims, prefix, tail, _ = _gram_series(gate_dimension(single_ao_dimq(spec)), radius)
-    j = max(k, l)
     weight = 2 * dims[k] * dims[l] / dims[1]
-    partial = weight * (prefix[radius] - prefix[j - 1] if j else prefix[radius])
-    return Interval(partial, partial + weight * tail)
+    lo, hi = _entry_sums(prefix, tail, max(k, l), radius)
+    return Interval(weight * lo, weight * hi)
 
 
 def gram_bound(spec: QuantumGroupSpec, kmax: int, radius: int):
@@ -344,10 +351,25 @@ def gram_bound(spec: QuantumGroupSpec, kmax: int, radius: int):
 
     Upper interval ends are used on both the entries and the powers of a, so
     the returned rational D certifies the decay inequality for every entry.
+    The series is read once: for each l, h_l = m_l times the upper end of
+    `_entry_sums` is one Fraction, and the candidates h_l m_k a_hi^(l-k),
+    k <= l, are unreduced integer pairs compared by cross-multiplication;
+    only the largest is reduced, and D = 2 max / m_1.
     """
     dimq = gate_dimension(single_ao_dimq(spec))
     a_hi = a_param(dimq).interval.hi
     if not 0 <= kmax <= radius:
         raise ValueError("need 0 <= kmax <= radius")
-    return max(gram(spec, k, l, radius).hi * a_hi ** (l - k)
-               for k in range(kmax + 1) for l in range(k, kmax + 1))
+    dims, prefix, tail, _ = _gram_series(dimq, radius)
+    an, ad = a_hi.numerator, a_hi.denominator
+    best_n, best_d = 0, 1
+    for l in range(kmax + 1):
+        h = _entry_sums(prefix, tail, l, radius)[1] * dims[l]
+        hn, hd = h.numerator, h.denominator
+        # k = l, l-1, ..., 0: one more power of a_hi per step
+        for m in reversed(dims[:l + 1]):
+            num, den = hn * m.numerator, hd * m.denominator
+            if num * best_d > best_n * den:
+                best_n, best_d = num, den
+            hn, hd = hn * an, hd * ad
+    return 2 * QQ(best_n, best_d) / dims[1]

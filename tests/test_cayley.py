@@ -241,10 +241,15 @@ PERIOD_LE_2 = [(d,) for d in MIXED.directions] + [
     (d, e) for d in MIXED.directions for e in MIXED.directions]
 
 
-@pytest.mark.parametrize("pattern", PERIOD_LE_2, ids=str)
-def test_rays_match_tree_vertices(pattern):
-    tree = build_tree(MIXED, 8)
-    ray = GeodesicRay(MIXED, pattern, 8)
+RATIONAL_MIXED = parse_spec("Ao(7/2)*Au(3)")  # Fraction dims: the ray step multiplies rationals
+
+
+@pytest.mark.parametrize("spec, pattern",
+                         [(MIXED, q) for q in PERIOD_LE_2] + [(RATIONAL_MIXED, q) for q in PERIOD_LE_2],
+                         ids=[str(q) for q in PERIOD_LE_2] + [f"Ao(7/2)*Au(3)-{q}" for q in PERIOD_LE_2])
+def test_rays_match_tree_vertices(spec, pattern):
+    tree = build_tree(spec, 8)
+    ray = GeodesicRay(spec, pattern, 8)
     assert ray.n_vertices == 9
     ids = _ids(tree)
     v = 0

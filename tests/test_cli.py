@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import qcayley
 from qcayley.cli import _CONFIG_KEYS, main
+from qcayley.estimates import MAX_TOEPLITZ_SIZE
 from qcayley.scalars import _text
 
 
@@ -186,6 +187,7 @@ def test_fixed_vector_negative_radius_is_usage_error(capsys):
     ["schur", "--a", "growth:3", "--size", "-3"],
     ["chain-check", "--count", "-5"],
     ["chain-check", "--count", "0"],
+    ["schur", "--a", "growth:3", "--size", str(MAX_TOEPLITZ_SIZE + 1)],
 ])
 def test_out_of_domain_values_are_usage_errors(argv, capsys):
     code, out, err = run_cli(capsys, *argv)

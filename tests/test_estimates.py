@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcayley.errors import GateError
+from qcayley import estimates
+from qcayley.errors import GateError, ToeplitzSizeError
 from qcayley.estimates import (
+    MAX_TOEPLITZ_SIZE,
     ChainCheckResult,
     _as_interval,
     _certified_pd,
@@ -183,6 +185,11 @@ def test_truncated_norm_monotone_in_size():
 def test_toeplitz_gate():
     with pytest.raises(ValueError):
         truncated_toeplitz_norm(QQ(1), 5)
+
+
+def test_truncated_norm_refuses_a_size_past_the_cap():
+    with pytest.raises(ToeplitzSizeError, match=f"cap of {MAX_TOEPLITZ_SIZE}"):
+        truncated_toeplitz_norm(QQ(2), MAX_TOEPLITZ_SIZE + 1)
 
 
 def _reference_toeplitz_norm(a, size: int) -> Interval:
@@ -392,11 +399,12 @@ def test_chain_near_extremal_passes_and_mutation_fails():
 @pytest.mark.parametrize("text", ["Ao(3)", "Ao(4)", "Ao(7/2)"])
 def test_gram_bound_is_the_largest_weighted_entry(text):
     spec = parse_spec(text)
-    kmax, radius = 8, 30
     a_hi = a_param(spec.factors[0].dimq).interval.hi
-    want = max(gram(spec, k, l, radius).hi * a_hi ** (l - k)
-               for k in range(kmax + 1) for l in range(k, kmax + 1))
-    assert gram_bound(spec, kmax, radius) == want
+    # the quick profile's shape, c4's full shape and the one-entry table
+    for kmax, radius in ((8, 30), (20, 60), (0, 30)):
+        want = max(gram(spec, k, l, radius).hi * a_hi ** (l - k)
+                   for k in range(kmax + 1) for l in range(k, kmax + 1))
+        assert gram_bound(spec, kmax, radius) == want, (kmax, radius)
 
 
 def test_gram_bound_refuses_a_table_past_the_radius():
@@ -467,3 +475,18 @@ def test_dimension_ratio_domination_sweep():
     assert dim_ratio_domination(QQ(3), 30, 30)
     assert dim_ratio_domination(QQ(7, 2), 15, 15)
     assert dim_ratio_domination(QQ(4), 15, 15)
+
+
+def test_dimension_ratio_domination_fails_on_one_lowered_dimension(monkeypatch):
+    # m_4 of Ao(3) lowered from 55: of the inequalities m_{k-1} a^(j-k) <= m_j, k <= 2,
+    # j <= 4, the tightest is (k, j) = (2, 4), 3a^2 = 20.56, and the next a^3 = 17.94;
+    # so m_4 = 21 keeps every one, m_4 = 20 breaks exactly that one
+    a = float(a_param(QQ(3)).interval.mid)
+    for m4, holds in ((QQ(21), True), (QQ(20), False)):
+        lowered = ao_dims(QQ(3), 6)
+        lowered[4] = m4
+        slack = [lowered[j] - lowered[k - 1] * a ** (j - k) for k in (1, 2) for j in range(k - 1, 5)]
+        assert sum(s < 0 for s in slack) == (0 if holds else 1)
+        assert min(abs(s) for s in slack) > QQ(2, 5)  # far beyond float rounding
+        monkeypatch.setattr(estimates, "ao_dims", lambda dimq, count: lowered[:count])
+        assert dim_ratio_domination(QQ(3), 2, 4) is holds, m4
