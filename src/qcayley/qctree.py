@@ -13,7 +13,10 @@ The target map on the normalized antisymmetric basis is
 
 All coefficients live in the exact Radical scalar type: products of the
 square-root weights collapse to rationals exactly, which is what the
-telescoping checks rely on.
+telescoping checks rely on.  `e2` takes one square-root product per edge, at
+the upper endpoint b; the term at a is minus that times m_b/m_a.  Rational
+terms add up per vertex as unreduced integer pairs, so the terms that cancel
+at the interior vertices of a path build no Fraction.
 
 Path vectors sum ``sqrt(2/m_g) xt_{a_i ^ a_{i+1}} / sqrt(m_i m_{i+1})``
 along geodesics; the tree functions take a tree and an int vertex id.  An
@@ -172,16 +175,40 @@ def _edge_ratios(tree, child_vid: int):
             ma.numerator * mb.denominator, ma.denominator * mb.numerator)
 
 
+def _add_pair(pairs: dict, key, n: int, d: int) -> None:
+    """pairs[key] += n/d on unreduced integer pairs (d > 0)."""
+    cur = pairs.get(key)
+    pairs[key] = (n, d) if cur is None else (cur[0] * d + n * cur[1], cur[1] * d)
+
+
 def e2(tree, vec: GeomEdgeVector) -> VertexVector:
-    """Target map on antisymmetric edge vectors."""
+    """Target map on antisymmetric edge vectors.
+
+    On the edge p -> c (m_g = gn/gd, m_p/m_c = u/v), x goes to
+    x*sqrt(gn*u / (2*gd*v)) at c and to minus that times v/u at p.  A rational
+    term is an integer pair from `Radical._sqrt_product`, summed per vertex
+    unreduced; each nonzero sum becomes one Fraction.  Any other term is a
+    Radical product, merged per vertex; surds of two square classes at one
+    vertex raise ValueError.
+    """
     if not isinstance(vec, GeomEdgeVector):
         raise TypeError("e2 expects a GeomEdgeVector")
+    pairs: dict = {}
     out: dict = {}
     for c, coeff in vec.items():
         p, gn, gd, u, v = _edge_ratios(tree, c)
-        # sqrt(m_g/2) * sqrt(m_a/m_b) and sqrt(m_g/2) * sqrt(m_b/m_a)
-        _bump(out, c, coeff.times_sqrt(gn * u, 2 * gd * v))
-        _bump(out, p, -coeff.times_sqrt(gn * v, 2 * gd * u))
+        pair = coeff._sqrt_product(gn * u, 2 * gd * v)
+        if pair is None:
+            term = coeff.times_sqrt(gn * u, 2 * gd * v)
+            _bump(out, c, term)
+            _bump(out, p, term * QQ(-v, u))
+        else:
+            n, d = pair
+            _add_pair(pairs, c, n, d)
+            _add_pair(pairs, p, -n * v, d * u)
+    for key, (n, d) in pairs.items():
+        if n:
+            _bump(out, key, Radical(QQ(n, d)))
     return VertexVector._of(out)
 
 
@@ -202,8 +229,8 @@ def path_vector(tree, vid: int) -> GeomEdgeVector:
     """Canonical preimage of xt_a/m_a - xt_root under E2, summed along the
     geodesic: keyed by each edge's upper endpoint c, the square root of its
     `_edge_term`."""
-    return GeomEdgeVector({c: sqrt_rational(QQ(*_edge_term(tree, c)))
-                           for c in tree.geodesic_ids(vid)[1:]})
+    return GeomEdgeVector._of({c: sqrt_rational(QQ(*_edge_term(tree, c)))
+                               for c in tree.geodesic_ids(vid)[1:]})
 
 
 def path_norm_sq(tree, vid: int):

@@ -273,26 +273,32 @@ class Radical:
         r = _rational_sqrt(q)
         return cls(_ZERO, q) if r is None else cls(r)
 
-    def times_sqrt(self, num: int, den: int) -> "Radical":
-        """self * sqrt(num/den) for positive ints num and den.
-
-        When self is one term, a rational a/b or a surd of signed square N/D,
-        and the product is rational, it is found with one integer square
-        root; anything else takes the general product.
-        """
+    def _sqrt_product(self, num: int, den: int):
+        """self * sqrt(num/den), for positive ints num and den, as an unreduced
+        integer pair (n, d) with d > 0 when self is one term (a rational a/b or
+        a surd of signed square N/D) and the product is rational: one integer
+        square root.  None otherwise."""
         p, s = self._p, self._s
         if type(s) is int:  # no surd: s is the int 0, so no Fraction.__bool__ call
             n = num * den
             r = isqrt(n)
             if r * r == n:
-                return Radical(QQ(p.numerator * r, p.denominator * den))
+                return p.numerator * r, p.denominator * den
         elif not p:
             N, d = s.numerator, s.denominator * den
             n = abs(N) * num * d
             r = isqrt(n)
             if r * r == n:
-                return Radical(QQ(r if N > 0 else -r, d))
-        return self * Radical.sqrt_of(QQ(num, den))
+                return (r if N > 0 else -r), d
+        return None
+
+    def times_sqrt(self, num: int, den: int) -> "Radical":
+        """self * sqrt(num/den) for positive ints num and den: the pair of
+        `_sqrt_product` when it finds one, else the general product."""
+        pair = self._sqrt_product(num, den)
+        if pair is None:
+            return self * Radical.sqrt_of(QQ(num, den))
+        return Radical(QQ(*pair))
 
     @staticmethod
     def _coerce(value) -> "Radical":

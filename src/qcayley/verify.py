@@ -109,8 +109,9 @@ def criterion_1(profile: dict, seed: int) -> CriterionResult:
             # itself.  Both sides of the edge identity depend on the edge p -> c
             # only through (m_p, m_c, direction, p == 0): the vertex ids are
             # mere keys (c, p and 0, which coincide only when p is the root),
-            # and e2 has no branch on them.  So the exact check runs on the
-            # first edge of each class and every other edge takes its verdict;
+            # and e2 branches on a coefficient's form, never on them.  So the
+            # exact check runs on the first edge of each class and every other
+            # edge takes its verdict;
             # an e2 defect keyed by vertex id would show only in the recheck.
             for c, count in tree.edge_classes().values():
                 p = tree.parent(c)[0]

@@ -1,9 +1,12 @@
 """Weighted tree vectors: target map, paths, inverse series, Gram."""
 
+import re
 from fractions import Fraction
 from numbers import Rational
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcayley import qctree
 from qcayley.cayley import CayleyTree, GeodesicRay, build_tree, canonical_ray_pattern, validate
@@ -155,6 +158,100 @@ def test_e2_refuses_a_coefficient_of_another_square_class():
             e2(tree, vec)
         refused += 1
     assert refused
+
+
+def _oracle_e2(tree, vec):
+    """Independent route for e2: two times_sqrt products per edge, the
+    parent's from its own square root, each vertex summed as Radicals."""
+    out = {}
+    for c, coeff in vec.items():
+        p, gn, gd, u, v = qctree._edge_ratios(tree, c)
+        qctree._bump(out, c, coeff.times_sqrt(gn * u, 2 * gd * v))
+        qctree._bump(out, p, -coeff.times_sqrt(gn * v, 2 * gd * u))
+    return VertexVector._of(out)
+
+
+def _assert_e2_is_the_oracle(tree, vec):
+    """e2 gives the oracle's repr with no zero entry, or raises its ValueError."""
+    try:
+        expected = _oracle_e2(tree, vec)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            e2(tree, vec)
+        return None
+    got = e2(tree, vec)
+    assert repr(got) == repr(expected)
+    assert not any(x.is_zero() for _, x in got.items())
+    return got
+
+
+@pytest.mark.parametrize("text, radius", [("Au(3)", 6), ("Ao(7/2)*Au(3)", 4)])
+def test_e2_equals_the_oracle_on_every_path_vector(text, radius):
+    tree = build_tree(parse_spec(text), radius)
+    for v in range(tree.n_vertices):
+        got = _assert_e2_is_the_oracle(tree, path_vector(tree, v))
+        # every interior vertex of the path cancels
+        assert {k for k, _ in got.items()} == ({v, 0} if v else set())
+
+
+_E2_TREES = [build_tree(parse_spec(text), 3) for text in ("Ao(3)*Au(3)", "Ao(7/2)*Au(3)")]
+
+
+@st.composite
+def _adjacent_edge_vectors(draw):
+    """(tree, vector) on 1-4 edges meeting at one vertex, each coefficient a
+    rational, q*sqrt(r) or p + q*sqrt(r); r is 2, 3, or a radicand that makes
+    the edge's products rational, so a shared vertex meets both routes."""
+    tree = draw(st.sampled_from(_E2_TREES))
+    x = draw(st.integers(0, tree.sphere_ids(tree.radius).start - 1))  # not a leaf
+    k = len(tree.sphere_ids(1))
+    incident = ([x] if x else []) + [c for c in range(x * k + 1, x * k + k + 1)
+                                     if c < tree.n_vertices]
+    edges = draw(st.lists(st.sampled_from(incident), min_size=1, max_size=4, unique=True))
+    nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    coeffs = {}
+    for c in edges:
+        p, d = tree.parent(c)
+        mp, mc, mg = tree.dim(p), tree.dim(c), tree.dir_dim(d)
+        q = draw(nonzero)
+        kind = draw(st.sampled_from(["rational", "surd", "rational + surd"]))
+        if kind == "rational":
+            coeffs[c] = Radical.from_rational(q)
+            continue
+        r = draw(st.sampled_from([QQ(2), QQ(3), 2 / (mg * mp * mc), 2 * mc / (mg * mp)]))
+        coeffs[c] = q * sqrt_rational(r)
+        if kind == "rational + surd":
+            coeffs[c] = coeffs[c] + draw(nonzero)
+    return tree, GeomEdgeVector(coeffs)
+
+
+@given(_adjacent_edge_vectors())
+@settings(max_examples=200, deadline=None)
+def test_e2_equals_the_oracle_on_adjacent_edges(case):
+    _assert_e2_is_the_oracle(*case)
+
+
+def test_e2_merges_a_rational_pair_with_a_surd_and_drops_what_cancels():
+    tree = _E2_TREES[0]  # the root's children 1, 2, 3 all have m_c = m_g = 3
+    path = path_vector(tree, 1).coeff(1)
+    # edge 1's terms are rational; edge 2's coefficient 1 gives surds, and
+    # edge 3's -1 gives their negatives, so the root keeps edge 1's rational
+    got = _assert_e2_is_the_oracle(tree, GeomEdgeVector({1: path, 2: 1, 3: -1}))
+    assert got.coeff(0) == QQ(-1) and len(got) == 4
+    # edge 3's sqrt(2) times its sqrt(1/2) is rational: the root merges a pair and a surd
+    got = _assert_e2_is_the_oracle(tree, GeomEdgeVector({1: path, 2: 1, 3: sqrt_rational(2)}))
+    root = got.coeff(0)
+    assert not root.is_rational and root._p == -4  # -1 from edge 1, -3 from edge 3
+
+
+def test_e2_refuses_two_square_classes_met_at_one_vertex():
+    # the edges 1 and 2 send sqrt(2/9 r) to -sqrt(r) at the root
+    tree = _E2_TREES[0]
+    vec = GeomEdgeVector({1: sqrt_rational(QQ(4, 9)), 2: sqrt_rational(QQ(6, 9))})
+    with pytest.raises(ValueError, match=r"sqrt\(2\) and sqrt\(3\)"):
+        e2(tree, vec)
+    with pytest.raises(ValueError, match=r"sqrt\(2\) and sqrt\(3\)"):
+        _oracle_e2(tree, vec)
 
 
 def test_path_target_entries():

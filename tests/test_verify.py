@@ -56,9 +56,10 @@ def test_criterion_1_catches_e2_wrong_on_one_deep_edge_class(monkeypatch):
     assert _mixed_line(result).endswith(f", {len(members)} residuals")
 
 
-def test_criterion_1_catches_times_sqrt_dropping_a_factor(monkeypatch):
-    real = Radical.times_sqrt
-    monkeypatch.setattr(Radical, "times_sqrt", lambda self, num, den: real(self, num, 1))
+def test_criterion_1_catches_the_sqrt_product_dropping_a_factor(monkeypatch):
+    # the one product rule of e2 and times_sqrt
+    real = Radical._sqrt_product
+    monkeypatch.setattr(Radical, "_sqrt_product", lambda self, num, den: real(self, num, 1))
     result = verify.criterion_1(RADIUS_9, verify.DEFAULT_SEED)
     assert not result.passed
     assert not _mixed_line(result).endswith(", 0 residuals")
