@@ -111,8 +111,8 @@ def criterion_1(profile: dict, seed: int) -> CriterionResult:
             # mere keys (c, p and 0, which coincide only when p is the root),
             # and e2 branches on a coefficient's form, never on them.  So the
             # exact check runs on the first edge of each class and every other
-            # edge takes its verdict;
-            # an e2 defect keyed by vertex id would show only in the recheck.
+            # edge takes its verdict; an e2 defect keyed by vertex id would
+            # show only in the recheck.
             for c, count in tree.edge_classes().values():
                 p = tree.parent(c)[0]
                 lhs = qt.e2(tree, _edge_term(tree, c)) + qt.path_target(tree, p)
