@@ -11,6 +11,7 @@ from .errors import (
     EnumerationSizeError,
     GateError,
     QCayleyError,
+    SizeError,
     SpecSyntaxError,
     ToeplitzSizeError,
     TreeSizeError,
@@ -42,6 +43,7 @@ __all__ = [
     "QCayleyError",
     "SpecSyntaxError",
     "GateError",
+    "SizeError",
     "TreeSizeError",
     "EnumerationSizeError",
     "ToeplitzSizeError",

@@ -11,7 +11,7 @@ Every vertex has exactly one ascending child per direction and one parent;
 the descending summand of any generator fusion is the parent.  So a child's
 dimension is m1 * m_v, less m_parent when the generator absorbs the last
 letter of v, and whether it does is read from the direction of v's parent
-edge alone (the absorption table of `_bfs_tree`): building a tree reads no
+edge alone (the absorption table of `_child_rule`): building a tree reads no
 letter of any word.
 """
 
@@ -21,7 +21,7 @@ from bisect import bisect_right
 from copy import copy
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import TreeSizeError
 from .fusion import (
@@ -31,7 +31,7 @@ from .fusion import (
     Irrep,
     QuantumGroupSpec,
     fuse_generator,
-    quantum_dim,
+    letter_dim,
 )
 from .scalars import QQ
 
@@ -49,8 +49,10 @@ __all__ = [
 DEFAULT_VERTEX_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """An ascending geodesic edge source -> target along `direction`: an
+    immutable tuple, so equal fields give equal Edges with equal hashes."""
+
     source: Irrep
     target: Irrep
     direction: Direction
@@ -90,6 +92,10 @@ class CayleyTree:
         self._n = n = len(dims)
         self._words: list = [None] * n
         self._words[0] = Irrep(())
+        # the letter step of each cycle position: an Ao letter counts its
+        # steps, an Au letter lists its symbols
+        self._steps = tuple((d.factor, 1 if spec.factors[d.factor].kind == ORTHOGONAL
+                             else (d.bar,)) for d in self._cycle)
 
     # -- basic accessors -----------------------------------------------------
 
@@ -135,23 +141,19 @@ class CayleyTree:
         w = self._words[vid]
         if w is not None:
             return w
-        k, cycle, period = self._k, self._cycle, self._period
+        words, k, steps, period = self._words, self._k, self._steps, self._period
         chain = []
         v = vid
-        while self._words[v] is None:
+        while words[v] is None:
             chain.append(v)
             v = (v - 1) // k
-        letters = list(self._words[v].word)
+        w = words[v].word
         for v2 in reversed(chain):
-            d = cycle[(v2 - 1) % period]
-            # an Ao letter counts its steps, an Au letter lists its symbols
-            step = 1 if self.spec.factors[d.factor].kind == ORTHOGONAL else (d.bar,)
-            if letters and letters[-1][0] == d.factor:
-                letters[-1] = (d.factor, letters[-1][1] + step)
-            else:
-                letters.append((d.factor, step))
-            self._words[v2] = Irrep(tuple(letters))
-        return self._words[vid]
+            f, step = steps[(v2 - 1) % period]
+            # the step extends the last letter when it is of the same factor
+            w = w[:-1] + ((f, w[-1][1] + step),) if w and w[-1][0] == f else w + ((f, step),)
+            words[v2] = Irrep(w)
+        return words[vid]
 
     # -- traversal -----------------------------------------------------------
 
@@ -161,17 +163,25 @@ class CayleyTree:
             raise ValueError(f"sphere radius {n} is not in 0..{self.radius}")
         return range(self._level_start[n], self._level_start[n + 1])
 
-    def geodesic_ids(self, vid: int) -> list[int]:
-        """Vertex ids along the unique ascending path root -> vid."""
+    def geodesic_edges(self, vid: int) -> list[tuple]:
+        """(child id, parent id, direction, m_g, m_p, m_c) for each edge p -> c
+        of the ascending path root -> vid, in order: one id check per call."""
         if not (type(vid) is int and 0 <= vid < self._n):
             raise _id_error(self, vid)
-        k = self._k
-        chain = [vid]
-        while vid != 0:
-            vid = (vid - 1) // k
-            chain.append(vid)
-        chain.reverse()
-        return chain
+        k, cycle, period, dims, dir_dims = (self._k, self._cycle, self._period,
+                                            self._dims, self._dir_dims)
+        edges = []
+        while vid:
+            p = (vid - 1) // k
+            d = cycle[(vid - 1) % period]
+            edges.append((vid, p, d, dir_dims[d.factor], dims[p], dims[vid]))
+            vid = p
+        edges.reverse()
+        return edges
+
+    def geodesic_ids(self, vid: int) -> list[int]:
+        """Vertex ids along the unique ascending path root -> vid."""
+        return [0] + [e[0] for e in self.geodesic_edges(vid)]
 
     def ascending_edges(self) -> Iterator[tuple]:
         """(parent id, child id, direction) for every geometric edge."""
@@ -202,6 +212,23 @@ def _id_error(tree: CayleyTree, vid) -> ValueError:
     return ValueError(f"vertex id {vid!r} is not in range({tree.n_vertices})")
 
 
+def _child_rule(spec: QuantumGroupSpec):
+    """(absorbs, m1) of the child-dimension recursion over direction indices:
+
+        m_child = m1[d] * m_v - m_parent   when (p, d) in absorbs,  else  m1[d] * m_v,
+
+    for the child of v along d, v entered along p (-1 at the root, which
+    absorbs nothing).  d absorbs the last letter of v exactly when p is a
+    direction of d's factor with p.bar == -d.bar: always for Ao, whose bars
+    are 0; for Au when a symbol meets its conjugate.  m1 holds each
+    direction's generator dimension, in the type of `spec.dim_scalars`."""
+    dirs = spec.directions
+    ndir = len(dirs)
+    absorbs = {(p, d) for p in range(ndir) for d in range(ndir)
+               if dirs[p].factor == dirs[d].factor and dirs[p].bar == -dirs[d].bar}
+    return absorbs, [spec.dim_scalars[d.factor] for d in dirs]
+
+
 def _bfs_tree(spec: QuantumGroupSpec, radius: int, cap: int, pattern=None):
     """Breadth-first structural closure of the Cayley tree, one level at a time.
 
@@ -214,12 +241,8 @@ def _bfs_tree(spec: QuantumGroupSpec, radius: int, cap: int, pattern=None):
     indices (range(len(directions)) or the pattern) and the dims list (index =
     BFS id, root = 0, in the type of `spec.dim_scalars`).
 
-    m_child = m1 * m_v - m_parent  when the child's generator d absorbs the
-    last letter of v, else  m1 * m_v.  It absorbs exactly when v was entered
-    along a direction p of d's factor with p.bar == -d.bar (always for Ao,
-    whose bars are 0; for Au when a symbol meets its conjugate): `absorbs`
-    holds those (p, d).  The root, entered along no direction (-1), absorbs
-    nothing.
+    Every child's dimension, in the ray branch and in the level loop alike,
+    is one step of `_child_rule`'s recursion.
 
     Every vertex of a level expands the same k directions, so with P the
     previous level's k, vertex r of a level was entered along the previous
@@ -229,11 +252,7 @@ def _bfs_tree(spec: QuantumGroupSpec, radius: int, cap: int, pattern=None):
     children[i*k + j :: P*k].  The whole tree is complete k-ary in BFS
     order: vertex v > 0 hangs below (v - 1) // k along cycle[(v - 1) % len(cycle)].
     """
-    dirs = spec.directions
-    ndir = len(dirs)
-    absorbs = {(p, d) for p in range(ndir) for d in range(ndir)
-               if dirs[p].factor == dirs[d].factor and dirs[p].bar == -dirs[d].bar}
-    m1 = [spec.dim_scalars[d.factor] for d in dirs]
+    absorbs, m1 = _child_rule(spec)
     dims = [spec.dim_scalars[0] ** 0]  # 1, in the type of spec.dim_scalars
     if pattern is not None:
         # a ray level is one vertex: one multiply per step, no level loop
@@ -244,10 +263,10 @@ def _bfs_tree(spec: QuantumGroupSpec, radius: int, cap: int, pattern=None):
             dims.append(m - dims[n - 1] if (p, d) in absorbs else m)
             p = d
         return 1, cycle, dims
-    cycle = range(ndir)
+    k = len(m1)
+    cycle = range(k)
     level = list(dims)
     prev, prev_dirs = [], (-1,)  # the root was entered along no direction
-    k = ndir
     for _ in range(radius):
         period = len(prev_dirs)
         size = len(level) * k
@@ -266,7 +285,7 @@ def _bfs_tree(spec: QuantumGroupSpec, radius: int, cap: int, pattern=None):
                     else [x * m for x in cls])
         dims += children
         prev, level, prev_dirs = level, children, cycle
-    return ndir, cycle, dims
+    return k, cycle, dims
 
 
 def build_tree(spec: QuantumGroupSpec, radius: int,
@@ -283,9 +302,10 @@ def build_tree(spec: QuantumGroupSpec, radius: int,
 
 def geodesic(tree: CayleyTree, vid: int) -> list[Edge]:
     """The unique ascending path root -> vid as Edge objects."""
-    ids = tree.geodesic_ids(vid)
-    return [Edge(tree.word(p), tree.word(c), tree.parent(c)[1], True)
-            for p, c in zip(ids, ids[1:])]
+    edges = tree.geodesic_edges(vid)
+    # each edge's target word is the next edge's source
+    words = [tree.word(0)] + [tree.word(e[0]) for e in edges]
+    return [Edge(s, t, e[2], True) for s, t, e in zip(words, words[1:], edges)]
 
 
 @dataclass
@@ -301,29 +321,54 @@ def validate(tree: CayleyTree) -> ValidationReport:
     pass over the ascending edges p -> c.
 
     Dimensions are recomputed letterwise from the words, independently of the
-    incremental recursion used during the build: the last summand of p's
-    fusion with the edge's generator is c's word, so its dimension is c's
-    letterwise check.  One child per (parent, direction) needs no check: the
-    layout has one slot for each.  Nor does the length grading: the sphere
-    starts satisfy S_L = 1 + k * S_(L-1), so the parent (c - 1) // k of an id c
-    in sphere L lies in sphere L - 1.
+    stored dims and of the build's recursion: full[v] is the product of
+    `letter_dim` over the letters of word(v), pre[v] over all but the last.
+    A fusion summand of p keeps p's letters but the last, which it changes,
+    drops, or follows with a new letter, so its letterwise dimension is one
+    `letter_dim` times pre[p] or full[p] (a summand of another shape fails a
+    word check).  The last summand is c's word: its dimension is c's check
+    and gives c's products; a child whose word is not that summand takes
+    them from its own letters.  One child per (parent, direction) needs no
+    check: the layout has one slot for each.  Nor does the length grading:
+    the sphere starts satisfy S_L = 1 + k * S_(L-1), so the parent
+    (c - 1) // k of an id c in sphere L lies in sphere L - 1.
     """
     spec = tree.spec
     m1s = spec.dim_scalars
+    one = m1s[0] ** 0  # 1, in the type of spec.dim_scalars
+    word, dim = tree.word, tree.dim
     issues = []
     n = tree.n_vertices
+    full, pre = [one] * n, [one] * n
+    last = None
     for p, c, d in tree.ascending_edges():
-        summands = fuse_generator(spec, tree.word(p), d)
-        if tree.word(c) != summands[-1]:
+        if p != last:  # the edges below p come in a run: read p once
+            last, wp, mp, fp, pp = p, word(p), dim(p), full[p], pre[p]
+            lp = len(wp.word)
+        summands = fuse_generator(spec, wp, d)
+        total = 0
+        for s in summands:
+            # p's letters and one new letter, p's with the last one changed, or
+            # p's without the last one; m ends as the last summand's dimension
+            ws = s.word
+            m = (fp * letter_dim(spec, ws[-1]) if len(ws) > lp else
+                 pp * letter_dim(spec, ws[-1]) if len(ws) == lp else pp)
+            total += m
+        wc = word(c)
+        if wc == summands[-1]:
+            full[c], pre[c] = m, (fp if len(wc.word) > lp else pp)
+        else:
             issues.append(f"edge {p}->{c}: ascending fusion result mismatch")
-        dims = [quantum_dim(spec, s) for s in summands]
-        if dims[-1] != tree.dim(c):
+            for letter in wc.word[:-1]:
+                pre[c] *= letter_dim(spec, letter)
+            full[c] = pre[c] * letter_dim(spec, wc.word[-1]) if wc.word else one
+        if m != dim(c):
             issues.append(f"vertex {c}: stored dimension disagrees with letterwise product")
-        if sum(dims) != tree.dim(p) * m1s[d.factor]:
+        if total != mp * m1s[d.factor]:
             issues.append(f"edge {p}->{c}: dimension bookkeeping fails")
         if len(summands) == 2:
             # the generator absorbed the last letter of p: the reduced word is p's parent
-            if p == 0 or summands[0] != tree.word(tree.parent(p)[0]):
+            if p == 0 or summands[0] != word(tree.parent(p)[0]):
                 issues.append(f"edge {p}->{c}: descending summand is not p's parent")
     return ValidationReport(not issues, n, n - 1, issues)
 

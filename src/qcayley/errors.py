@@ -6,6 +6,7 @@ __all__ = [
     "QCayleyError",
     "SpecSyntaxError",
     "GateError",
+    "SizeError",
     "TreeSizeError",
     "EnumerationSizeError",
     "ToeplitzSizeError",
@@ -31,13 +32,18 @@ class GateError(QCayleyError):
     """
 
 
-class TreeSizeError(QCayleyError):
+class SizeError(QCayleyError):
+    """An exact computation would exceed a size cap: the base class of every
+    size refusal, so that one except clause catches them all."""
+
+
+class TreeSizeError(SizeError):
     """Tree construction would exceed the configured vertex cap."""
 
 
-class EnumerationSizeError(QCayleyError):
+class EnumerationSizeError(SizeError):
     """An exhaustive enumeration would exceed the grade-walk cap."""
 
 
-class ToeplitzSizeError(QCayleyError):
+class ToeplitzSizeError(SizeError):
     """A truncated Toeplitz matrix would exceed the size cap."""

@@ -141,7 +141,9 @@ class Irrep:
     word: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "word", tuple(self.word))
+        # the tree and the fusion rules pass tuples: only another sequence is copied
+        if type(self.word) is not tuple:
+            object.__setattr__(self, "word", tuple(self.word))
 
 
 TRIVIAL = Irrep(())

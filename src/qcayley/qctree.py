@@ -59,6 +59,7 @@ __all__ = [
     "gram_bound",
 ]
 
+_ZERO = QQ(0)
 _MINUS_ONE = Radical.from_rational(-1)
 
 
@@ -216,11 +217,10 @@ def e2(tree, vec: GeomEdgeVector) -> VertexVector:
 # path vectors
 # ---------------------------------------------------------------------------
 
-def _edge_term(tree, c: int):
+def _edge_term(mg, mp, mc):
     """(num, den) of 2/(m_g m_p m_c), the squared path-vector coefficient of
-    the edge below c: positive ints from the numerators and denominators of
-    the three dimensions, not in lowest terms."""
-    mp, mc, mg, _ = _edge_data(tree, c)
+    an edge p -> c along a generator of dimension m_g: positive ints from the
+    numerators and denominators of the three dimensions, not in lowest terms."""
     return (2 * mg.denominator * mp.denominator * mc.denominator,
             mg.numerator * mp.numerator * mc.numerator)
 
@@ -229,16 +229,16 @@ def path_vector(tree, vid: int) -> GeomEdgeVector:
     """Canonical preimage of xt_a/m_a - xt_root under E2, summed along the
     geodesic: keyed by each edge's upper endpoint c, the square root of its
     `_edge_term`."""
-    return GeomEdgeVector._of({c: sqrt_rational(QQ(*_edge_term(tree, c)))
-                               for c in tree.geodesic_ids(vid)[1:]})
+    return GeomEdgeVector._of({c: sqrt_rational(QQ(*_edge_term(mg, mp, mc)))
+                               for c, _, _, mg, mp, mc in tree.geodesic_edges(vid)})
 
 
 def path_norm_sq(tree, vid: int):
     """Exact rational ||path_vector||^2 without building the vector, summed
     in integers and reduced at every edge, so a deep path's sum stays short."""
     num, den = 0, 1
-    for c in tree.geodesic_ids(vid)[1:]:
-        n, d = _edge_term(tree, c)
+    for _, _, _, mg, mp, mc in tree.geodesic_edges(vid):
+        n, d = _edge_term(mg, mp, mc)
         num, den = num * d + n * den, den * d
         g = gcd(num, den)
         num, den = num // g, den // g
@@ -341,8 +341,12 @@ def e2_inverse_ao(spec: QuantumGroupSpec, k: int, radius: int) -> InverseResult:
     ray = GeodesicRay(spec, canonical_ray_pattern(spec), radius + 1)
 
     m1, mk = dims[1], dims[k]
-    # -m_k times the path vector of vertex R+1, restricted to the edges above k
-    vector = GeomEdgeVector({c: -(mk * x) for c, x in path_vector(ray, radius + 1).items() if c > k})
+    # -m_k times the path vector of vertex R+1, restricted to the edges above k;
+    # its entries are nonzero: a rational p gives -m_k*p, a surd of signed
+    # square s the surd of signed square -m_k^2*s
+    neg_mk2 = -mk * mk
+    vector = GeomEdgeVector._of({c: Radical(_ZERO, neg_mk2 * x._s) if x._s else Radical(-mk * x._p)
+                                 for c, x in path_vector(ray, radius + 1).items() if c > k})
 
     residual = e2(ray, vector) - VertexVector({k: QQ(1)})
     expected = VertexVector({radius + 1: -(mk / dims[radius + 1])})

@@ -81,7 +81,8 @@ _TOL_1E12 = QQ(1, 10**12)
 
 def _edge_term(tree, child):
     """Path-vector coefficient of the single geodesic edge below `child`."""
-    return qt.GeomEdgeVector({child: sqrt_rational(QQ(*qt._edge_term(tree, child)))})
+    mp, mc, mg, _ = qt._edge_data(tree, child)
+    return qt.GeomEdgeVector({child: sqrt_rational(QQ(*qt._edge_term(mg, mp, mc)))})
 
 
 # ---------------------------------------------------------------------------

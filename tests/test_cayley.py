@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from qcayley import cayley, fusion
 from qcayley.cayley import (
     CayleyTree,
+    Edge,
     GeodesicRay,
+    ValidationReport,
     build_tree,
     canonical_ray_pattern,
     geodesic,
@@ -15,10 +18,12 @@ from qcayley.cayley import (
 from qcayley.errors import TreeSizeError
 from qcayley.fusion import (
     Direction,
+    Irrep,
     TRIVIAL,
     ao_dims,
     ao_irrep,
     au_word,
+    fuse_generator,
     irrep_length,
     parse_spec,
     quantum_dim,
@@ -80,7 +85,8 @@ def test_geodesic_half_line():
 @pytest.mark.parametrize("read", [
     lambda t, v: t.parent(v), lambda t, v: t.dim(v), lambda t, v: t.length(v),
     lambda t, v: t.word(v), geodesic, lambda t, v: t.geodesic_ids(v),
-], ids=["parent", "dim", "length", "word", "geodesic", "geodesic_ids"])
+    lambda t, v: t.geodesic_edges(v),
+], ids=["parent", "dim", "length", "word", "geodesic", "geodesic_ids", "geodesic_edges"])
 def test_negative_vertex_ids_are_refused(read):
     # Python would read -1 as vertex 39, the last one
     tree = build_tree(parse_spec("Ao(3)*Au(3)"), 3)
@@ -181,18 +187,25 @@ def test_validate_clean_trees():
         assert report.ok, report.issues
 
 
-@pytest.mark.parametrize("where", ["inner", "leaf"])
-def test_validate_flags_a_wrong_stored_dimension(where):
-    # a built Au(3) tree with one stored dimension off by one: the letterwise
-    # check names that vertex, and an inner vertex fails its children's
-    # bookkeeping too
+def _with_one_wrong_dim(where):
+    """A built Au(3) tree of radius 3 with the stored dimension of one inner
+    vertex or one leaf off by one, and that vertex."""
     spec = parse_spec("Au(3)")
     tree = build_tree(spec, 3)
     n, ndir = tree.n_vertices, len(spec.directions)
     v = 2 if where == "inner" else n - 1
     dims = [tree.dim(u) for u in range(n)]
     dims[v] += 1
-    report = validate(CayleyTree(spec, 3, ndir, range(ndir), dims))
+    return CayleyTree(spec, 3, ndir, range(ndir), dims), v
+
+
+@pytest.mark.parametrize("where", ["inner", "leaf"])
+def test_validate_flags_a_wrong_stored_dimension(where):
+    # the letterwise check names the vertex, and an inner vertex fails its
+    # children's bookkeeping too
+    tree, v = _with_one_wrong_dim(where)
+    ndir = len(tree.directions)
+    report = validate(tree)
     assert not report.ok
     assert [i for i in report.issues if i.startswith("vertex")] == \
         [f"vertex {v}: stored dimension disagrees with letterwise product"]
@@ -313,3 +326,145 @@ def test_tree_and_ray_store_one_dimension_type(text, kind):
             letterwise = quantum_dim(spec, source.word(v))
             assert type(source.dim(v)) is kind and type(letterwise) is kind
             assert source.dim(v) == letterwise
+
+
+# -- validate against its letter-by-letter oracle ------------------------------------
+
+def _oracle_validate(tree):
+    """validate letter by letter: the dimension of each fusion summand is the
+    product of `letter_dim` over all of its letters (`quantum_dim`)."""
+    spec = tree.spec
+    m1s = spec.dim_scalars
+    issues = []
+    n = tree.n_vertices
+    for p, c, d in tree.ascending_edges():
+        summands = fuse_generator(spec, tree.word(p), d)
+        if tree.word(c) != summands[-1]:
+            issues.append(f"edge {p}->{c}: ascending fusion result mismatch")
+        dims = [quantum_dim(spec, s) for s in summands]
+        if dims[-1] != tree.dim(c):
+            issues.append(f"vertex {c}: stored dimension disagrees with letterwise product")
+        if sum(dims) != tree.dim(p) * m1s[d.factor]:
+            issues.append(f"edge {p}->{c}: dimension bookkeeping fails")
+        if len(summands) == 2:
+            if p == 0 or summands[0] != tree.word(tree.parent(p)[0]):
+                issues.append(f"edge {p}->{c}: descending summand is not p's parent")
+    return ValidationReport(not issues, n, n - 1, issues)
+
+
+def _assert_validate_is_the_oracle(tree):
+    report = validate(tree)
+    assert report == _oracle_validate(tree)  # ok, both counts and the issues in order
+    return report
+
+
+@pytest.mark.parametrize("text, radius", [("Ao(3)", 9), ("Au(3)", 6), ("Ao(3)*Au(3)", 5),
+                                          ("Ao(7/2)*Au(3)", 4)])
+def test_validate_equals_the_oracle_on_clean_trees(text, radius):
+    assert _assert_validate_is_the_oracle(build_tree(parse_spec(text), radius)).ok
+
+
+@pytest.mark.parametrize("spec, pattern", [(MIXED, (Direction(0, 0), Direction(1, -1))),
+                                           (RATIONAL_MIXED, (Direction(1, 1), Direction(0, 0))),
+                                           (parse_spec("Au(3)"), (Direction(0, 1),))], ids=str)
+def test_validate_equals_the_oracle_on_rays(spec, pattern):
+    assert _assert_validate_is_the_oracle(GeodesicRay(spec, pattern, 15)).ok
+
+
+@pytest.mark.parametrize("where", ["inner", "leaf"])
+def test_validate_equals_the_oracle_on_a_wrong_stored_dimension(where):
+    assert not _assert_validate_is_the_oracle(_with_one_wrong_dim(where)[0]).ok
+
+
+def test_validate_equals_the_oracle_on_a_word_extended_with_the_wrong_bar(monkeypatch):
+    # vertex v's word u1u1 reads as u1U1: the edge into v, every edge out of
+    # v (whose summands are fused from the wrong word) and the descending
+    # checks below v's children fail, and each child's products come from
+    # its own letters
+    tree = build_tree(MIXED, 4)
+    v = next(u for u in tree.sphere_ids(2) if tree.word(u) == au_word("uu", 1))
+    true_word = CayleyTree.word
+
+    def word(self, vid):
+        w = true_word(self, vid)
+        if vid != v:
+            return w
+        f, symbols = w.word[-1]
+        return Irrep(w.word[:-1] + ((f, symbols[:-1] + (-symbols[-1],)),))
+
+    monkeypatch.setattr(CayleyTree, "word", word)
+    report = _assert_validate_is_the_oracle(tree)
+    p = tree.parent(v)[0]
+    assert f"edge {p}->{v}: ascending fusion result mismatch" in report.issues
+    assert f"edge {v}->{3 * v + 1}: ascending fusion result mismatch" in report.issues
+
+
+def test_validate_reads_its_dimensions_from_the_letters(monkeypatch):
+    # one letter's dimension off by one, with every stored dimension right:
+    # validate fails, so the dimensions it checks come from the letters
+    tree = build_tree(MIXED, 4)
+    assert validate(tree).ok
+    true_letter_dim = fusion.letter_dim
+
+    def letter_dim(spec, letter):
+        return true_letter_dim(spec, letter) + (letter == (1, (1, -1)))
+
+    for module in (fusion, cayley):
+        monkeypatch.setattr(module, "letter_dim", letter_dim)
+    report = _assert_validate_is_the_oracle(tree)
+    assert not report.ok
+    assert any(i.startswith("vertex") for i in report.issues)
+
+
+# -- value contracts of the vertex layer ------------------------------------------------
+
+def test_irrep_keeps_a_tuple_word_and_coerces_any_other_sequence():
+    irrep = Irrep([(0, 1)])
+    assert type(irrep.word) is tuple and irrep.word == ((0, 1),)
+    assert hash(irrep) == hash(Irrep(((0, 1),)))
+    tree = build_tree(MIXED, 4)
+    for v in range(tree.n_vertices):
+        w = tree.word(v)
+        assert type(w.word) is tuple
+        rebuilt = Irrep(list(w.word))
+        assert w == rebuilt and hash(w) == hash(rebuilt)
+
+
+def test_irreps_and_edges_are_immutable():
+    tree = build_tree(MIXED, 3)
+    edge = geodesic(tree, 20)[-1]
+    with pytest.raises(AttributeError):
+        tree.word(20).word = ()
+    with pytest.raises(AttributeError):
+        edge.target = TRIVIAL
+    with pytest.raises(AttributeError):
+        edge.ascending = False
+    assert edge.target == tree.word(20)
+
+
+def test_equal_edges_hash_equal():
+    # two builds share no Irrep object, so the equality is by value
+    first, second = build_tree(MIXED, 4), build_tree(MIXED, 4)
+    for v in range(0, first.n_vertices, 7):
+        a, b = geodesic(first, v), geodesic(second, v)
+        assert a == b and [hash(e) for e in a] == [hash(e) for e in b]
+        assert len(set(a + b)) == len(a)
+    assert Edge(TRIVIAL, au_word("u", 1), Direction(1, 1), True) != \
+        Edge(TRIVIAL, au_word("u", 1), Direction(1, -1), True)
+
+
+@pytest.mark.parametrize("text, radius", [("Au(3)", 5), ("Ao(7/2)*Au(3)", 4)])
+def test_geodesic_equals_the_per_edge_construction(text, radius):
+    # the per-edge reads geodesic was built from: each edge's words, parent and direction
+    tree = build_tree(parse_spec(text), radius)
+    for v in range(tree.n_vertices):
+        ids = [v]
+        while ids[-1]:
+            ids.append(tree.parent(ids[-1])[0])
+        ids.reverse()
+        assert geodesic(tree, v) == [Edge(tree.word(p), tree.word(c), tree.parent(c)[1], True)
+                                     for p, c in zip(ids, ids[1:])]
+        assert tree.geodesic_ids(v) == ids
+        assert tree.geodesic_edges(v) == [
+            (c, p, tree.parent(c)[1], tree.dir_dim(tree.parent(c)[1]), tree.dim(p), tree.dim(c))
+            for p, c in zip(ids, ids[1:])]

@@ -352,7 +352,10 @@ def test_integer_path_norms_equal_the_fraction_sums():
         ids = tree.geodesic_ids(v)[1:]
         got = path_norm_sq(tree, v)
         assert type(got) is Fraction
-        assert got == sum((Fraction(*qctree._edge_term(tree, c)) for c in ids), Fraction(0))
+        terms = [Fraction(*qctree._edge_term(tree.dir_dim(tree.parent(c)[1]),
+                                             tree.dim(tree.parent(c)[0]), tree.dim(c)))
+                 for c in ids]
+        assert got == sum(terms, Fraction(0))
         assert got == sum((_fraction_term(tree, c) for c in ids), Fraction(0))
     classical = tree.classical()
     assert all(path_norm_sq(classical, v) == 2 * classical.length(v)
@@ -490,6 +493,22 @@ def test_inverse_k0_is_minus_fixed_vector():
     inv = e2_inverse_ao(AO3, 0, 20)
     fv = fixed_vector(AO3, 21)
     assert inv.vector == -GeomEdgeVector({c: fv.vector.coeff(c) for c in range(1, 22)})
+
+
+@pytest.mark.parametrize("text, k, radius", [("Ao(3)", 0, 20), ("Ao(3)", 1, 30), ("Ao(4)", 3, 25),
+                                             ("Ao(7/2)", 2, 20)])
+def test_inverse_entries_are_minus_m_k_times_the_path_vector(text, k, radius):
+    # the entries are built directly from each path entry's rational part or
+    # signed square; Ao(3)'s edge below vertex 2 has the rational entry 1/6
+    spec = parse_spec(text)
+    inv = e2_inverse_ao(spec, k, radius)
+    m_k = ao_dims(spec.factors[0].dimq, k + 1)[k]
+    expected = GeomEdgeVector({c: -(m_k * x) for c, x in path_vector(inv.basis, radius + 1).items()
+                               if c > k})
+    assert inv.vector == expected and repr(inv.vector) == repr(expected)
+    assert all(not x.is_zero() for _, x in inv.vector.items())
+    if text == "Ao(3)" and k < 2:
+        assert inv.vector.coeff(2) == -m_k * QQ(1, 6)
 
 
 def test_inverse_single_term_truncation():
