@@ -126,6 +126,17 @@ class CayleyTree:
     def dir_dim(self, d: Direction):
         return self._dir_dims[d.factor]
 
+    def edge(self, vid: int) -> tuple:
+        """(parent id, direction, m_g, m_p, m_c) of the ascending edge p -> vid:
+        one id check.  The root has no parent edge and is refused."""
+        if not (type(vid) is int and 0 < vid < self._n):
+            if vid == 0 and type(vid) is int:
+                raise ValueError("vertex 0 is the root; it has no parent edge")
+            raise _id_error(self, vid)
+        p = (vid - 1) // self._k
+        d = self._cycle[(vid - 1) % self._period]
+        return p, d, self._dir_dims[d.factor], self._dims[p], self._dims[vid]
+
     def classical(self) -> CayleyTree:
         """The classical Cayley tree of the free product: this tree, sharing its
         layout and words, with every vertex and generator weight 1."""

@@ -13,16 +13,19 @@ The target map on the normalized antisymmetric basis is
 
 All coefficients live in the exact Radical scalar type: products of the
 square-root weights collapse to rationals exactly, which is what the
-telescoping checks rely on.  `e2` takes one square-root product per edge, at
-the upper endpoint b; the term at a is minus that times m_b/m_a.  Rational
-terms add up per vertex as unreduced integer pairs, so the terms that cancel
-at the interior vertices of a path build no Fraction.
+telescoping checks rely on.  `e2` reads each edge once (`CayleyTree.edge`)
+and takes one square-root product per edge, at the upper endpoint b; the
+term at a is minus that times m_b/m_a.  Rational terms add up per vertex as
+unreduced integer pairs, so the terms that cancel at the interior vertices
+of a path build no Fraction.
 
 Path vectors sum ``sqrt(2/m_g) xt_{a_i ^ a_{i+1}} / sqrt(m_i m_{i+1})``
 along geodesics; the tree functions take a tree and an int vertex id.  An
 edge's squared coefficient ``2/(m_g m_i m_{i+1})`` is an integer pair built
 from the three dimensions' numerators and denominators (`_edge_term`), so a
-path term is one rational and `path_norm_sq` one integer sum.
+path term is one rational, its root (`_root`) one Fraction, and
+`path_norm_sq` one integer sum.  `path_vectors` roots each edge once for
+many ids; `path_vector` is its one-id case.
 
 The infinite-geodesic limits of path vectors, the half-line inverse series
 and its Gram entries are returned as truncations with certified geometric
@@ -35,19 +38,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
-from typing import Optional
+from math import gcd, isqrt
+from typing import Iterator, Optional
 
 from .cayley import GeodesicRay, _checked_pattern, canonical_ray_pattern
 from .estimates import _half_line
 from .fusion import QuantumGroupSpec, a_param, gate_dimension, growth_floor, single_ao_dimq
-from .scalars import QQ, Interval, Radical, sqrt_rational
+from .scalars import QQ, Interval, Radical
 
 __all__ = [
     "VertexVector",
     "GeomEdgeVector",
     "e2",
     "path_vector",
+    "path_vectors",
     "path_norm_sq",
     "path_target",
     "fixed_vector",
@@ -148,15 +152,6 @@ class GeomEdgeVector(_SparseVector):
     """Coefficients over the antisymmetric edge basis, keyed by upper endpoint."""
 
 
-def _edge_data(tree, child_vid: int):
-    """(m_parent, m_child, m_gamma, parent_vid) of the edge below child_vid."""
-    parent = tree.parent(child_vid)
-    if parent is None:
-        raise ValueError(f"vertex {child_vid} is the root; it has no parent edge")
-    pvid, direction = parent
-    return tree.dim(pvid), tree.dim(child_vid), tree.dir_dim(direction), pvid
-
-
 def _bump(out: dict, key, value) -> None:
     """out[key] += value, dropping the key when the sum cancels."""
     cur = out.get(key)
@@ -165,21 +160,6 @@ def _bump(out: dict, key, value) -> None:
         out.pop(key, None)
     else:
         out[key] = s
-
-
-def _edge_ratios(tree, child_vid: int):
-    """(parent_vid, gn, gd, u, v) of the edge below child_vid, all positive ints:
-    m_gamma = gn/gd and m_parent/m_child = u/v.
-    """
-    ma, mb, mg, p = _edge_data(tree, child_vid)
-    return (p, mg.numerator, mg.denominator,
-            ma.numerator * mb.denominator, ma.denominator * mb.numerator)
-
-
-def _add_pair(pairs: dict, key, n: int, d: int) -> None:
-    """pairs[key] += n/d on unreduced integer pairs (d > 0)."""
-    cur = pairs.get(key)
-    pairs[key] = (n, d) if cur is None else (cur[0] * d + n * cur[1], cur[1] * d)
 
 
 def e2(tree, vec: GeomEdgeVector) -> VertexVector:
@@ -194,19 +174,28 @@ def e2(tree, vec: GeomEdgeVector) -> VertexVector:
     """
     if not isinstance(vec, GeomEdgeVector):
         raise TypeError("e2 expects a GeomEdgeVector")
+    edge = tree.edge
     pairs: dict = {}
     out: dict = {}
     for c, coeff in vec.items():
-        p, gn, gd, u, v = _edge_ratios(tree, c)
+        p, _, mg, mp, mc = edge(c)
+        gn, gd = mg.numerator, mg.denominator
+        u, v = mp.numerator * mc.denominator, mp.denominator * mc.numerator
         pair = coeff._sqrt_product(gn * u, 2 * gd * v)
         if pair is None:
             term = coeff.times_sqrt(gn * u, 2 * gd * v)
             _bump(out, c, term)
             _bump(out, p, term * QQ(-v, u))
-        else:
-            n, d = pair
-            _add_pair(pairs, c, n, d)
-            _add_pair(pairs, p, -n * v, d * u)
+            continue
+        # += n/d at c and -n*v/(d*u) at p, unreduced
+        n, d = pair
+        cur = pairs.get(c)
+        pairs[c] = (n, d) if cur is None else (cur[0] * d + n * cur[1], cur[1] * d)
+        n, d = -n * v, d * u
+        cur = pairs.get(p)
+        pairs[p] = (n, d) if cur is None else (cur[0] * d + n * cur[1], cur[1] * d)
+    if not out:
+        return VertexVector._of({key: Radical(QQ(n, d)) for key, (n, d) in pairs.items() if n})
     for key, (n, d) in pairs.items():
         if n:
             _bump(out, key, Radical(QQ(n, d)))
@@ -225,12 +214,34 @@ def _edge_term(mg, mp, mc):
             mg.numerator * mp.numerator * mc.numerator)
 
 
+def _root(num: int, den: int) -> Radical:
+    """`sqrt_rational(QQ(num, den))` for positive ints, not necessarily coprime,
+    with one Fraction: sqrt(num/den) = sqrt(num*den)/den."""
+    nd = num * den
+    r = isqrt(nd)
+    return Radical(QQ(r, den)) if r * r == nd else Radical(_ZERO, QQ(num, den))
+
+
+def path_vectors(tree, ids) -> Iterator[GeomEdgeVector]:
+    """Yield path_vector(tree, v) for each v in ids, rooting each edge once per
+    call: every vector is assembled from its own geodesic, and the vectors
+    that pass an edge share its root."""
+    roots: dict = {}
+    for vid in ids:
+        coeffs = {}
+        for c, _, _, mg, mp, mc in tree.geodesic_edges(vid):
+            x = roots.get(c)
+            if x is None:
+                x = roots[c] = _root(*_edge_term(mg, mp, mc))
+            coeffs[c] = x
+        yield GeomEdgeVector._of(coeffs)
+
+
 def path_vector(tree, vid: int) -> GeomEdgeVector:
     """Canonical preimage of xt_a/m_a - xt_root under E2, summed along the
     geodesic: keyed by each edge's upper endpoint c, the square root of its
     `_edge_term`."""
-    return GeomEdgeVector._of({c: sqrt_rational(QQ(*_edge_term(mg, mp, mc)))
-                               for c, _, _, mg, mp, mc in tree.geodesic_edges(vid)})
+    return next(path_vectors(tree, (vid,)))
 
 
 def path_norm_sq(tree, vid: int):

@@ -313,9 +313,14 @@ class Radical:
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        p = self._p + o._p
+        o = other if type(other) is Radical else self._coerce(other)
         a, b = self._s, o._s
+        p, q = self._p, o._p
+        if type(a) is int and type(b) is int and type(p) is QQ and type(q) is QQ:
+            # two rationals: one integer pair, one Fraction
+            pd, qd = p.denominator, q.denominator
+            return Radical(QQ(p.numerator * qd + q.numerator * pd, pd * qd))
+        p = p + q
         if not b:
             return Radical(p, a)
         if not a:

@@ -24,7 +24,7 @@ from . import qctree as qt
 from .cayley import build_tree, validate
 from .errors import GateError
 from .fusion import a_param, ao_dims, parse_spec
-from .scalars import QQ, Interval, Radical, sqrt_rational
+from .scalars import QQ, Interval, Radical
 
 __all__ = ["CriterionResult", "run_all", "run_criterion", "report_lines", "PROFILES", "CRITERIA"]
 
@@ -81,13 +81,23 @@ _TOL_1E12 = QQ(1, 10**12)
 
 def _edge_term(tree, child):
     """Path-vector coefficient of the single geodesic edge below `child`."""
-    mp, mc, mg, _ = qt._edge_data(tree, child)
-    return qt.GeomEdgeVector({child: sqrt_rational(QQ(*qt._edge_term(mg, mp, mc)))})
+    _, _, mg, mp, mc = tree.edge(child)
+    return qt.GeomEdgeVector._of({child: qt._root(*qt._edge_term(mg, mp, mc))})
 
 
 # ---------------------------------------------------------------------------
 # criterion 1: exact telescoping of path vectors
 # ---------------------------------------------------------------------------
+
+def _misses(tree, vec, v) -> bool:
+    """True unless E2(vec) is the path target of v exactly.  A vector that e2
+    refuses (surds of two square classes at one vertex) is no preimage either."""
+    try:
+        image = qt.e2(tree, vec)
+    except ValueError:
+        return True
+    return image != qt.path_target(tree, v)
+
 
 def criterion_1(profile: dict, seed: int) -> CriterionResult:
     details = []
@@ -123,8 +133,8 @@ def criterion_1(profile: dict, seed: int) -> CriterionResult:
             for level in range(profile["c1_direct_radius"] + 1, radius + 1):
                 direct_ids.extend(list(tree.sphere_ids(level))[:: profile["c1_deep_stride"]])
             mode = f"incremental+direct({len(direct_ids)})"
-        bad += sum(1 for v in direct_ids
-                   if qt.e2(tree, qt.path_vector(tree, v)) != qt.path_target(tree, v))
+        bad += sum(1 for v, vec in zip(direct_ids, qt.path_vectors(tree, direct_ids))
+                   if _misses(tree, vec, v))
         ok &= bad == 0
         details.append(f"{spec_text}: {n} vertices radius<={radius} exact ({mode}), {bad} residuals")
     return CriterionResult(1, "path-telescoping-identity", ok, details)

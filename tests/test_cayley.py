@@ -85,8 +85,8 @@ def test_geodesic_half_line():
 @pytest.mark.parametrize("read", [
     lambda t, v: t.parent(v), lambda t, v: t.dim(v), lambda t, v: t.length(v),
     lambda t, v: t.word(v), geodesic, lambda t, v: t.geodesic_ids(v),
-    lambda t, v: t.geodesic_edges(v),
-], ids=["parent", "dim", "length", "word", "geodesic", "geodesic_ids", "geodesic_edges"])
+    lambda t, v: t.geodesic_edges(v), lambda t, v: t.edge(v),
+], ids=["parent", "dim", "length", "word", "geodesic", "geodesic_ids", "geodesic_edges", "edge"])
 def test_negative_vertex_ids_are_refused(read):
     # Python would read -1 as vertex 39, the last one
     tree = build_tree(parse_spec("Ao(3)*Au(3)"), 3)
@@ -106,13 +106,26 @@ def test_negative_vertex_ids_are_refused(read):
     (lambda t, v: t.parent(v), True), (lambda t, v: t.dim(v), 2.0),
     (lambda t, v: t.parent(v), 2.0), (lambda t, v: t.word(v), 2.0),
     (geodesic, au_word("u", 1)), (geodesic, TRIVIAL),
+    (lambda t, v: t.edge(v), 40), (lambda t, v: t.edge(v), True),
+    (lambda t, v: t.edge(v), False), (lambda t, v: t.edge(v), 2.0),
+    (lambda t, v: t.edge(v), 0.0), (lambda t, v: t.edge(v), TRIVIAL),
 ], ids=["geodesic-40", "geodesic-True", "geodesic-False", "word-40", "word-True",
         "geodesic_ids-40", "geodesic_ids-True", "parent-40", "dim-40", "length-40",
         "dim-True", "length-True", "parent-True", "dim-2.0", "parent-2.0", "word-2.0",
-        "geodesic-word", "geodesic-trivial-word"])
+        "geodesic-word", "geodesic-trivial-word", "edge-40", "edge-True", "edge-False",
+        "edge-2.0", "edge-0.0", "edge-trivial-word"])
 def test_geodesic_and_word_refuse_ids_outside_the_tree(read, vid):
     with pytest.raises(ValueError, match="vertex id"):
         read(build_tree(parse_spec("Ao(3)*Au(3)"), 3), vid)
+
+
+@pytest.mark.parametrize("tree", [build_tree(parse_spec("Ao(3)*Au(3)"), 3),
+                                  GeodesicRay(parse_spec("Au(3)"), (Direction(0, 1),), 4)],
+                         ids=["tree", "ray"])
+def test_edge_refuses_the_root(tree):
+    with pytest.raises(ValueError, match="^vertex 0 is the root; it has no parent edge$"):
+        tree.edge(0)
+    assert tree.edge(1)[0] == 0
 
 
 def test_geodesic_directions_match_letters():

@@ -161,14 +161,42 @@ def test_e2_refuses_a_coefficient_of_another_square_class():
 
 
 def _oracle_e2(tree, vec):
-    """Independent route for e2: two times_sqrt products per edge, the
-    parent's from its own square root, each vertex summed as Radicals."""
+    """Independent route for e2: each edge read through parent, dim and dir_dim,
+    two times_sqrt products per edge, the parent's from its own square root,
+    each vertex summed as Radicals."""
     out = {}
     for c, coeff in vec.items():
-        p, gn, gd, u, v = qctree._edge_ratios(tree, c)
+        p, d = tree.parent(c)
+        mg, mp, mc = QQ(tree.dir_dim(d)), QQ(tree.dim(p)), QQ(tree.dim(c))
+        gn, gd = mg.numerator, mg.denominator
+        u, v = mp.numerator * mc.denominator, mp.denominator * mc.numerator
         qctree._bump(out, c, coeff.times_sqrt(gn * u, 2 * gd * v))
         qctree._bump(out, p, -coeff.times_sqrt(gn * v, 2 * gd * u))
     return VertexVector._of(out)
+
+
+def _per_field_edge(tree, c):
+    """(p, direction, m_g, m_p, m_c) of the edge below c from parent, dim and dir_dim."""
+    p, d = tree.parent(c)
+    return p, d, tree.dir_dim(d), tree.dim(p), tree.dim(c)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_tree(MIXED, 4),
+    lambda: GeodesicRay(MIXED, MIXED_PATTERNS[0], 30),
+    lambda: build_tree(parse_spec("Ao(7/2)*Au(3)"), 4).classical(),
+    lambda: _with_fraction_dims(build_tree(parse_spec("Ao(7/2)*Au(3)"), 4)),
+], ids=["tree", "ray", "classical", "fraction-dims"])
+def test_edge_equals_the_per_field_reads(make):
+    tree = make()
+    for c in range(1, tree.n_vertices):
+        got = tree.edge(c)
+        assert got == _per_field_edge(tree, c)
+        assert [type(x) for x in got] == [type(x) for x in _per_field_edge(tree, c)]
+    with pytest.raises(ValueError, match="vertex 0 is the root; it has no parent edge"):
+        tree.edge(0)
+    with pytest.raises(ValueError, match="vertex id"):
+        tree.edge(tree.n_vertices)
 
 
 def _assert_e2_is_the_oracle(tree, vec):
@@ -316,7 +344,12 @@ def test_classical_view_leaves_the_weighted_tree_untouched():
     assert validate(tree).ok and not validate(classical).ok
 
 
-@pytest.mark.parametrize("fn", [path_target, path_norm_sq, path_vector], ids=lambda f: f.__name__)
+def _path_vectors_with(tree, vid):
+    return list(qctree.path_vectors(tree, [1, vid]))
+
+
+@pytest.mark.parametrize("fn", [path_target, path_norm_sq, path_vector, _path_vectors_with],
+                         ids=lambda f: f.__name__)
 @pytest.mark.parametrize("vid", [-1, -3, 40, True, False, 2.0])
 def test_vertex_ids_outside_the_tree_are_refused(fn, vid):
     tree = build_tree(MIXED, 3)
@@ -376,6 +409,49 @@ def test_path_vector_coefficients_are_the_fraction_terms(text):
     for v in range(tree.n_vertices):
         expected = {c: sqrt_rational(_fraction_term(tree, c)) for c in tree.geodesic_ids(v)[1:]}
         assert path_vector(tree, v) == GeomEdgeVector(expected)
+
+
+_ASSEMBLER_TREES = [("Au(3)", 6), ("Ao(7/2)*Au(3)", 4)]
+
+
+@pytest.mark.parametrize("text, radius", _ASSEMBLER_TREES)
+def test_path_vectors_equal_path_vector(text, radius):
+    tree = build_tree(parse_spec(text), radius)
+    ids = list(range(tree.n_vertices))
+    assert [repr(x) for x in qctree.path_vectors(tree, ids)] == \
+        [repr(path_vector(tree, v)) for v in ids]
+    # in any order, with repeats: each vector is its own geodesic's
+    shuffled = ids[::-7] + ids[::5] + [ids[-1]] * 2
+    got = list(qctree.path_vectors(tree, shuffled))
+    assert [repr(x) for x in got] == [repr(path_vector(tree, v)) for v in shuffled]
+    roots = [x for vec in got for _, x in vec.items()]
+    assert any(x.is_rational for x in roots) and not all(x.is_rational for x in roots)
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda t=t, r=r: build_tree(parse_spec(t), r) for t, r in _ASSEMBLER_TREES],
+    lambda: GeodesicRay(AO3, canonical_ray_pattern(AO3), 200),
+], ids=[t for t, _ in _ASSEMBLER_TREES] + ["Ao(3)-ray-200"])
+def test_root_is_the_sqrt_of_the_reduced_term(make):
+    tree = make()
+    roots = []
+    for c in range(1, tree.n_vertices):
+        _, _, mg, mp, mc = _per_field_edge(tree, c)
+        term = qctree._edge_term(mg, mp, mc)
+        root = qctree._root(*term)
+        assert repr(root) == repr(sqrt_rational(QQ(*term)))
+        assert type(root._p) is Fraction
+        roots.append(root)
+    assert any(x.is_rational for x in roots) and not all(x.is_rational for x in roots)
+
+
+@given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(1, 50))
+@settings(max_examples=200)
+def test_root_of_an_unreduced_pair(num, den, g):
+    want = sqrt_rational(QQ(num, den))
+    for pair in ((num, den), (num * g, den * g), (num * g * g, den * g * g)):
+        got = qctree._root(*pair)
+        assert repr(got) == repr(want) and got == want and hash(got) == hash(want)
 
 
 # -- fixed vector ---------------------------------------------------------------------

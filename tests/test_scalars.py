@@ -262,3 +262,26 @@ def test_square_factors_give_one_form(c, k, n):
     assert left == right
     assert repr(left) == repr(right)
     assert hash(left) == hash(right)
+
+
+_sum_parts = st.one_of(st.just(Fraction(0)), st.integers(-60, 60).map(Fraction),
+                       st.fractions(min_value=-60, max_value=60, max_denominator=40))
+
+
+@given(_sum_parts, _sum_parts)
+@example(Fraction(0), Fraction(0))
+@example(Fraction(-3, 4), Fraction(3, 4))
+@example(Fraction(-2), Fraction(7))
+@example(Fraction(5, 6), Fraction(1, 6))
+@settings(max_examples=150)
+def test_rational_sum_is_the_fraction_sum(a, b):
+    # the integer-pair sum of two rational Radicals, also beside a surd
+    got = Radical.from_rational(a) + Radical.from_rational(b)
+    want = Radical.from_rational(a + b)
+    assert type(got._p) is Fraction and got._p == a + b and not got._s
+    assert got == want and got == a + b
+    assert repr(got) == repr(want) and hash(got) == hash(want) == hash(a + b)
+    assert Radical.from_rational(a) + b == want and a + Radical.from_rational(b) == want
+    with_surd = (Radical.from_rational(a) + Radical.sqrt_of(2)) + Radical.from_rational(b)
+    assert with_surd == want + Radical.sqrt_of(2)
+    assert repr(with_surd) == repr(want + Radical.sqrt_of(2))

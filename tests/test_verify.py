@@ -63,3 +63,26 @@ def test_criterion_1_catches_the_sqrt_product_dropping_a_factor(monkeypatch):
     result = verify.criterion_1(RADIUS_9, verify.DEFAULT_SEED)
     assert not result.passed
     assert not _mixed_line(result).endswith(", 0 residuals")
+
+
+def test_criterion_1_catches_path_vectors_handing_one_id_a_wrong_root(monkeypatch):
+    real = qt.path_vectors
+    wrong = []
+
+    def one_wrong_root(tree, ids):
+        ids = list(ids)
+        for v, vec in zip(ids, real(tree, ids)):
+            if tree.spec == MIXED and v == ids[-1]:
+                # the last edge gets the shared root of the edge above it
+                coeffs = dict(vec.items())
+                coeffs[v] = coeffs[tree.parent(v)[0]]
+                vec = qt.GeomEdgeVector._of(coeffs)
+                wrong.append(v)
+            yield vec
+
+    monkeypatch.setattr(qt, "path_vectors", one_wrong_root)
+    result = verify.criterion_1(RADIUS_9, verify.DEFAULT_SEED)
+    assert len(wrong) == 1 and build_tree(MIXED, 9).length(wrong[0]) == 9
+    assert not result.passed
+    assert _mixed_line(result).endswith(", 1 residuals")
+    assert all(d.endswith(", 0 residuals") for d in result.details if d != _mixed_line(result))
