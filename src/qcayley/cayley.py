@@ -200,22 +200,6 @@ class CayleyTree:
         for v in range(1, self._n):
             yield (v - 1) // k, v, cycle[(v - 1) % period]
 
-    def edge_classes(self) -> dict:
-        """{(m_p, m_c, direction index, p == 0): (first child id, edge count)}
-        over the edges p -> c, in order of each class's first edge."""
-        dims, k, period = self._dims, self._k, self._period
-        cycle = [self.directions.index(d) for d in self._cycle]
-        classes = {}
-        for c in range(1, self._n):
-            p = (c - 1) // k
-            key = (dims[p], dims[c], cycle[(c - 1) % period], p == 0)
-            hit = classes.get(key)  # one hash of the key per edge
-            if hit is None:
-                classes[key] = [c, 1]
-            else:
-                hit[1] += 1
-        return {key: tuple(hit) for key, hit in classes.items()}
-
 
 def _id_error(tree: CayleyTree, vid) -> ValueError:
     """The refusal of every vertex accessor: `vid` is not an int (a bool is
@@ -228,11 +212,11 @@ def _child_rule(spec: QuantumGroupSpec):
 
         m_child = m1[d] * m_v - m_parent   when (p, d) in absorbs,  else  m1[d] * m_v,
 
-    for the child of v along d, v entered along p (-1 at the root, which
-    absorbs nothing).  d absorbs the last letter of v exactly when p is a
-    direction of d's factor with p.bar == -d.bar: always for Ao, whose bars
-    are 0; for Au when a symbol meets its conjugate.  m1 holds each
-    direction's generator dimension, in the type of `spec.dim_scalars`."""
+    for the child of v along d, v entered along p (-1 at the root, which absorbs
+    nothing).  d absorbs the last letter of v exactly when p is a direction of
+    d's factor with p.bar == -d.bar: always for Ao, whose bars are 0; for Au when
+    a symbol meets its conjugate.  m1 holds each direction's generator dimension,
+    in the type of `spec.dim_scalars`.  `_bfs_tree` and `_class_levels` read it."""
     dirs = spec.directions
     ndir = len(dirs)
     absorbs = {(p, d) for p in range(ndir) for d in range(ndir)
@@ -253,7 +237,7 @@ def _bfs_tree(spec: QuantumGroupSpec, radius: int, cap: int, pattern=None):
     BFS id, root = 0, in the type of `spec.dim_scalars`).
 
     Every child's dimension, in the ray branch and in the level loop alike,
-    is one step of `_child_rule`'s recursion.
+    is one step of `_child_rule`'s recursion, as in `_class_levels`.
 
     Every vertex of a level expands the same k directions, so with P the
     previous level's k, vertex r of a level was entered along the previous
@@ -297,6 +281,26 @@ def _bfs_tree(spec: QuantumGroupSpec, radius: int, cap: int, pattern=None):
         dims += children
         prev, level, prev_dirs = level, children, cycle
     return k, cycle, dims
+
+
+def _class_levels(spec: QuantumGroupSpec, radius: int) -> Iterator[dict]:
+    """The state quotient of the tree of `radius`, one dict per depth n = 1..radius:
+    {(m_p, m_c, direction index): [smallest child id, edge count]} over the edges
+    p -> c into depth n.  A state fixes the subtree below c, so each level is the
+    last one stepped by `_child_rule`, reading no vertex.  The children of v are
+    k*v + 1 + d, so visiting the parent states in order of their smallest ids
+    stores each child state's smallest id first."""
+    absorbs, m1 = _child_rule(spec)
+    k = len(m1)
+    level = {(None, spec.dim_scalars[0] ** 0, -1): [0, 1]}  # the root, entered along no direction
+    for _ in range(radius):
+        states = {}
+        for (mq, mp, p), (v, count) in level.items():
+            for d, m in enumerate(m1):
+                key = (mp, mp * m - mq if (p, d) in absorbs else mp * m, d)
+                states.setdefault(key, [k * v + 1 + d, 0])[1] += count
+        yield states
+        level = states
 
 
 def build_tree(spec: QuantumGroupSpec, radius: int,

@@ -481,3 +481,63 @@ def test_geodesic_equals_the_per_edge_construction(text, radius):
         assert tree.geodesic_edges(v) == [
             (c, p, tree.parent(c)[1], tree.dir_dim(tree.parent(c)[1]), tree.dim(p), tree.dim(c))
             for p, c in zip(ids, ids[1:])]
+
+
+# the trees the state quotient is checked on: two or three factors, one Ao (k = 1),
+# Fraction dimensions, and dimension 2, where one state recurs at many depths
+QUOTIENT_TREES = [("Ao(3)*Au(3)", 12), ("Au(3)", 12), ("Ao(3)*Ao(4)", 10), ("Ao(7/2)*Au(3)", 9),
+                  ("Ao(3)", 12), ("Ao(2)*Au(2)", 8), ("Au(3)*Au(4)*Ao(5)", 6)]
+
+
+def _oracle_edge_classes(tree, children=None):
+    """{(m_p, m_c, direction index, p == 0): (first child id, edge count)} over
+    the edges p -> c with c in `children` (default: every edge), in order of
+    each class's first edge: one dict lookup per edge."""
+    dims, k, period = tree._dims, tree._k, tree._period
+    cycle = [tree.directions.index(d) for d in tree._cycle]
+    classes = {}
+    for c in children or range(1, tree.n_vertices):
+        p = (c - 1) // k
+        key = (dims[p], dims[c], cycle[(c - 1) % period], p == 0)
+        hit = classes.get(key)
+        if hit is None:
+            classes[key] = [c, 1]
+        else:
+            hit[1] += 1
+    return {key: tuple(hit) for key, hit in classes.items()}
+
+
+@pytest.mark.parametrize("text, radius", QUOTIENT_TREES)
+def test_class_levels_merged_are_the_edge_classes(text, radius):
+    spec = parse_spec(text)
+    merged = {}
+    for n, level in enumerate(cayley._class_levels(spec, radius), 1):
+        for (mp, mc, j), (c, count) in level.items():
+            merged.setdefault((mp, mc, j, n == 1), [c, 0])[1] += count
+    oracle = _oracle_edge_classes(build_tree(spec, radius, max_vertices=900_000))
+    # keys, first ids and counts, in the same order
+    assert [(key, tuple(hit)) for key, hit in merged.items()] == list(oracle.items())
+
+
+@pytest.mark.parametrize("text, radius", QUOTIENT_TREES[1:])
+def test_class_levels_store_each_state_at_its_smallest_child(text, radius):
+    # setdefault keeps the first id it meets: the smallest, since the parent
+    # states are visited in order of their smallest ids
+    tree = build_tree(parse_spec(text), radius)
+    levels = list(cayley._class_levels(tree.spec, radius))
+    assert len(levels) == radius
+    for n, level in enumerate(levels, 1):
+        firsts = [c for c, _ in level.values()]
+        assert firsts == sorted(set(firsts)) and firsts[0] == tree.sphere_ids(n).start
+        oracle = _oracle_edge_classes(tree, tree.sphere_ids(n))
+        assert {key[:3]: list(hit) for key, hit in oracle.items()} == level
+
+
+@pytest.mark.parametrize("text, radius", QUOTIENT_TREES + [("Ao(3)*Au(3)", 0)])
+def test_class_levels_count_every_edge(text, radius):
+    spec = parse_spec(text)
+    k = len(spec.directions)
+    counts = [sum(count for _, count in level.values())
+              for level in cayley._class_levels(spec, radius)]
+    assert counts == [k ** n for n in range(1, radius + 1)]
+    assert sum(counts) == sum(k ** n for n in range(radius + 1)) - 1  # n_vertices - 1

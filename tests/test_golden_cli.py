@@ -48,6 +48,7 @@ CASES = {
     "chain-check-fine-enclosure": ["chain-check", "--a", "growth:3", "--tolerance", "1e-60",
                                    "--count", "200", "--seed", "3"],
     "verify-quick": ["verify", "--profile", "quick", "--seed", "108"],
+    "verify-full": ["verify", "--profile", "full", "--seed", "108"],
 }
 
 REFUSALS = {
