@@ -12,11 +12,17 @@ chain vectors themselves (their norms are pinned, their ambient spaces are
 not needed).  The exhaustive multi-index enumerations are the definitional
 route and double as the oracle for the closed-form summations.  The grade
 norms of a pair (i, k), scaled by m1^{2n} with m1 = N, are one row of an exact
-integer table fixed by the last leg where k differs from i (_grade_rows), and
-ql_norm_sq reads its entry there.  One walk call (_last_disagreements) takes a
-source i and all its targets k and counts the k of each last disagreeing leg;
-the enumerations add those counts times the table rows, and
-parseval_violations adds the counts of every row that misses the full norm.
+integer table fixed by the last leg where k differs from i (_grade_rows); the
+rows share their entries above the diagonal, which do not depend on the row.
+ql_norm_sq reads its entry there and returns the exact norm from a bounded
+cache keyed by the entry's value and its scale, so repeated norms are one
+Fraction.  One walk call (_last_disagreements) takes a source i and all its
+targets k and counts the k of each last disagreeing leg; the enumerations add
+those counts times the table rows, and parseval_violations adds the counts of
+every row that misses the full norm.
+
+Every integer argument (N, n, l and the multi-index entries) must be an int,
+not a bool, and is refused with ValueError otherwise.
 """
 
 from __future__ import annotations
@@ -45,9 +51,22 @@ MAX_GRADE_WALKS = 2 ** 22
 
 
 def _check_n(N: int) -> int:
-    if not isinstance(N, int) or N < 1:
+    if not (type(N) is int and N >= 1):
         raise ValueError("N must be a positive integer")
     return N
+
+
+def _check_power(n: int, least: int) -> int:
+    """Refuse a tensor power n that is not an int (a bool is not one) >= least."""
+    if not (type(n) is int and n >= least):
+        raise ValueError(f"n must be an integer >= {least}")
+    return n
+
+
+def _check_grade(l: int, n: int) -> int:
+    if not (type(l) is int and 0 <= l <= n):
+        raise ValueError(f"l = {l!r} is not an integer in 0..{n}")
+    return l
 
 
 def _check_walks(N: int, exponent: int) -> None:
@@ -63,9 +82,13 @@ def _validate_indices(i_idx, k_idx, N: int) -> int:
         raise ValueError("multi-index length mismatch")
     for seq in (i_idx, k_idx):
         for e in seq:
-            if not (isinstance(e, int) and 1 <= e <= N):
+            if not (type(e) is int and 1 <= e <= N):
                 raise ValueError(f"multi-index entry {e!r} is not an integer in 1..{N}")
     return len(i_idx)
+
+
+# Keyed by value, not by (n, N, j, l): the entry is read from _grade_rows on every call.
+_exact_norm = lru_cache(maxsize=256)(QQ)
 
 
 def ql_norm_sq(i_idx, k_idx, l: int, N: int):
@@ -73,13 +96,18 @@ def ql_norm_sq(i_idx, k_idx, l: int, N: int):
 
     Grade l means: legs before l are unrestricted, leg l is traceless, legs
     after l are scalar.  Grade 0 is the all-scalar component.
+
+    The arguments are validated first.  The value is entry l of the pair's
+    _grade_rows row over N^(2n), and that Fraction comes from a bounded cache
+    keyed by the two integers, so equal norms are returned as one object.
     """
     _check_n(N)
     n = _validate_indices(i_idx, k_idx, N)
-    if not (isinstance(l, int) and 0 <= l <= n):
-        raise ValueError(f"l = {l!r} is not an integer in 0..{n}")
-    j = _last_disagreements(i_idx, (k_idx,)).index(1)
-    return QQ(_grade_rows(n, N)[j][l], N ** (2 * n))
+    _check_grade(l, n)
+    j = n  # the last disagreeing leg, walked as in _last_disagreements
+    while j and i_idx[j - 1] == k_idx[j - 1]:
+        j -= 1
+    return _exact_norm(_grade_rows(n, N)[j][l], N ** (2 * n))
 
 
 # Per leg p the components of the rank-one e_i e_k^* under x = x0 + (Tr x/N) id,
@@ -110,10 +138,10 @@ def _last_disagreements(i_idx, k_idxs):
 def _grade_rows(n: int, N: int):
     """Row j (j = 0..n) is [ql_norm_sq(i, k, l, N) * N^(2n) for l = 0..n] of any
     pair whose last disagreeing leg is j: N^j at l = j, N^(l-1) (N-1) above j
-    (those legs agree), 0 below.  Every row sums to N^n."""
-    return tuple(
-        tuple(0 if l < j else N ** j if l == j else N ** (l - 1) * (N - 1) for l in range(n + 1))
-        for j in range(n + 1))
+    (those legs agree), 0 below.  Every row sums to N^n.  The entries above the
+    diagonal do not depend on j, so every row shares one set of them."""
+    above = tuple(N ** (l - 1) * (N - 1) for l in range(1, n + 1))  # grade l at above[l - 1]
+    return tuple((0,) * j + (N ** j,) + above[j:] for j in range(n + 1))
 
 
 def _grade_walk(i_idx, k_idxs, N, row):
@@ -146,8 +174,7 @@ def cg_bounds_closed(n: int, l: int, N: int):
     remaining chain term, since the projection is a contraction.
     """
     gate_dimension(_check_n(N))
-    if not 0 <= l <= n:
-        raise ValueError(f"l = {l} outside 0..{n}")
+    _check_grade(l, _check_power(n, 0))
     m1sq = QQ(N) ** 2
     lower = (m1sq ** (n - l) - 1) / (2 * (m1sq - 1))
     return lower, lower + m1sq ** (n - l)
@@ -164,8 +191,7 @@ def cn_lower(n: int, N: int, i_idx=None, method: str = "enumerate"):
     (see check_index_independence).
     """
     gate_dimension(_check_n(N))
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_power(n, 1)
     i_idx = (1,) * n if i_idx is None else tuple(i_idx)
     if _validate_indices(i_idx, i_idx, N) != n:
         raise ValueError(f"source multi-index has length {len(i_idx)}, need n = {n}")
@@ -193,6 +219,8 @@ def cn_lower(n: int, N: int, i_idx=None, method: str = "enumerate"):
 
 def check_index_independence(n: int, N: int) -> bool:
     """Exhaustively confirm cn_lower is the same for every source multi-index."""
+    _check_n(N)
+    _check_power(n, 1)
     _check_walks(N, 2 * n)
     values = {cn_lower(n, N, i_idx=i) for i in product(range(1, N + 1), repeat=n)}
     return len(values) == 1
@@ -205,6 +233,7 @@ def parseval_violations(n: int, N: int) -> int:
     normalized Hilbert-Schmidt norm m1^{-n} of the rank-one monomial.
     """
     _check_n(N)
+    _check_power(n, 0)
     _check_walks(N, 2 * n)
     target = N ** n  # the scaled norm m1^{-n} * m1^{2n}
     wrong = [j for j, r in enumerate(_grade_rows(n, N)) if sum(r) != target]

@@ -378,3 +378,143 @@ def test_parseval_counts_the_pairs_of_a_wrong_grade_row(monkeypatch):
         assert ql_norm_sq((1, 1, 1), (3, 2, 1), j, N) == QQ(N ** j + 1, N ** (2 * n))
     finally:
         grade_rows.cache_clear()
+
+
+# -- the cached exact norm and the shared grade table ------------------------------
+
+def test_ql_norm_sq_returns_one_fraction_per_value():
+    first = ql_norm_sq((1, 1), (1, 2), 2, 3)
+    assert ql_norm_sq((1, 1), (1, 2), 2, 3) is first
+    # another pair whose entry and scale are the same: the same object
+    assert ql_norm_sq((2, 3), (3, 1), 2, 3) is first
+
+
+@pytest.mark.parametrize("i_idx, l, N, match", [
+    ((1, 1.0), 2, 3, "not an integer in 1..3"),
+    ((1, "1"), 2, 3, "not an integer in 1..3"),
+    ((True, 1), 2, 3, "not an integer in 1..3"),
+    ((1, 4), 2, 3, "not an integer in 1..3"),
+    ((1, 0), 2, 3, "not an integer in 1..3"),
+    ((1, 1), 2.0, 3, "not an integer in 0..2"),
+    ((1, 1), 3, 3, "not an integer in 0..2"),
+    ((1, 1), 2, 3.0, "positive integer"),
+], ids=["float-entry", "str-entry", "bool-entry", "entry-above-N", "entry-zero", "float-l",
+        "l-above-n", "float-N"])
+def test_a_warmed_norm_still_validates_its_arguments(i_idx, l, N, match):
+    """Equal-valued arguments (1.0 == 1 == True) reach the validation, not the cache."""
+    assert ql_norm_sq((1, 1), (1, 2), 2, 3) == QQ(1, 9)
+    with pytest.raises(ValueError, match=match):
+        ql_norm_sq(i_idx, (1, 2), l, N)
+
+
+def _pair_with_last_disagreement(n, j):
+    """(i, k) of length n whose last disagreeing leg is j (k == i when j = 0)."""
+    return (1,) * n, (2,) * j + (1,) * (n - j)
+
+
+def test_norms_past_the_cache_size_match_the_definition():
+    maxsize = aunitary._exact_norm.cache_info().maxsize
+    aunitary._exact_norm.cache_clear()
+    shapes = [(n, N) for n in range(1, 21) for N in (2, 3)]
+    for n, N in shapes + shapes[:2]:  # the first shapes again, after their keys were evicted
+        for j in range(n + 1):
+            i_idx, k_idx = _pair_with_last_disagreement(n, j)
+            for l in range(n + 1):
+                assert ql_norm_sq(i_idx, k_idx, l, N) == _reference_ql_norm_sq(
+                    i_idx, k_idx, l, N), (n, N, j, l)
+    info = aunitary._exact_norm.cache_info()
+    assert info.currsize == maxsize < info.misses
+
+
+def test_ql_norm_sq_at_a_thousand_legs():
+    n, N = 1000, 3
+    for j, l in ((0, 0), (0, 1000), (1, 1), (1, 0), (500, 500), (500, 731), (999, 1000),
+                 (1000, 1000), (1000, 999)):
+        i_idx, k_idx = _pair_with_last_disagreement(n, j)
+        assert ql_norm_sq(i_idx, k_idx, l, N) == QQ(
+            _reference_scaled_one(i_idx, k_idx, l, N), N ** (2 * n)), (j, l)
+
+
+def test_grade_rows_share_their_entries_above_the_diagonal():
+    n, N = 1000, 3
+    rows = aunitary._grade_rows(n, N)
+    assert len(rows) == n + 1 and all(len(row) == n + 1 for row in rows)
+    for l in (1, 2, 500, 1000):
+        above = [row[l] for row in rows[:l]]
+        assert above[0] == N ** (l - 1) * (N - 1)
+        assert all(entry is above[0] for entry in above)
+    for j in (0, 1, 500, 1000):
+        assert rows[j][:j] == (0,) * j and rows[j][j] == N ** j
+        assert sum(rows[j]) == N ** n
+
+
+# -- refused arguments: a bool is not an int, and n is an int -----------------------
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ql_norm_sq((1,), (1,), 0, True), "positive integer"),
+    (lambda: ql_sums((1,), True), "positive integer"),
+    (lambda: cn_lower(2, True), "positive integer"),
+    (lambda: cg_bounds_closed(2, 1, True), "positive integer"),
+    (lambda: parseval_violations(1, True), "positive integer"),
+    (lambda: check_index_independence(2, True), "positive integer"),
+    (lambda: check_index_independence(2, 3.0), "positive integer"),
+], ids=["ql_norm_sq", "ql_sums", "cn_lower", "cg_bounds_closed", "parseval_violations",
+        "check_index_independence", "check_index_independence-float"])
+def test_a_bool_dimension_is_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ql_norm_sq((True,), (1,), 0, 3),
+    lambda: ql_norm_sq((1, 2), (1, True), 0, 3),
+    lambda: ql_sums((1, True), 3),
+    lambda: cn_lower(2, 3, (True, 1)),
+    lambda: cn_lower(2, 3, (True, 1), method="closed"),
+], ids=["ql_norm_sq-source", "ql_norm_sq-target", "ql_sums", "cn_lower-enumerate",
+        "cn_lower-closed"])
+def test_a_bool_index_entry_is_refused(call):
+    with pytest.raises(ValueError, match="is not an integer in 1..3"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ql_norm_sq((1,), (1,), True, 3),
+    lambda: ql_norm_sq((1,), (1,), False, 3),
+    lambda: cg_bounds_closed(3, True, 3),
+    lambda: cg_bounds_closed(3, 1.5, 3),
+    lambda: cg_bounds_closed(3, 4, 3),
+], ids=["ql_norm_sq-True", "ql_norm_sq-False", "cg_bounds_closed-bool", "cg_bounds_closed-float",
+        "cg_bounds_closed-above-n"])
+def test_a_bool_or_non_integer_grade_is_refused(call):
+    with pytest.raises(ValueError, match=r"l = .* is not an integer in 0\.\.[13]"):
+        call()
+
+
+@pytest.mark.parametrize("call, least", [
+    (lambda: parseval_violations(-1, 3), 0),
+    (lambda: parseval_violations(1.5, 3), 0),
+    (lambda: parseval_violations(True, 3), 0),
+    (lambda: check_index_independence(2.0, 3), 1),
+    (lambda: check_index_independence(0, 3), 1),
+    (lambda: check_index_independence(True, 3), 1),
+    (lambda: cn_lower(1.5, 3), 1),
+    (lambda: cn_lower(1.5, 3, method="closed"), 1),
+    (lambda: cn_lower(True, 3), 1),
+    (lambda: cn_lower(0, 3), 1),
+    (lambda: cg_bounds_closed(1.5, 0, 3), 0),
+    (lambda: cg_bounds_closed(True, 0, 3), 0),
+    (lambda: cg_bounds_closed(-1, 0, 3), 0),
+], ids=["parseval-negative", "parseval-float", "parseval-bool", "independence-float",
+        "independence-zero", "independence-bool", "cn_lower-float", "cn_lower-closed-float",
+        "cn_lower-bool", "cn_lower-zero", "cg_bounds-float", "cg_bounds-bool", "cg_bounds-negative"])
+def test_a_power_that_is_not_an_integer_in_range_is_refused(call, least):
+    with pytest.raises(ValueError, match=f"n must be an integer >= {least}"):
+        call()
+
+
+def test_the_smallest_powers_are_still_accepted():
+    assert parseval_violations(0, 3) == 0
+    assert cg_bounds_closed(0, 0, 3) == (0, 1)
+    assert cn_lower(1, 3) == cn_lower(1, 3, method="closed") == QQ(1, 18)
+    assert check_index_independence(1, 3)
