@@ -450,18 +450,18 @@ def test_grade_rows_share_their_entries_above_the_diagonal():
 
 # -- refused arguments: a bool is not an int, and n is an int -----------------------
 
-@pytest.mark.parametrize("call, match", [
-    (lambda: ql_norm_sq((1,), (1,), 0, True), "positive integer"),
-    (lambda: ql_sums((1,), True), "positive integer"),
-    (lambda: cn_lower(2, True), "positive integer"),
-    (lambda: cg_bounds_closed(2, 1, True), "positive integer"),
-    (lambda: parseval_violations(1, True), "positive integer"),
-    (lambda: check_index_independence(2, True), "positive integer"),
-    (lambda: check_index_independence(2, 3.0), "positive integer"),
+@pytest.mark.parametrize("call", [
+    lambda: ql_norm_sq((1,), (1,), 0, True),
+    lambda: ql_sums((1,), True),
+    lambda: cn_lower(2, True),
+    lambda: cg_bounds_closed(2, 1, True),
+    lambda: parseval_violations(1, True),
+    lambda: check_index_independence(2, True),
+    lambda: check_index_independence(2, 3.0),
 ], ids=["ql_norm_sq", "ql_sums", "cn_lower", "cg_bounds_closed", "parseval_violations",
         "check_index_independence", "check_index_independence-float"])
-def test_a_bool_dimension_is_refused(call, match):
-    with pytest.raises(ValueError, match=match):
+def test_a_bool_or_float_dimension_is_refused(call):
+    with pytest.raises(ValueError, match="positive integer"):
         call()
 
 
