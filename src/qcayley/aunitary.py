@@ -10,16 +10,16 @@ two-sided bounds for the squared cocycle norms, growing linearly in n.
 Everything is per unit source vector; only norms are materialized, never the
 chain vectors themselves (their norms are pinned, their ambient spaces are
 not needed).  The exhaustive multi-index enumerations are the definitional
-route and double as the oracle for the closed-form summations.  The grade
-norms of a pair (i, k), scaled by m1^{2n} with m1 = N, are one row of an exact
-integer table fixed by the last leg where k differs from i (_grade_rows); the
-rows share their entries above the diagonal, which do not depend on the row.
-ql_norm_sq reads its entry there and returns the exact norm from a bounded
-cache keyed by the entry's value and its scale, so repeated norms are one
-Fraction.  One walk call (_last_disagreements) takes a source i and all its
-targets k and counts the k of each last disagreeing leg; the enumerations add
-those counts times the table rows, and parseval_violations adds the counts of
-every row that misses the full norm.
+route and double as the oracle for the closed-form summations.  The grade-l
+norm of a pair (i, k), scaled by m1^{2n} with m1 = N, is a closed-form integer
+fixed by j, the last leg where k differs from i (_grade_entry(j, l, N)), so no
+table is built.  ql_norm_sq computes its one entry and returns the exact norm
+from a bounded cache keyed by the entry's value and its scale, so repeated
+norms are one Fraction.  One walk call (_last_disagreements) takes a source i
+and all its targets k and counts the k of each last disagreeing leg; the
+enumerations add those counts times the entries of row j, and
+parseval_violations totals the counts of each j over all sources and counts
+the pairs of every reached row that misses the full norm.
 
 Every integer argument (N, n, l and the multi-index entries) must be an int,
 not a bool, and is refused with ValueError otherwise.
@@ -71,6 +71,7 @@ def _check_grade(l: int, n: int) -> int:
 
 def _check_walks(N: int, exponent: int) -> None:
     """Refuse an enumeration of N ** exponent grade walks above MAX_GRADE_WALKS."""
+    # N = 1 is exempt: there is one walk, O(n) work however large n is.
     # N >= 2 with exponent >= 23 is past the cap, so the power stays small
     if N > 1 and N ** min(exponent, MAX_GRADE_WALKS.bit_length()) > MAX_GRADE_WALKS:
         raise EnumerationSizeError(
@@ -87,7 +88,7 @@ def _validate_indices(i_idx, k_idx, N: int) -> int:
     return len(i_idx)
 
 
-# Keyed by value, not by (n, N, j, l): the entry is read from _grade_rows on every call.
+# Keyed by value, not by (n, N, j, l): _grade_entry is computed on every call.
 _exact_norm = lru_cache(maxsize=256)(QQ)
 
 
@@ -97,9 +98,10 @@ def ql_norm_sq(i_idx, k_idx, l: int, N: int):
     Grade l means: legs before l are unrestricted, leg l is traceless, legs
     after l are scalar.  Grade 0 is the all-scalar component.
 
-    The arguments are validated first.  The value is entry l of the pair's
-    _grade_rows row over N^(2n), and that Fraction comes from a bounded cache
-    keyed by the two integers, so equal norms are returned as one object.
+    The arguments are validated first.  The value is _grade_entry(j, l, N)
+    over N^(2n), with j the pair's last disagreeing leg, and that Fraction
+    comes from a bounded cache keyed by the two integers, so equal norms are
+    returned as one object.  The cost is O(n) for any n.
     """
     _check_n(N)
     n = _validate_indices(i_idx, k_idx, N)
@@ -107,7 +109,7 @@ def ql_norm_sq(i_idx, k_idx, l: int, N: int):
     j = n  # the last disagreeing leg, walked as in _last_disagreements
     while j and i_idx[j - 1] == k_idx[j - 1]:
         j -= 1
-    return _exact_norm(_grade_rows(n, N)[j][l], N ** (2 * n))
+    return _exact_norm(_grade_entry(j, l, N), N ** (2 * n))
 
 
 # Per leg p the components of the rank-one e_i e_k^* under x = x0 + (Tr x/N) id,
@@ -134,23 +136,21 @@ def _last_disagreements(i_idx, k_idxs):
     return hist
 
 
-@lru_cache(maxsize=64)
-def _grade_rows(n: int, N: int):
-    """Row j (j = 0..n) is [ql_norm_sq(i, k, l, N) * N^(2n) for l = 0..n] of any
-    pair whose last disagreeing leg is j: N^j at l = j, N^(l-1) (N-1) above j
-    (those legs agree), 0 below.  Every row sums to N^n.  The entries above the
-    diagonal do not depend on j, so every row shares one set of them."""
-    above = tuple(N ** (l - 1) * (N - 1) for l in range(1, n + 1))  # grade l at above[l - 1]
-    return tuple((0,) * j + (N ** j,) + above[j:] for j in range(n + 1))
+def _grade_entry(j: int, l: int, N: int) -> int:
+    """ql_norm_sq(i, k, l, N) * N^(2n) of any pair whose last disagreeing leg is j:
+    N^j at l = j, N^(l-1) (N-1) above j (those legs agree), 0 below.  Row j
+    (l = 0..n) sums to N^n."""
+    if l < j:
+        return 0
+    return N ** j if l == j else N ** (l - 1) * (N - 1)
 
 
 def _grade_walk(i_idx, k_idxs, N, row):
     """Add ql_norm_sq(i, k, l, N) * N^(2n) to row[l] for every l = 0..n and k in k_idxs."""
-    rows = _grade_rows(len(i_idx), N)
     for j, count in enumerate(_last_disagreements(i_idx, k_idxs)):
         if count:
-            for l, w in enumerate(rows[j]):
-                row[l] += count * w
+            for l in range(j, len(row)):
+                row[l] += count * _grade_entry(j, l, N)
 
 
 def ql_sums(i_idx, N: int):
@@ -235,11 +235,11 @@ def parseval_violations(n: int, N: int) -> int:
     _check_n(N)
     _check_power(n, 0)
     _check_walks(N, 2 * n)
-    target = N ** n  # the scaled norm m1^{-n} * m1^{2n}
-    wrong = [j for j, r in enumerate(_grade_rows(n, N)) if sum(r) != target]
     indices = list(product(range(1, N + 1), repeat=n))
-    bad = 0
+    pairs = [0] * (n + 1)  # pairs[j]: the pairs whose last disagreeing leg is j
     for i_idx in indices:
-        hist = _last_disagreements(i_idx, indices)
-        bad += sum(hist[j] for j in wrong)
-    return bad
+        for j, count in enumerate(_last_disagreements(i_idx, indices)):
+            pairs[j] += count
+    target = N ** n  # the scaled norm m1^{-n} * m1^{2n}
+    return sum(count for j, count in enumerate(pairs)
+               if count and sum(_grade_entry(j, l, N) for l in range(n + 1)) != target)

@@ -152,19 +152,9 @@ def toeplitz_schur_bound(a) -> Interval:
     return (Interval.point(1) + inv) / (Interval.point(1) - inv)
 
 
-def _suffix_horner(rho, xs) -> list:
-    """[sum_{j>=k} rho^{j-k} x_j for each k], by s_k = x_k + rho * s_{k+1}."""
-    out = [None] * len(xs)
-    acc = QQ(0)
-    for k in range(len(xs) - 1, -1, -1):
-        acc = xs[k] + rho * acc
-        out[k] = acc
-    return out
-
-
 def _toeplitz_matvec(rho, xs) -> list:
     """(Tx)_i = L_i + R_i - x_i for T = (rho^|k-l|), by one-sided sums: O(len(xs))."""
-    left, right = _suffix_horner(rho, xs[::-1])[::-1], _suffix_horner(rho, xs)
+    left, right = _scaled_suffix_sums(rho, 1, xs[::-1])[::-1], _scaled_suffix_sums(rho, 1, xs)
     return [lt + rt - v for lt, rt, v in zip(left, right, xs)]
 
 
@@ -269,7 +259,8 @@ class ChainCheckResult:
 
 def _scaled_suffix_sums(p: int, q: int, xs: Sequence) -> list:
     """[S_k] for integers xs and rho = p/q, where S_k / q^(n-1-k) is
-    sum_{j>=k} rho^{j-k} xs[j] (n = len(xs)), by S_k = xs[k] q^(n-1-k) + p S_{k+1}."""
+    sum_{j>=k} rho^{j-k} xs[j] (n = len(xs)), by S_k = xs[k] q^(n-1-k) + p S_{k+1}.
+    With q = 1, p and xs may be any numbers (floats too) and S_k is the sum itself."""
     out = [0] * len(xs)
     acc, qpow = 0, 1
     for k in range(len(xs) - 1, -1, -1):

@@ -32,7 +32,7 @@ from functools import cached_property, lru_cache
 from math import isqrt
 
 from .errors import GateError, SpecSyntaxError
-from .scalars import QQ, Interval, Radical, _text, rational
+from .scalars import QQ, Interval, Radical, _text
 
 __all__ = [
     "ORTHOGONAL",
@@ -206,7 +206,7 @@ def parse_spec(text: str) -> QuantumGroupSpec:
             raise SpecSyntaxError("unbalanced '(': missing ')'", i - 1)
         number = text[i:close].strip()
         try:
-            dimq = rational(number)
+            dimq = QQ(number)
         except (ValueError, ZeroDivisionError):
             raise SpecSyntaxError(f"bad rational literal {number!r}", i) from None
         if dimq < 2:

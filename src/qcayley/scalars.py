@@ -24,7 +24,6 @@ from numbers import Rational
 __all__ = [
     "QQ",
     "RATIONAL_BACKEND",
-    "rational",
     "sqrt_bounds",
     "Interval",
     "Radical",
@@ -59,22 +58,6 @@ def _text(q) -> str:
 
 _ZERO = QQ(0)
 _ONE = QQ(1)
-
-
-def rational(value, den=None):
-    """Coerce to an exact rational.
-
-    Accepts ints, Fractions, decimal strings ("3.5") and fraction strings
-    ("7/2").  Floats are rejected: every quantity in this package is exact
-    or an interval, never a float in disguise.
-    """
-    if den is not None:
-        return QQ(value, den)
-    if isinstance(value, float):
-        raise TypeError("floats are not accepted; pass a Fraction, int or string")
-    if isinstance(value, str):
-        return QQ(value.strip())
-    return QQ(value)
 
 
 def sqrt_bounds(q, bits: int = 96):

@@ -1,5 +1,6 @@
 """Tensor-power grade norms, chain bounds, linear growth."""
 
+import tracemalloc
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -354,33 +355,25 @@ def test_grade_walk_of_a_batch_is_the_sum_of_its_single_walks(case):
 
 def test_parseval_counts_the_pairs_of_a_wrong_grade_row(monkeypatch):
     """A grade row that misses N^n is one violation for every pair whose last
-    disagreeing leg is that row's j, and ql_norm_sq reads the same table."""
+    disagreeing leg is that row's j, and ql_norm_sq reads the same entry."""
     n, N, j = 3, 3, 2
-    grade_rows = aunitary._grade_rows
+    grade_entry = aunitary._grade_entry
 
-    def bent_rows(n_, N_):
-        rows = grade_rows(n_, N_)
-        if (n_, N_) != (n, N):
-            return rows
-        row = rows[j][:j] + (rows[j][j] + 1,) + rows[j][j + 1:]
-        return rows[:j] + (row,) + rows[j + 1:]
+    def bent_entry(j_, l, N_):
+        return grade_entry(j_, l, N_) + ((j_, l, N_) == (j, j, N))
 
-    grade_rows.cache_clear()
-    monkeypatch.setattr(aunitary, "_grade_rows", bent_rows)
-    try:
-        indices = list(product(range(1, N + 1), repeat=n))
-        expected = sum(
-            max((p + 1 for p in range(n) if i_idx[p] != k_idx[p]), default=0) == j
-            for i_idx in indices for k_idx in indices)
-        assert expected == N ** n * N ** (j - 1) * (N - 1)
-        assert parseval_violations(n, N) == expected
-        assert parseval_violations(n, 2) == 0
-        assert ql_norm_sq((1, 1, 1), (3, 2, 1), j, N) == QQ(N ** j + 1, N ** (2 * n))
-    finally:
-        grade_rows.cache_clear()
+    monkeypatch.setattr(aunitary, "_grade_entry", bent_entry)
+    indices = list(product(range(1, N + 1), repeat=n))
+    expected = sum(
+        max((p + 1 for p in range(n) if i_idx[p] != k_idx[p]), default=0) == j
+        for i_idx in indices for k_idx in indices)
+    assert expected == N ** n * N ** (j - 1) * (N - 1)
+    assert parseval_violations(n, N) == expected
+    assert parseval_violations(n, 2) == 0
+    assert ql_norm_sq((1, 1, 1), (3, 2, 1), j, N) == QQ(N ** j + 1, N ** (2 * n))
 
 
-# -- the cached exact norm and the shared grade table ------------------------------
+# -- the cached exact norm and the closed-form grade entries ----------------------
 
 def test_ql_norm_sq_returns_one_fraction_per_value():
     first = ql_norm_sq((1, 1), (1, 2), 2, 3)
@@ -435,17 +428,41 @@ def test_ql_norm_sq_at_a_thousand_legs():
             _reference_scaled_one(i_idx, k_idx, l, N), N ** (2 * n)), (j, l)
 
 
-def test_grade_rows_share_their_entries_above_the_diagonal():
+def test_grade_entry_rows_are_zero_below_j_and_sum_to_the_full_norm():
     n, N = 1000, 3
-    rows = aunitary._grade_rows(n, N)
-    assert len(rows) == n + 1 and all(len(row) == n + 1 for row in rows)
-    for l in (1, 2, 500, 1000):
-        above = [row[l] for row in rows[:l]]
-        assert above[0] == N ** (l - 1) * (N - 1)
-        assert all(entry is above[0] for entry in above)
     for j in (0, 1, 500, 1000):
-        assert rows[j][:j] == (0,) * j and rows[j][j] == N ** j
-        assert sum(rows[j]) == N ** n
+        row = [aunitary._grade_entry(j, l, N) for l in range(n + 1)]
+        assert row[:j] == [0] * j and row[j] == N ** j
+        assert sum(row) == N ** n
+
+
+def _peak_bytes(call):
+    """(call(), the tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ql_norm_sq_at_three_thousand_legs_builds_no_table():
+    n, N = 3000, 3
+    i_idx, k_idx = _pair_with_last_disagreement(n, 1200)
+    norm, peak = _peak_bytes(lambda: ql_norm_sq(i_idx, k_idx, 2000, N))
+    assert norm == QQ(N ** 1999 * (N - 1), N ** (2 * n))
+    assert peak < 1 << 20
+
+
+# The two cases use different n, so neither can reuse memory the other one left behind.
+@pytest.mark.parametrize("call, expected", [
+    (lambda: parseval_violations(3000, 1), 0),
+    (lambda: ql_sums((1,) * 3001, 1), [1] + [0] * 3001),
+], ids=["parseval_violations", "ql_sums"])
+def test_the_single_walk_of_n_one_takes_linear_memory(call, expected):
+    result, peak = _peak_bytes(call)
+    assert result == expected
+    assert peak < 2 << 20
 
 
 # -- refused arguments: a bool is not an int, and n is an int -----------------------
