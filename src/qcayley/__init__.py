@@ -1,7 +1,7 @@
 """qcayley: certified arithmetic on weighted Cayley trees of universal quantum groups.
 
 Each module imports only `scalars`, `errors` and the modules before it: `fusion`
-(labels, fusion rules, exact dimensions, growth gates) -> `cayley` (trees and
+(labels, fusion rules, exact dimensions, growth gate) -> `cayley` (trees and
 their queries) -> `aunitary` (tensor-power norm bounds for the unitary factor)
 -> `estimates` (certified series and inequality checks) -> `qctree` (path
 vectors, inverse series, Gram estimates), with `cli`/`verify` on top.

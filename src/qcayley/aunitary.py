@@ -30,8 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .errors import EnumerationSizeError
-from .fusion import gate_dimension
+from .errors import EnumerationSizeError, GateError
 from .scalars import QQ
 
 __all__ = [
@@ -43,16 +42,20 @@ __all__ = [
     "parseval_violations",
 ]
 
-# At the cap, cn_lower and ql_sums take about 0.8-0.9 s (0.2 us per grade walk, Python
-# 3.11 on 2 vCPU) and parseval_violations, one walk call per source, about 0.7-0.9 s
-# (N = 2, n = 11); the largest size in use (cn_lower for N = 4, n = 9: 262,144 walks) is
-# 16 times smaller.
+# At the cap (Python 3.11 on 2 vCPU, three runs), cn_lower (N = 4, n = 11) and ql_sums at
+# N = 4 take 0.47-0.55 s, ql_sums at N = 2 (n = 22, longer walks) 0.79-0.83 s, and
+# parseval_violations, one walk call per source (N = 2, n = 11), 0.46-0.54 s; the largest
+# size in use (cn_lower for N = 4, n = 9: 262,144 walks) is 16 times smaller.
 MAX_GRADE_WALKS = 2 ** 22
 
 
-def _check_n(N: int) -> int:
+def _check_n(N: int, least: int = 1) -> int:
+    """Refuse an N that is not a positive int (ValueError) or is below least (GateError)."""
     if not (type(N) is int and N >= 1):
         raise ValueError("N must be a positive integer")
+    if N < least:
+        raise GateError(f"generator dimension N = {N} < {least}: the cocycle bounds assume "
+                        "geometric dimension growth (dimension-2 generators are excluded)")
     return N
 
 
@@ -173,7 +176,7 @@ def cg_bounds_closed(n: int, l: int, N: int):
     norm-halving; upper = lower + m1^{2(n-l)} adds the full norm of the one
     remaining chain term, since the projection is a contraction.
     """
-    gate_dimension(_check_n(N))
+    _check_n(N, least=3)
     _check_grade(l, _check_power(n, 0))
     m1sq = QQ(N) ** 2
     lower = (m1sq ** (n - l) - 1) / (2 * (m1sq - 1))
@@ -190,7 +193,7 @@ def cn_lower(n: int, N: int, i_idx=None, method: str = "enumerate"):
     the factorized per-grade totals.  The value does not depend on i
     (see check_index_independence).
     """
-    gate_dimension(_check_n(N))
+    _check_n(N, least=3)
     _check_power(n, 1)
     i_idx = (1,) * n if i_idx is None else tuple(i_idx)
     if _validate_indices(i_idx, i_idx, N) != n:

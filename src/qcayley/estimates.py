@@ -27,7 +27,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import ToeplitzSizeError
-from .fusion import a_param, ao_dims, gate_dimension, growth_floor
+from .fusion import a_param, ao_dims, growth_floor
 from .scalars import QQ, Interval, Radical
 
 __all__ = [
@@ -76,10 +76,10 @@ def rd_norm_sq(dimq, s, radius: int) -> SeriesResult:
     """Rapid-decay norm series (2/m_1) * sum_i (i+2)^{2s} / (m_i m_{i+1}): the
     weight r = 1 case of `nonuni_norm_sq`.
 
-    Requires generator dimension >= 3 so the dimensions grow geometrically;
-    the tail is dominated by ratio ((R+4)/(R+3))^{2s} / rho^2 < 1.
+    Requires generator dimension > 2 (`growth_floor`) so the dimensions grow
+    geometrically; the tail is dominated by ratio ((R+4)/(R+3))^{2s} / rho^2 < 1.
     """
-    return nonuni_norm_sq(s, 1, gate_dimension(QQ(dimq)), radius)
+    return nonuni_norm_sq(s, 1, dimq, radius)
 
 
 def _half_line(dimq, radius: int, r=1, e: int = 0):

@@ -48,7 +48,6 @@ __all__ = [
     "single_ao_dimq",
     "a_param",
     "growth_floor",
-    "gate_dimension",
     "ao_dims",
     "au_word_dim",
     "letter_dim",
@@ -308,15 +307,6 @@ def growth_floor(dimq, above=None) -> object:
     if not (rho > 1 and rho + 1 / rho <= dimq):
         raise RuntimeError(f"growth floor certification failed for dimq = {dimq}")
     return rho
-
-
-def gate_dimension(dimq):
-    """`dimq` when the generator dimension is >= 3, the regime of every certified
-    estimate (geometric dimension growth); GateError below."""
-    if dimq < 3:
-        raise GateError(f"generator quantum dimension {dimq} < 3: the estimates assume "
-                        "geometric dimension growth (dimension-2 generators are excluded)")
-    return dimq
 
 
 def ao_dims(dimq, count: int) -> list:

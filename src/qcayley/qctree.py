@@ -43,7 +43,7 @@ from typing import Iterator, Optional
 
 from .cayley import GeodesicRay, _checked_pattern, canonical_ray_pattern
 from .estimates import _half_line
-from .fusion import QuantumGroupSpec, a_param, gate_dimension, growth_floor, single_ao_dimq
+from .fusion import QuantumGroupSpec, a_param, growth_floor, single_ao_dimq
 from .scalars import QQ, Interval, Radical
 
 __all__ = [
@@ -358,7 +358,7 @@ def e2_inverse_ao(spec: QuantumGroupSpec, k: int, radius: int) -> InverseResult:
     """
     if k < 0 or radius < k:
         raise ValueError("need 0 <= k <= radius")
-    dims, _, tail, ratio = _gram_series(gate_dimension(single_ao_dimq(spec)), radius)
+    dims, _, tail, ratio = _gram_series(single_ao_dimq(spec), radius)
     ray = GeodesicRay(spec, canonical_ray_pattern(spec), radius + 1)
 
     m1, mk = dims[1], dims[k]
@@ -390,7 +390,7 @@ def gram(spec: QuantumGroupSpec, k: int, l: int, radius: int) -> Interval:
     """
     if min(k, l) < 0 or radius < max(k, l):
         raise ValueError("need 0 <= k, l <= radius")
-    dims, prefix, tail, _ = _gram_series(gate_dimension(single_ao_dimq(spec)), radius)
+    dims, prefix, tail, _ = _gram_series(single_ao_dimq(spec), radius)
     weight = 2 * dims[k] * dims[l] / dims[1]
     lo, hi = _entry_sums(prefix, tail, max(k, l), radius)
     return Interval(weight * lo, weight * hi)
@@ -406,11 +406,11 @@ def gram_bound(spec: QuantumGroupSpec, kmax: int, radius: int):
     k <= l, are unreduced integer pairs compared by cross-multiplication;
     only the largest is reduced, and D = 2 max / m_1.
     """
-    dimq = gate_dimension(single_ao_dimq(spec))
-    a_hi = a_param(dimq).interval.hi
     if not 0 <= kmax <= radius:
         raise ValueError("need 0 <= kmax <= radius")
+    dimq = single_ao_dimq(spec)
     dims, prefix, tail, _ = _gram_series(dimq, radius)
+    a_hi = a_param(dimq).interval.hi
     an, ad = a_hi.numerator, a_hi.denominator
     best_n, best_d = 0, 1
     for l in range(kmax + 1):

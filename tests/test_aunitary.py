@@ -100,7 +100,9 @@ def test_validation_errors():
     lambda: cn_lower(2, 3.5),
     lambda: cg_bounds_closed(3, 1, 3.5),
     lambda: cn_lower(2, 3.0),
-], ids=["cn_lower-closed", "cn_lower-enumerate", "cg_bounds_closed", "cn_lower-float-integral"])
+    lambda: cg_bounds_closed(3, 1, 3.0),
+], ids=["cn_lower-closed", "cn_lower-enumerate", "cg_bounds_closed", "cn_lower-float-integral",
+        "cg_bounds_closed-float-integral"])
 def test_gated_functions_refuse_a_non_integer_dimension(call):
     with pytest.raises(ValueError, match="positive integer"):
         call()
@@ -190,10 +192,11 @@ def test_cn_lower_independent_of_source_index():
 
 
 def test_dimension_two_gates():
-    with pytest.raises(GateError):
-        cg_bounds_closed(3, 1, 2)
-    with pytest.raises(GateError):
-        cn_lower(3, 2)
+    # N >= 3 is one condition of the N check: a GateError naming the dimension
+    for call in (lambda: cg_bounds_closed(3, 1, 2), lambda: cn_lower(3, 2),
+                 lambda: cn_lower(2, 2), lambda: cn_lower(2, 2, method="closed")):
+        with pytest.raises(GateError, match="dimension"):
+            call()
     # the grade decomposition itself is dimension-agnostic
     assert parseval_violations(3, 2) == 0
 

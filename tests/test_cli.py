@@ -221,6 +221,27 @@ def test_rd_norm_radius_too_small_is_a_short_usage_error(s, capsys):
     assert len(err.encode()) < 200
 
 
+def test_rd_norm_between_dimensions_two_and_three_is_the_unweighted_series(capsys):
+    # both doors pass the one growth gate and certify the same series of Ao(5/2)
+    rows = []
+    for extra in ([], ["--r", "1"]):
+        code, out, _ = run_cli(capsys, "rd-norm", "--spec", "Ao(5/2)", "--radius", "60", *extra)
+        assert code == 0
+        rows.append(json.loads(out.splitlines()[0]))
+    plain, weighted = rows
+    assert plain["quantity"] == "rd_norm_sq" and weighted["quantity"] == "weighted_norm_sq"
+    for key in ("value_lo", "value_hi", "tail"):
+        assert plain[key] == weighted[key], key
+
+
+@pytest.mark.parametrize("extra", [[], ["--r", "1"]], ids=["rd_norm_sq", "r=1"])
+def test_rd_norm_just_above_dimension_two_needs_a_larger_radius(extra, capsys):
+    # a = 1.032...: at the default radius 60 the term ratio (64/63)^6 / a^2 is about 1.03
+    code, out, err = run_cli(capsys, "rd-norm", "--spec", "Ao(2001/1000)", *extra)
+    assert code == 2 and out == ""
+    assert err == "error: radius 60 too small to certify the tail (term ratio >= 1); increase it\n"
+
+
 def test_gate_error_surfaced_verbatim(capsys):
     code, _, err = run_cli(capsys, "fixed-vector", "--spec", "Ao(2)", "--radius", "5")
     assert code == 2
@@ -376,7 +397,7 @@ def test_format_rational(value, text):
     assert _text(value) == text
 
 
-_DIMQ_LITERALS = ["0", "1", "3/2", "2", "3", "7/2", "4.5", "-3", "1/0", "x", ""]
+_DIMQ_LITERALS = ["0", "1", "3/2", "2", "5/2", "3", "7/2", "4.5", "-3", "1/0", "x", ""]
 _FUZZ_SPECS = st.one_of(
     st.lists(st.tuples(st.sampled_from(["Ao", "Au"]), st.sampled_from(_DIMQ_LITERALS)),
              min_size=1, max_size=2).map(lambda fs: "*".join(f"{k}({d})" for k, d in fs)),

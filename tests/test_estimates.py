@@ -55,6 +55,12 @@ def test_rd_gates():
         rd_norm_sq(QQ(3), QQ(30), 1)  # radius too small to certify the tail
 
 
+@pytest.mark.parametrize("s", [QQ(0), QQ(1), QQ(3)])
+def test_rd_series_below_dimension_three_is_the_unweighted_series(s):
+    # Ao(5/2) (a = 2) passes the one growth gate; rd_norm_sq is nonuni_norm_sq at r = 1
+    assert rd_norm_sq(QQ(5, 2), s, 60) == nonuni_norm_sq(s, 1, QQ(5, 2), 60)
+
+
 def test_rd_half_integer_exponents_supported():
     res = rd_norm_sq(QQ(3), QQ(1, 2), 40)
     assert res.tail_bound > 0
@@ -396,7 +402,7 @@ def test_chain_near_extremal_passes_and_mutation_fails():
 
 # -- the shared half-line series and the integer dimension recurrence ------------------
 
-@pytest.mark.parametrize("text", ["Ao(3)", "Ao(4)", "Ao(7/2)"])
+@pytest.mark.parametrize("text", ["Ao(3)", "Ao(4)", "Ao(7/2)", "Ao(5/2)"])
 def test_gram_bound_is_the_largest_weighted_entry(text):
     spec = parse_spec(text)
     a_hi = a_param(spec.factors[0].dimq).interval.hi

@@ -192,19 +192,15 @@ def test_single_ao_gate_refuses(entry, text, capsys):
             target(parse_spec(text))
 
 
-# -- the growth gates and their thresholds ---------------------------------------
+# -- the one growth gate ----------------------------------------------------------
 
 AO2, AO5_2 = parse_spec("Ao(2)"), parse_spec("Ao(5/2)")
 
 GATED = {
     "rd_norm_sq Ao(2)": lambda: rd_norm_sq(QQ(2), QQ(3), 40),
-    "rd_norm_sq Ao(5/2)": lambda: rd_norm_sq(QQ(5, 2), QQ(3), 40),
     "e2_inverse_ao Ao(2)": lambda: e2_inverse_ao(AO2, 0, 10),
-    "e2_inverse_ao Ao(5/2)": lambda: e2_inverse_ao(AO5_2, 0, 10),
     "gram Ao(2)": lambda: gram(AO2, 0, 0, 10),
-    "gram Ao(5/2)": lambda: gram(AO5_2, 0, 0, 10),
     "gram_bound Ao(2)": lambda: gram_bound(AO2, 2, 10),
-    "gram_bound Ao(5/2)": lambda: gram_bound(AO5_2, 2, 10),
     "cn_lower N=1": lambda: cn_lower(2, 1),
     "cn_lower N=2": lambda: cn_lower(2, 2),
     "cg_bounds_closed N=1": lambda: cg_bounds_closed(3, 1, 1),
@@ -212,10 +208,14 @@ GATED = {
 }
 
 # growth_floor takes every dimq > 2, so the half line of Ao(5/2) (a = 2) has a
-# fixed vector and weighted series; the estimates above need dimq >= 3
+# fixed vector, Gram entries, an inverse series and weighted series
 ACCEPTED = {
     "fixed_vector Ao(5/2)": lambda: fixed_vector(AO5_2, 10).tail_bound,
     "nonuni_norm_sq r=1 Ao(5/2)": lambda: nonuni_norm_sq(QQ(3), 1, QQ(5, 2), 40).tail_bound,
+    "rd_norm_sq Ao(5/2)": lambda: rd_norm_sq(QQ(5, 2), QQ(3), 40).tail_bound,
+    "e2_inverse_ao Ao(5/2)": lambda: e2_inverse_ao(AO5_2, 0, 10).tail_bound,
+    "gram Ao(5/2)": lambda: gram(AO5_2, 0, 0, 10).width,
+    "gram_bound Ao(5/2)": lambda: gram_bound(AO5_2, 2, 10),
 }
 
 
@@ -226,6 +226,29 @@ def test_dimension_gates_and_their_thresholds(case):
     else:
         with pytest.raises(GateError, match="dimension"):
             GATED[case]()
+
+
+# every half-line door, as a positive certified quantity of the series of Ao(dimq)
+HALF_LINE_DOORS = {
+    "rd_norm_sq": lambda dimq: rd_norm_sq(dimq, QQ(3), 40).tail_bound,
+    "nonuni_norm_sq r=1": lambda dimq: nonuni_norm_sq(QQ(3), 1, dimq, 40).tail_bound,
+    "gram": lambda dimq: gram(parse_spec(f"Ao({dimq})"), 1, 2, 12).width,
+    "gram_bound": lambda dimq: gram_bound(parse_spec(f"Ao({dimq})"), 3, 12),
+    "e2_inverse_ao": lambda dimq: e2_inverse_ao(parse_spec(f"Ao({dimq})"), 1, 12).tail_bound,
+    "fixed_vector": lambda dimq: fixed_vector(parse_spec(f"Ao({dimq})"), 12).tail_bound,
+}
+
+
+@pytest.mark.parametrize("door", sorted(HALF_LINE_DOORS))
+def test_growth_floor_is_the_one_gate_of_every_half_line_door(door):
+    """Ao(2) is refused with growth_floor's own message and Ao(5/2) certified, through
+    every door: no door adds a threshold of its own."""
+    with pytest.raises(GateError) as refused:
+        growth_floor(QQ(2))
+    with pytest.raises(GateError) as at_the_door:
+        HALF_LINE_DOORS[door](QQ(2))
+    assert str(at_the_door.value) == str(refused.value)
+    assert HALF_LINE_DOORS[door](QQ(5, 2)) > 0
 
 
 # -- dimension sequences -------------------------------------------------------

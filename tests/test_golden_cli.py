@@ -41,6 +41,7 @@ CASES = {
     "rd-norm-weighted": ["rd-norm", "--spec", "Ao(7/2)", "--r", "2"],
     "rd-norm-half": ["rd-norm", "--spec", "Ao(4)", "--s", "1/2", "--radius", "40"],
     "rd-norm-radius-0": ["rd-norm", "--spec", "Ao(7/2)", "--s", "1", "--r", "3/2", "--radius", "0"],
+    "rd-norm-dimq-between-2-and-3": ["rd-norm", "--spec", "Ao(5/2)", "--radius", "60"],
     "schur": ["schur", "--a", "growth:3"],
     "schur-rational-a": ["schur", "--a", "3/2", "--size", "7"],
     "chain-check": ["chain-check", "--a", "growth:3", "--seed", "11"],
@@ -56,6 +57,7 @@ REFUSALS = {
     "gram-unitary": ["gram", "--spec", "Au(3)"],
     "rd-norm-product": ["rd-norm", "--spec", "Ao(3)*Ao(3)"],
     "fixed-vector-dim2": ["fixed-vector", "--spec", "Ao(2)"],
+    "gram-dim2": ["gram", "--spec", "Ao(2)"],
     "growth-past-the-walk-cap": ["growth", "--spec", "Au(3)", "--n-max", "30"],
 }
 

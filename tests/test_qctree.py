@@ -26,10 +26,12 @@ from qcayley.qctree import (
     path_vector,
 )
 from qcayley.scalars import QQ, Radical, sqrt_rational
+from qcayley.verify import _gram_closed_oracle
 
 AO3 = parse_spec("Ao(3)")
 AU3 = parse_spec("Au(3)")
 MIXED = parse_spec("Ao(3)*Au(3)")
+AO5_2 = parse_spec("Ao(5/2)")  # a = 2 exactly: the series between dimensions 2 and 3
 # the infinite geodesics of period two that alternate the two factors
 MIXED_PATTERNS = [(a, b) for a in MIXED.directions for b in MIXED.directions
                   if a.factor != b.factor]
@@ -604,6 +606,13 @@ def test_inverse_tail_is_m_k_squared_times_the_ray_tail(k, radius):
         m_k * m_k * fixed_vector(AO3, radius + 1).tail_bound
 
 
+@pytest.mark.parametrize("k, radius", [(0, 10), (3, 12), (8, 30)])
+def test_inverse_residual_below_dimension_three(k, radius):
+    # Ao(5/2) passes the one growth gate: the residual is m_k / m_{R+1}, exactly
+    dims = ao_dims(QQ(5, 2), radius + 2)
+    assert e2_inverse_ao(AO5_2, k, radius).residual_norm == dims[k] / dims[radius + 1]
+
+
 def test_inverse_gates():
     with pytest.raises(GateError):
         e2_inverse_ao(AU3, 0, 10)
@@ -654,6 +663,19 @@ def test_gram_decay_bound():
     a_hi = a_param(QQ(3)).interval.hi
     g = gram(AO3, 0, 5, 50)
     assert g.hi * a_hi ** 5 <= dee
+
+
+def test_gram_below_dimension_three_contains_the_closed_sum_and_decays():
+    # at a = 2 the closed sum is rational, so containment and decay are exact checks
+    kmax, radius = 8, 40
+    dee = gram_bound(AO5_2, kmax, radius)
+    for k in range(kmax + 1):
+        for l in range(kmax + 1):
+            oracle = _gram_closed_oracle(QQ(5, 2), k, l)
+            assert oracle.is_rational
+            g = gram(AO5_2, k, l, radius)
+            assert g.lo <= oracle.as_rational() <= g.hi, (k, l)
+            assert g.hi <= dee * QQ(1, 2) ** abs(k - l), (k, l)
 
 
 def test_gram_matrix_positive_semidefinite_30():
