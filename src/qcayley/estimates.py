@@ -135,7 +135,7 @@ MAX_TOEPLITZ_SIZE = 1000
 
 def _as_interval(a) -> Interval:
     """`a` itself when it is an Interval, else the point at the rational a."""
-    return a if isinstance(a, Interval) else Interval.point(QQ(a))
+    return a if isinstance(a, Interval) else Interval.point(a)
 
 
 def _inverse(a) -> Interval:
@@ -283,15 +283,16 @@ def orientation_chain_check(a, xs: Sequence, tighten=QQ(1)) -> ChainCheckResult:
     `a` is a rational or an Interval enclosing it (`a_param(dimq).interval`).
     """
     inv = _inverse(a)
-    xs = [QQ(x) for x in xs]
-    if any(x < 0 for x in xs):
-        raise ValueError("entries must be nonnegative")
+    xs = [x if type(x) is QQ else QQ(x) for x in xs]
     n = len(xs)
-    # x_j = ints[j] / d.  x_j >= 0 and 0 < inv.lo <= inv.hi, so the sums of the lhs
-    # are largest at inv.hi = ph/qh and those of the rhs smallest at inv.lo = pl/ql:
+    # x_j = ints[j] / d with d > 0, so x_j < 0 exactly when ints[j] < 0.  x_j >= 0 and
+    # 0 < inv.lo <= inv.hi, so the sums of the lhs are largest at inv.hi = ph/qh and
+    # those of the rhs smallest at inv.lo = pl/ql:
     # s1_k = s1[k] / (d qh^m) and s2_k = s2[k] / (d^2 ql^m), m = n-1-k.
     d = math.lcm(*(x.denominator for x in xs))
     ints = [x.numerator * (d // x.denominator) for x in xs]
+    if ints and min(ints) < 0:
+        raise ValueError("entries must be nonnegative")
     squares = [v * v for v in ints]
     (pl, ql), (ph, qh) = inv.lo.as_integer_ratio(), inv.hi.as_integer_ratio()
     s1, s2 = _scaled_suffix_sums(ph, qh, ints), _scaled_suffix_sums(pl, ql, squares)

@@ -254,25 +254,36 @@ _DEFAULT_TOL = QQ(1, 10**30)
 def a_param(dimq, tol=_DEFAULT_TOL) -> GrowthParam:
     """Certified growth parameter for dimq >= 2; width of the interval <= tol.
 
-    For dimq = p/q, a = (p + sqrt(p^2 - 4q^2)) / (2q): the enclosure takes
-    one integer square root at the first of 64, 128, ... bits that meets
-    tol, and is a point when p^2 - 4q^2 is a perfect square.
+    For dimq = p/q, a = (p + sqrt(disc)) / (2q) with the integer discriminant
+    disc = p^2 - 4q^2.  One integer square root r of disc decides the case:
+    if r^2 = disc, a = (p + r)/(2q) is rational, `exact` has no surd and the
+    interval is a point.  Otherwise `exact` is p/(2q) plus the surd of square
+    disc/(4q^2), which is no rational square because disc is no integer one,
+    and the enclosure takes one integer square root at the first of 64, 128,
+    ... bits that meets tol.  The bit count is chosen in integers against
+    QQ(tol); any tol >= 1, float('inf') included, gives 64 bits.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    dimq = QQ(dimq)
+    if type(dimq) is not QQ:
+        dimq = QQ(dimq)
     if dimq < 2:
         raise GateError(
             f"no growth parameter for dimq = {dimq} < 2: a + 1/a = dimq has no real root >= 1"
         )
-    exact = (Radical.from_rational(dimq) + Radical.sqrt_of(dimq * dimq - 4)) / 2
-    if exact.is_rational:
-        return GrowthParam(dimq, Interval.point(exact.as_rational()), exact)
     p, q = dimq.numerator, dimq.denominator
+    disc = p * p - 4 * q * q
+    r = isqrt(disc)
+    if r * r == disc:
+        a = QQ(p + r, 2 * q)
+        return GrowthParam(dimq, Interval(a), Radical(a))
+    exact = Radical(QQ(p, 2 * q), QQ(disc, 4 * q * q))
+    # 1/(q 2^(bits+1)) > tol = tn/td, in integers
+    tn, td = QQ(tol).as_integer_ratio() if tol < 1 else (1, 1)
     bits = 64
-    while QQ(1, q << (bits + 1)) > tol:
+    while tn * (q << (bits + 1)) < td:
         bits *= 2
-    s = isqrt((p * p - 4 * q * q) << (2 * bits))
+    s = isqrt(disc << (2 * bits))
     return GrowthParam(dimq, Interval(QQ((p << bits) + s, q << (bits + 1)),
                                       QQ((p << bits) + s + 1, q << (bits + 1))), exact)
 

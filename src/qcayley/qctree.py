@@ -375,12 +375,18 @@ def e2_inverse_ao(spec: QuantumGroupSpec, k: int, radius: int) -> InverseResult:
                          ray, TailCertificate(ratio, radius))
 
 
-def _entry_sums(prefix, tail, j: int, radius: int):
-    """(lo, hi) of sum_{i >= j} 1/(m_i m_{i+1}): the exact sum up to the radius, and
-    that plus the tail bound.  The Gram entry (k, l) is 2 m_k m_l / m_1 times it,
-    at j = max(k, l)."""
+# Each Gram table reads one pair per j = max(k, l) <= kmax: c4 reads 21 (kmax 20) and
+# `gram --kmax 200` reads 201, so 256 keeps a whole table's pairs between its rows.
+@lru_cache(maxsize=256)
+def _entry_sums(dimq, radius: int, j: int):
+    """(lo, hi) of (2/m_1) sum_{i >= j} 1/(m_i m_{i+1}): the exact sum up to the radius,
+    and that plus the tail bound.  The Gram entry (k, l) is m_k m_l times it, at
+    j = max(k, l).  Cached per (dimq, radius, j): a Gram table computes each j once,
+    and no call builds the pairs of every j."""
+    dims, prefix, tail, _ = _gram_series(dimq, radius)
     s = prefix[radius] - prefix[j - 1] if j else prefix[radius]
-    return s, s + tail
+    scale = 2 / dims[1]
+    return s * scale, (s + tail) * scale
 
 
 def gram(spec: QuantumGroupSpec, k: int, l: int, radius: int) -> Interval:
@@ -390,9 +396,10 @@ def gram(spec: QuantumGroupSpec, k: int, l: int, radius: int) -> Interval:
     """
     if min(k, l) < 0 or radius < max(k, l):
         raise ValueError("need 0 <= k, l <= radius")
-    dims, prefix, tail, _ = _gram_series(single_ao_dimq(spec), radius)
-    weight = 2 * dims[k] * dims[l] / dims[1]
-    lo, hi = _entry_sums(prefix, tail, max(k, l), radius)
+    dimq = single_ao_dimq(spec)
+    dims = _gram_series(dimq, radius)[0]
+    lo, hi = _entry_sums(dimq, radius, max(k, l))
+    weight = dims[k] * dims[l]
     return Interval(weight * lo, weight * hi)
 
 
@@ -402,19 +409,19 @@ def gram_bound(spec: QuantumGroupSpec, kmax: int, radius: int):
     Upper interval ends are used on both the entries and the powers of a, so
     the returned rational D certifies the decay inequality for every entry.
     The series is read once: for each l, h_l = m_l times the upper end of
-    `_entry_sums` is one Fraction, and the candidates h_l m_k a_hi^(l-k),
-    k <= l, are unreduced integer pairs compared by cross-multiplication;
-    only the largest is reduced, and D = 2 max / m_1.
+    `_entry_sums`, which already carries the factor 2/m_1, is one Fraction, and
+    the candidates h_l m_k a_hi^(l-k), k <= l, are unreduced integer pairs
+    compared by cross-multiplication; only the largest is reduced, and it is D.
     """
     if not 0 <= kmax <= radius:
         raise ValueError("need 0 <= kmax <= radius")
     dimq = single_ao_dimq(spec)
-    dims, prefix, tail, _ = _gram_series(dimq, radius)
+    dims = _gram_series(dimq, radius)[0]
     a_hi = a_param(dimq).interval.hi
     an, ad = a_hi.numerator, a_hi.denominator
     best_n, best_d = 0, 1
     for l in range(kmax + 1):
-        h = _entry_sums(prefix, tail, l, radius)[1] * dims[l]
+        h = _entry_sums(dimq, radius, l)[1] * dims[l]
         hn, hd = h.numerator, h.denominator
         # k = l, l-1, ..., 0: one more power of a_hi per step
         for m in reversed(dims[:l + 1]):
@@ -422,4 +429,4 @@ def gram_bound(spec: QuantumGroupSpec, kmax: int, radius: int):
             if num * best_d > best_n * den:
                 best_n, best_d = num, den
             hn, hd = hn * an, hd * ad
-    return 2 * QQ(best_n, best_d) / dims[1]
+    return QQ(best_n, best_d)

@@ -94,13 +94,21 @@ def _round_up(q, bits: int):
 
 
 class Interval:
-    """Closed interval [lo, hi] with exact rational endpoints."""
+    """Closed interval [lo, hi] with exact rational endpoints.
+
+    An endpoint of type exactly ``QQ`` is kept as it is (Fractions are
+    immutable); anything else, a ``QQ`` subclass included, becomes ``QQ(x)``.
+    """
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi=None):
-        lo = QQ(lo)
-        hi = lo if hi is None else QQ(hi)
+        if type(lo) is not QQ:
+            lo = QQ(lo)
+        if hi is None:
+            hi = lo
+        elif type(hi) is not QQ:
+            hi = QQ(hi)
         if lo > hi:
             raise ValueError(f"empty interval [{lo}, {hi}]")
         self.lo = lo
@@ -108,8 +116,7 @@ class Interval:
 
     @classmethod
     def point(cls, value) -> "Interval":
-        v = QQ(value)
-        return cls(v, v)
+        return cls(value)
 
     # -- arithmetic (exact on rational endpoints) --------------------------
 

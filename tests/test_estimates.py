@@ -296,8 +296,24 @@ def test_chain_single_spike():
 
 
 def test_chain_rejects_negative_entries():
-    with pytest.raises(ValueError):
-        orientation_chain_check(QQ(2), [QQ(1), QQ(-1)])
+    cases = [
+        [QQ(1), QQ(-1)],
+        [QQ(-1, 7)],
+        [QQ(-3), QQ(2), QQ(5)],
+        [QQ(9), QQ(0), QQ(-1, 1000)],  # after a larger positive entry
+        [40, QQ(3, 7), -1, QQ(2, 9)],  # ints and Fractions mixed
+        [QQ(5, 3), 0, 2, QQ(-2, 9), 7],
+    ]
+    for xs in cases:
+        for a in (QQ(2), a_param(QQ(3)).interval):
+            with pytest.raises(ValueError, match="^entries must be nonnegative$"):
+                orientation_chain_check(a, xs)
+
+
+def test_chain_takes_ints_and_fractions_alike():
+    xs = [3, QQ(1, 2), 0, 7, QQ(5, 3)]
+    for a in _CHAIN_AS:
+        assert orientation_chain_check(a, xs) == orientation_chain_check(a, [QQ(x) for x in xs])
 
 
 @given(st.lists(st.fractions(min_value=0, max_value=20, max_denominator=9),

@@ -1,6 +1,7 @@
 """Labels, fusion rules, dimension sequences, growth parameter."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from qcayley.cli import main
 from qcayley.aunitary import cg_bounds_closed, cn_lower
 from qcayley.estimates import nonuni_norm_sq, rd_norm_sq
 from qcayley.qctree import e2_inverse_ao, fixed_vector, gram, gram_bound
-from qcayley.scalars import QQ, Interval
+from qcayley.scalars import QQ, Interval, Radical
 
 
 # -- spec grammar ------------------------------------------------------------
@@ -121,8 +122,6 @@ def test_a_param_non_unimodular_case():
     gp = a_param(QQ(7, 2))
     assert float(gp.interval.mid) == pytest.approx(3.1861406616, abs=1e-9)
     # exact root of a^2 - (7/2) a + 1 = 0 in the quadratic field
-    from qcayley.scalars import Radical
-
     assert gp.exact * gp.exact - QQ(7, 2) * gp.exact + 1 == Radical.from_rational(0)
 
 
@@ -151,12 +150,62 @@ def test_a_param_gate():
         a_param(QQ(3, 2))
 
 
-@pytest.mark.parametrize("tol", [0, -1, QQ(-1, 10**30)], ids=str)
+@pytest.mark.parametrize("tol", [0, -1, QQ(-1, 10**30), float("nan")], ids=str)
 def test_a_param_refuses_a_tolerance_that_is_not_positive(tol):
     # no enclosure has width <= 0: the bit count would double without end
     for dimq in (QQ(3), QQ(5, 2)):
-        with pytest.raises(ValueError, match="tol"):
+        with pytest.raises(ValueError, match="tol must be positive"):
             a_param(dimq, tol)
+
+
+def _oracle_a_param(dimq, tol=QQ(1, 10**30)):
+    """(interval, exact) by the Radical route (dimq + sqrt(dimq^2 - 4)) / 2, with
+    the enclosure's bit count found by one Fraction 1/(q 2^(bits+1)) per doubling."""
+    dimq = QQ(dimq)
+    exact = (Radical.from_rational(dimq) + Radical.sqrt_of(dimq * dimq - 4)) / 2
+    if exact.is_rational:
+        return Interval.point(exact.as_rational()), exact
+    p, q = dimq.numerator, dimq.denominator
+    bits = 64
+    while QQ(1, q << (bits + 1)) > tol:
+        bits *= 2
+    s = isqrt((p * p - 4 * q * q) << (2 * bits))
+    return Interval(QQ((p << bits) + s, q << (bits + 1)),
+                    QQ((p << bits) + s + 1, q << (bits + 1))), exact
+
+
+_SQUARE_DISC = [QQ(2), QQ(5, 2), QQ(10, 3), QQ(17, 4), QQ(26, 5)]  # p^2 - 4q^2 a square
+_SURD_DISC = [QQ(3), QQ(7, 2), QQ(12), QQ(2001, 1000)]
+_TOLS = [None, QQ(1, 10**12), QQ(1, 10**60), QQ(1, 10**200)]
+
+
+@pytest.mark.parametrize("tol", _TOLS, ids=["default", "1e-12", "1e-60", "1e-200"])
+@pytest.mark.parametrize("dimq", _SQUARE_DISC + _SURD_DISC, ids=str)
+def test_a_param_equals_the_radical_route(dimq, tol):
+    got = a_param(dimq) if tol is None else a_param(dimq, tol)
+    interval, exact = _oracle_a_param(dimq) if tol is None else _oracle_a_param(dimq, tol)
+    assert (got.interval.lo, got.interval.hi) == (interval.lo, interval.hi)
+    assert type(got.interval.lo) is QQ and type(got.interval.hi) is QQ
+    assert (got.exact._p, got.exact._s) == (exact._p, exact._s)
+    assert type(got.exact._p) is QQ
+    # Radical._sqrt_product takes the rational branch only on the int 0
+    assert type(got.exact._s) is (int if dimq in _SQUARE_DISC else QQ)
+    assert got.exact.is_rational == (dimq in _SQUARE_DISC)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-40, 2.5e-100, 0.3, 1.0, 7.0])
+def test_a_param_float_tolerance_is_its_exact_rational(tol):
+    for dimq in _SURD_DISC + [QQ(5, 2)]:
+        assert a_param(dimq, tol) == a_param(dimq, QQ(tol))
+
+
+def test_a_param_infinite_tolerance_gives_the_64_bit_enclosure():
+    for dimq in _SURD_DISC + [QQ(5, 2)]:
+        got = a_param(dimq, float("inf"))
+        interval, _ = _oracle_a_param(dimq, float("inf"))
+        assert got.interval == interval == a_param(dimq, 1).interval
+    q = QQ(7, 2).denominator
+    assert a_param(QQ(7, 2), float("inf")).interval.width == QQ(1, q << 65)
 
 
 @pytest.mark.parametrize("dimq", [QQ(3), QQ(7, 2), QQ(4)])

@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from qcayley import qctree
 from qcayley.cayley import CayleyTree, GeodesicRay, build_tree, canonical_ray_pattern, validate
 from qcayley.errors import GateError
-from qcayley.estimates import _certified_pd
+from qcayley.estimates import _certified_pd, _half_line
 from qcayley.fusion import Direction, a_param, ao_dims, au_word, parse_spec, quantum_dim
 from qcayley.qctree import (
     GeomEdgeVector,
@@ -29,6 +30,7 @@ from qcayley.scalars import QQ, Radical, sqrt_rational
 from qcayley.verify import _gram_closed_oracle
 
 AO3 = parse_spec("Ao(3)")
+AO4 = parse_spec("Ao(4)")
 AU3 = parse_spec("Au(3)")
 MIXED = parse_spec("Ao(3)*Au(3)")
 AO5_2 = parse_spec("Ao(5/2)")  # a = 2 exactly: the series between dimensions 2 and 3
@@ -683,3 +685,65 @@ def test_gram_matrix_positive_semidefinite_30():
     size = 31
     box = [[gram(AO3, min(k, l), max(k, l), 75) for l in range(size)] for k in range(size)]
     assert _certified_pd(box)
+
+
+_GRAM_SPECS = ["Ao(3)", "Ao(4)", "Ao(7/2)", "Ao(5/2)"]
+
+
+def _unscaled_gram(series, k, l, radius):
+    """(lo, hi) of the Gram entry as 2 m_k m_l / m_1 times the prefix difference
+    prefix[R] - prefix[j-1], and that plus the tail, j = max(k, l)."""
+    dims, prefix, tail, _ = series
+    j = max(k, l)
+    s = prefix[radius] - prefix[j - 1] if j else prefix[radius]
+    weight = 2 * dims[k] * dims[l] / dims[1]
+    return weight * s, weight * (s + tail)
+
+
+@pytest.mark.parametrize("text", _GRAM_SPECS)
+def test_gram_entries_and_bound_equal_the_unscaled_sums(text):
+    spec, radius, kmax = parse_spec(text), 60, 20
+    series = _half_line(spec.factors[0].dimq, radius)
+    dims, a_hi = series[0], a_param(spec.factors[0].dimq).interval.hi
+    best = 0
+    for k in range(kmax + 1):
+        for l in range(kmax + 1):
+            g = gram(spec, k, l, radius)
+            want = _unscaled_gram(series, k, l, radius)
+            assert (g.lo, g.hi) == want, (k, l)
+            if k <= l:
+                best = max(best, want[1] * dims[1] / 2 * a_hi ** (l - k))
+    assert gram_bound(spec, kmax, radius) == 2 * best / dims[1]
+
+
+def test_gram_entries_at_two_radii_in_either_call_order():
+    # the cached sums are keyed by the radius as well as by dimq and j
+    want = {radius: _unscaled_gram(_half_line(3, radius), 4, 9, radius) for radius in (40, 60)}
+    assert want[40] != want[60]
+    for order in ((40, 60), (60, 40)):
+        qctree._entry_sums.cache_clear()
+        for radius in order + order:
+            g = gram(AO3, 4, 9, radius)
+            assert (g.lo, g.hi) == want[radius], (order, radius)
+
+
+def test_a_gram_table_reads_the_series_once_and_each_j_once(monkeypatch):
+    calls = {"series": 0, "sums": 0}
+    sums = qctree._entry_sums.__wrapped__
+
+    def counting_series(*args):
+        calls["series"] += 1
+        return _half_line(*args)
+
+    def counting_sums(*args):
+        calls["sums"] += 1
+        return sums(*args)
+
+    monkeypatch.setattr(qctree, "_gram_series", lru_cache(maxsize=64)(counting_series))
+    monkeypatch.setattr(qctree, "_entry_sums",
+                        lru_cache(**qctree._entry_sums.cache_parameters())(counting_sums))
+    for k in range(21):
+        for l in range(21):
+            gram(AO4, k, l, 60)
+    assert calls["series"] == 1
+    assert calls["sums"] <= 21

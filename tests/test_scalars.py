@@ -38,6 +38,28 @@ def test_interval_arithmetic_directed():
         b.inverse()
 
 
+class _Half(Fraction):
+    """A Fraction subclass: Interval must not keep it as an endpoint."""
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 2), (0.5, 2.25), (Fraction(1, 3), Fraction(7, 3)),
+                                    (_Half(1, 2), _Half(3, 2)), (-2, Fraction(1, 3))], ids=str)
+def test_interval_endpoints_are_plain_rationals(lo, hi):
+    for iv in (Interval(lo, hi), Interval(lo), Interval.point(hi)):
+        assert type(iv.lo) is QQ and type(iv.hi) is QQ
+    iv = Interval(lo, hi)
+    assert (iv.lo, iv.hi) == (QQ(lo), QQ(hi))
+    with pytest.raises(ValueError, match="empty interval"):
+        Interval(hi, lo)
+
+
+def test_interval_keeps_a_rational_endpoint_as_it_is():
+    lo, hi = QQ(1, 3), QQ(5, 3)
+    iv = Interval(lo, hi)
+    assert iv.lo is lo and iv.hi is hi
+    assert Interval.point(lo).hi is lo
+
+
 def test_interval_contains():
     assert Interval(QQ(0), QQ(4)).contains(QQ(4))
     assert not Interval(QQ(0), QQ(4)).contains(QQ(5))
