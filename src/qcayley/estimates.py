@@ -12,8 +12,13 @@ put over common denominators, the one-sided geometric sums are integer
 recurrences (`_scaled_suffix_sums`), and a result is built as one Fraction
 (the Toeplitz bounds) or not at all: a failed chain check names the tests
 that failed (`per_k_ok`, `aggregate_ok`), not the values of their two
-sides.  The dimension-ratio domination builds the powers of a once, in the
-quadratic field of a, and shares them across every row.
+sides.  The chain check reads the integer ends of 1/a straight from the
+ends of a.  On a long-denominator enclosure with tighten >= 0 it first runs
+its tests on 1/a widened outward to the 2^-32 grid: each test only gets
+harder as the enclosure widens, so a pass there is a pass, and a failure
+is decided again on the exact ends.  The dimension-ratio domination builds
+the powers of a once, in the quadratic field of a, and shares them across
+every row.
 """
 
 from __future__ import annotations
@@ -138,12 +143,17 @@ def _as_interval(a) -> Interval:
     return a if isinstance(a, Interval) else Interval.point(a)
 
 
-def _inverse(a) -> Interval:
-    """Enclosure of 1/a; a (a rational, or an Interval enclosing it) must be > 1."""
+def _above_one(a) -> Interval:
+    """`a` (a rational, or an Interval enclosing it) as an Interval; it must be > 1."""
     ia = _as_interval(a)
     if not ia.lo > 1:
         raise ValueError(f"need a > 1, got enclosure {ia}")
-    return ia.inverse()
+    return ia
+
+
+def _inverse(a) -> Interval:
+    """Enclosure of 1/a; a (a rational, or an Interval enclosing it) must be > 1."""
+    return _above_one(a).inverse()
 
 
 def toeplitz_schur_bound(a) -> Interval:
@@ -270,6 +280,40 @@ def _scaled_suffix_sums(p: int, q: int, xs: Sequence) -> list:
     return out
 
 
+def _chain_tests(ints, squares, pl, ql, ph, qh, t) -> tuple:
+    """(per_k_ok, aggregate_ok) of the chain on x_j = ints[j] / d (squares[j] = ints[j]^2)
+    for 1/a in [pl/ql, ph/qh] and C = t / (1 - pl/ql), each test one integer comparison."""
+    # x_j >= 0 and 0 < pl/ql <= ph/qh, so the sums of the lhs are largest at ph/qh and
+    # those of the rhs smallest at pl/ql:
+    # s1_k = s1[k] / (d qh^m) and s2_k = s2[k] / (d^2 ql^m), m = n-1-k.
+    s1, s2 = _scaled_suffix_sums(ph, qh, ints), _scaled_suffix_sums(pl, ql, squares)
+    # C = cn / cd is the constant's lower end when t >= 0.  When t < 0 any negative
+    # constant gives the same per-k verdicts, since s1_k = 0 exactly when s2_k = 0,
+    # and C^2 is the lower end of the constant's square.
+    cn, cd = t.numerator * ql, t.denominator * (ql - pl)
+    per_k_ok = [False] * len(ints)
+    agg = 0  # sum_k s1[k]^2 qh^(2k+2) = d^2 qh^(2n) sum_k s1_k^2
+    ql_m = qh_2m = 1  # ql^m and qh^(2m)
+    qh2 = qh * qh
+    for k in range(len(ints) - 1, -1, -1):
+        lhs = s1[k] * s1[k]
+        # s1_k^2 <= C s2_k, times d^2 qh^(2m) ql^m cd (d^2 cancels)
+        per_k_ok[k] = lhs * cd * ql_m <= cn * s2[k] * qh_2m
+        agg = (agg + lhs) * qh2
+        ql_m *= ql
+        qh_2m *= qh2
+    # sum_k s1_k^2 <= C^2 sum_j x_j^2, times d^2 qh^(2n) cd^2
+    return per_k_ok, agg * cd * cd <= cn * cn * sum(squares) * qh_2m
+
+
+# The grid pass widens 1/a outward to multiples of 2^-_GRID_BITS.  On the 312 chain
+# checks of a series-certify pass (seed 1001, best of 7; 2 vCPU, Python 3.11), 32 bits
+# took 6.1 ms and 64 bits 7.5 ms.  A coarser grid saves little (24 bits: 5.7 ms) and
+# passes fewer tight inputs: of 400 vectors x_j = b^j, 1/2 <= b <= 1, on the golden
+# enclosure, 16 bits sent 3 and 8 bits 79 back to the exact ends, 24 and 32 bits none.
+_GRID_BITS = 32
+
+
 def orientation_chain_check(a, xs: Sequence, tighten=QQ(1)) -> ChainCheckResult:
     """Verify the geometric-weight Cauchy-Schwarz chain on nonnegative data.
 
@@ -279,42 +323,36 @@ def orientation_chain_check(a, xs: Sequence, tighten=QQ(1)) -> ChainCheckResult:
     must never fail); tighten < 1 is the mutation hook for negative controls.
 
     All comparisons are certified (interval endpoints in the right
-    direction) and exact: each test is one integer comparison.
-    `a` is a rational or an Interval enclosing it (`a_param(dimq).interval`).
+    direction) and exact: each test is one integer comparison (`_chain_tests`).
+    `a` is a rational or an Interval enclosing it (`a_param(dimq).interval`);
+    the ends of 1/a are read off as integers, pl/ql = 1/a.hi and ph/qh = 1/a.lo.
+
+    When tighten >= 0 and those ends have denominators past _GRID_BITS bits, the
+    tests run first on 1/a widened outward to the 2^-_GRID_BITS grid, whose short
+    denominators make the powers cheap.  Widening only makes each test harder: the
+    left sums grow with the upper end of 1/a, and for tighten >= 0 the right sums
+    and C = tighten / (1 - lower end) shrink as the lower end goes down.  So a pass
+    on the grid is a pass on the exact ends and is returned as it is; otherwise the
+    exact ends decide every verdict.
     """
-    inv = _inverse(a)
+    ia = _above_one(a)
     xs = [x if type(x) is QQ else QQ(x) for x in xs]
-    n = len(xs)
-    # x_j = ints[j] / d with d > 0, so x_j < 0 exactly when ints[j] < 0.  x_j >= 0 and
-    # 0 < inv.lo <= inv.hi, so the sums of the lhs are largest at inv.hi = ph/qh and
-    # those of the rhs smallest at inv.lo = pl/ql:
-    # s1_k = s1[k] / (d qh^m) and s2_k = s2[k] / (d^2 ql^m), m = n-1-k.
+    # x_j = ints[j] / d with d > 0, so x_j < 0 exactly when ints[j] < 0
     d = math.lcm(*(x.denominator for x in xs))
     ints = [x.numerator * (d // x.denominator) for x in xs]
     if ints and min(ints) < 0:
         raise ValueError("entries must be nonnegative")
     squares = [v * v for v in ints]
-    (pl, ql), (ph, qh) = inv.lo.as_integer_ratio(), inv.hi.as_integer_ratio()
-    s1, s2 = _scaled_suffix_sums(ph, qh, ints), _scaled_suffix_sums(pl, ql, squares)
-    # C = t / (1 - inv.lo) = cn / cd is the constant's lower end when t >= 0.  When
-    # t < 0 any negative constant gives the same per-k verdicts, since s1_k = 0
-    # exactly when s2_k = 0, and C^2 is the lower end of the constant's square.
+    pl, ql, ph, qh = ia.hi.denominator, ia.hi.numerator, ia.lo.denominator, ia.lo.numerator
     t = QQ(tighten)
-    cn, cd = t.numerator * ql, t.denominator * (ql - pl)
-
-    per_k_ok = [False] * n
-    agg = 0  # sum_k s1[k]^2 qh^(2k+2) = d^2 qh^(2n) sum_k s1_k^2
-    ql_m = qh_2m = 1  # ql^m and qh^(2m)
-    qh2 = qh * qh
-    for k in range(n - 1, -1, -1):
-        lhs = s1[k] * s1[k]
-        # s1_k^2 <= C s2_k, times d^2 qh^(2m) ql^m cd (d^2 cancels)
-        per_k_ok[k] = lhs * cd * ql_m <= cn * s2[k] * qh_2m
-        agg = (agg + lhs) * qh2
-        ql_m *= ql
-        qh_2m *= qh2
-    # sum_k s1_k^2 <= C^2 sum_j x_j^2, times d^2 qh^(2n) cd^2
-    aggregate_ok = agg * cd * cd <= cn * cn * sum(squares) * qh_2m
+    if t >= 0 and max(ql, qh).bit_length() > _GRID_BITS:
+        grid = 1 << _GRID_BITS
+        lo, hi = pl * grid // ql, -(-ph * grid // qh)  # floor and ceil on the grid
+        if 0 < lo and hi < grid:
+            per_k_ok, aggregate_ok = _chain_tests(ints, squares, lo, grid, hi, grid, t)
+            if aggregate_ok and all(per_k_ok):
+                return ChainCheckResult(True, per_k_ok, True)
+    per_k_ok, aggregate_ok = _chain_tests(ints, squares, pl, ql, ph, qh, t)
     return ChainCheckResult(all(per_k_ok) and aggregate_ok, per_k_ok, aggregate_ok)
 
 

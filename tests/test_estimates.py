@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,7 @@ from qcayley.estimates import (
 from qcayley.fusion import a_param, ao_dims, growth_floor, parse_spec
 from qcayley.qctree import gram, gram_bound
 from qcayley.scalars import QQ, Interval, Radical
+from qcayley.verify import PROFILES, _random_chain_vector
 
 
 # -- rapid-decay series ---------------------------------------------------------
@@ -310,6 +313,20 @@ def test_chain_rejects_negative_entries():
                 orientation_chain_check(a, xs)
 
 
+@pytest.mark.parametrize("a, shown", [
+    (QQ(1), "Interval(1, 1)"),
+    (QQ(1, 2), "Interval(1/2, 1/2)"),
+    (QQ(0), "Interval(0, 0)"),
+    (a_param(QQ(2)).interval, "Interval(1, 1)"),
+    (Interval(QQ(1), QQ(2)), "Interval(1, 2)"),
+], ids=["1", "1/2", "0", "a_param(2)", "Interval(1, 2)"])
+def test_chain_refuses_a_at_most_one(a, shown):
+    message = f"need a > 1, got enclosure {shown}"
+    for xs in ([QQ(1), QQ(2)], []):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            orientation_chain_check(a, xs)
+
+
 def test_chain_takes_ints_and_fractions_alike():
     xs = [3, QQ(1, 2), 0, 7, QQ(5, 3)]
     for a in _CHAIN_AS:
@@ -354,9 +371,12 @@ def _reference_chain_check(a, xs, tighten=QQ(1)) -> ChainCheckResult:
 
 
 # the wide interval's two ends give different verdicts on most vectors, so a swap of
-# the ends of 1/a shows there; the 1e-60 enclosure's ends have long denominators
+# the ends of 1/a shows there; the 1e-60 enclosure's ends have long denominators; at
+# a = 201/100, 1/a is near 0.905; on the last interval the upper end of 1/a rounds up
+# to 1 on the 2^-32 grid, so no grid pass runs
 _CHAIN_AS = [QQ(3, 2), QQ(2), a_param(QQ(3)).interval, a_param(QQ(7, 2)).interval,
-             a_param(QQ(3), QQ(1, 10**60)).interval, Interval(QQ(3, 2), QQ(5, 2))]
+             a_param(QQ(3), QQ(1, 10**60)).interval, Interval(QQ(3, 2), QQ(5, 2)),
+             a_param(QQ(201, 100)).interval, Interval(QQ(2**40 + 1, 2**40), QQ(2))]
 _CHAIN_TIGHTEN = [QQ(1), QQ(3, 4), QQ(0), QQ(-1)]
 
 
@@ -393,6 +413,44 @@ def test_chain_failure_on_a_1e60_enclosure():
     got = orientation_chain_check(a, xs, tighten=QQ(3, 4))
     assert not got.ok and False in got.per_k_ok
     assert got == _reference_chain_check(a, xs, QQ(3, 4))
+
+
+def test_chain_at_the_exact_boundary_of_a_one_entry_vector():
+    # on [1] both tests read 1 <= tighten / (1 - inv.lo): the grid's lower end of 1/a lies
+    # below inv.lo, so at the boundary only the exact ends can pass the check
+    golden = a_param(QQ(3)).interval
+    boundary = 1 - _as_interval(golden).inverse().lo
+    for tighten, ok in ((boundary, True), (boundary - QQ(1, 2**100), False)):
+        got = orientation_chain_check(golden, [QQ(1)], tighten)
+        assert got == ChainCheckResult(ok, [ok], ok)
+        assert got == _reference_chain_check(golden, [QQ(1)], tighten)
+
+
+def test_chain_grid_pass_decides_every_golden_c8_check(monkeypatch):
+    # a guard that always fell back to the exact ends would still give right verdicts
+    calls = []
+    real = estimates._chain_tests
+
+    def counting(ints, squares, pl, ql, ph, qh, t):
+        calls.append((ql, qh))
+        return real(ints, squares, pl, ql, ph, qh, t)
+
+    monkeypatch.setattr(estimates, "_chain_tests", counting)
+    grid = 1 << estimates._GRID_BITS
+    golden = a_param(QQ(3)).interval
+    rng = random.Random(108)
+    for _ in range(PROFILES["full"]["c8_vectors"]):
+        xs = _random_chain_vector(rng)
+        for a in (QQ(3, 2), QQ(2)):
+            calls.clear()
+            assert orientation_chain_check(a, xs).ok
+            assert calls == [(a.numerator, a.numerator)]
+        calls.clear()
+        assert orientation_chain_check(golden, xs).ok
+        assert calls == [(grid, grid)]
+    calls.clear()
+    assert not orientation_chain_check(golden, _near_extremal(float(golden.mid)), QQ(3, 4)).ok
+    assert calls == [(grid, grid), (golden.hi.numerator, golden.lo.numerator)]
 
 
 def test_chain_with_interval_a():

@@ -59,6 +59,8 @@ REFUSALS = {
     "fixed-vector-dim2": ["fixed-vector", "--spec", "Ao(2)"],
     "gram-dim2": ["gram", "--spec", "Ao(2)"],
     "growth-past-the-walk-cap": ["growth", "--spec", "Au(3)", "--n-max", "30"],
+    "chain-check-a-one": ["chain-check", "--a", "1"],
+    "schur-growth-dim2": ["schur", "--a", "growth:2"],
 }
 
 
