@@ -26,7 +26,6 @@ from .fusion import (
     ao_dims,
     format_spec,
     fuse_generator,
-    irrep_length,
     parse_spec,
     quantum_dim,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "ao_dims",
     "format_spec",
     "fuse_generator",
-    "irrep_length",
     "parse_spec",
     "quantum_dim",
     "CayleyTree",

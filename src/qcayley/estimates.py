@@ -138,27 +138,17 @@ def nonuni_norm_sq(s, r, dimq, radius: int) -> SeriesResult:
 # size 50 (0.01 s).
 MAX_TOEPLITZ_SIZE = 1000
 
-def _as_interval(a) -> Interval:
-    """`a` itself when it is an Interval, else the point at the rational a."""
-    return a if isinstance(a, Interval) else Interval.point(a)
-
-
 def _above_one(a) -> Interval:
     """`a` (a rational, or an Interval enclosing it) as an Interval; it must be > 1."""
-    ia = _as_interval(a)
+    ia = a if isinstance(a, Interval) else Interval.point(a)
     if not ia.lo > 1:
         raise ValueError(f"need a > 1, got enclosure {ia}")
     return ia
 
 
-def _inverse(a) -> Interval:
-    """Enclosure of 1/a; a (a rational, or an Interval enclosing it) must be > 1."""
-    return _above_one(a).inverse()
-
-
 def toeplitz_schur_bound(a) -> Interval:
     """Row-sum Schur bound (1 + 1/a) / (1 - 1/a) for the decay matrix; needs a > 1."""
-    inv = _inverse(a)
+    inv = _above_one(a).inverse()
     return (Interval.point(1) + inv) / (Interval.point(1) - inv)
 
 
@@ -218,7 +208,7 @@ def truncated_toeplitz_norm(a, size: int) -> Interval:
         raise ValueError("size must be >= 1")
     if size > MAX_TOEPLITZ_SIZE:
         raise ToeplitzSizeError(f"size {size} exceeds the Toeplitz size cap of {MAX_TOEPLITZ_SIZE}")
-    inv = _inverse(a)
+    inv = _above_one(a).inverse()
     xr = _toeplitz_candidate(float(inv.mid), size)
     d = math.lcm(*(x.denominator for x in xr))
     ints = [x.numerator * (d // x.denominator) for x in xr]

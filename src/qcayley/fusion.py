@@ -54,10 +54,7 @@ __all__ = [
     "quantum_dim",
     "fuse_generator",
     "dual_direction",
-    "irrep_length",
     "format_irrep",
-    "au_word",
-    "ao_irrep",
 ]
 
 ORTHOGONAL = "Ao"
@@ -146,30 +143,6 @@ class Irrep:
 
 
 TRIVIAL = Irrep(())
-
-
-def ao_irrep(k: int, factor: int = 0) -> Irrep:
-    """Single-letter word: the k-th irreducible of an Ao factor."""
-    if k == 0:
-        return TRIVIAL
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return Irrep(((factor, k),))
-
-
-def au_word(symbols: str, factor: int = 0) -> Irrep:
-    """Single-letter Au word from a string over 'u' (generator) / 'U' (conjugate)."""
-    if not symbols:
-        return TRIVIAL
-    payload = []
-    for ch in symbols:
-        if ch == "u":
-            payload.append(1)
-        elif ch == "U":
-            payload.append(-1)
-        else:
-            raise ValueError(f"symbols must be 'u'/'U', got {ch!r}")
-    return Irrep(((factor, tuple(payload)),))
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +348,7 @@ def quantum_dim(spec: QuantumGroupSpec, alpha: Irrep):
 
 
 # ---------------------------------------------------------------------------
-# fusion with a generator, duality, length
+# fusion with a generator, duality
 # ---------------------------------------------------------------------------
 
 def fuse_generator(spec: QuantumGroupSpec, alpha: Irrep, d: Direction):
@@ -422,14 +395,6 @@ def dual_direction(spec: QuantumGroupSpec, d: Direction) -> Direction:
     if spec.factors[d.factor].kind == ORTHOGONAL:
         return d
     return Direction(d.factor, -d.bar)
-
-
-def irrep_length(alpha: Irrep) -> int:
-    """Generator steps from the root: sum of k (Ao) resp. word length (Au)."""
-    total = 0
-    for _, payload in alpha.word:
-        total += payload if isinstance(payload, int) else len(payload)
-    return total
 
 
 def format_irrep(alpha: Irrep) -> str:

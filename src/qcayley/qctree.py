@@ -91,13 +91,6 @@ class _SparseVector:
         new._coeffs = coeffs
         return new
 
-    @classmethod
-    def unit(cls, key):
-        return cls({key: Radical.from_rational(1)})
-
-    def coeff(self, key) -> Radical:
-        return self._coeffs.get(key, Radical())
-
     def items(self):
         return self._coeffs.items()
 
@@ -122,14 +115,6 @@ class _SparseVector:
                 else:
                     out[k] = s
         return self._of(out)
-
-    def __neg__(self):
-        return self._of({k: -v for k, v in self._coeffs.items()})
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self + (-other)
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -24,7 +24,7 @@ from . import qctree as qt
 from .cayley import _class_levels, build_tree, validate
 from .errors import GateError
 from .fusion import a_param, ao_dims, parse_spec
-from .scalars import QQ, Interval, Radical
+from .scalars import QQ, Radical
 
 __all__ = ["CriterionResult", "run_all", "run_criterion", "report_lines", "PROFILES", "CRITERIA"]
 
@@ -415,7 +415,7 @@ def criterion_9(profile: dict, seed: int) -> CriterionResult:
     terms = profile["c9_terms"]
     dims = ao_dims(QQ(3), terms)
     growth = a_param(QQ(3))
-    a = Interval(growth.interval.lo, growth.interval.hi)
+    a = growth.interval
     apow = a  # a^(k+1) at k = 0
     closed_ok = True
     denom = a - a.inverse()

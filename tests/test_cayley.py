@@ -21,13 +21,12 @@ from qcayley.fusion import (
     Irrep,
     TRIVIAL,
     ao_dims,
-    ao_irrep,
-    au_word,
     fuse_generator,
-    irrep_length,
     parse_spec,
     quantum_dim,
 )
+
+from _oracles import ao_irrep, au_word, irrep_length
 
 
 def _ids(tree):

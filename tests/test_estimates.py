@@ -15,7 +15,7 @@ from qcayley.errors import GateError, ToeplitzSizeError
 from qcayley.estimates import (
     MAX_TOEPLITZ_SIZE,
     ChainCheckResult,
-    _as_interval,
+    _above_one,
     _certified_pd,
     _minors_positive,
     _toeplitz_candidate,
@@ -204,7 +204,7 @@ def test_truncated_norm_refuses_a_size_past_the_cap():
 def _reference_toeplitz_norm(a, size: int) -> Interval:
     """The O(size^2) interval mat-vec over the powers of 1/a, on the library's
     float candidate: the route the two-sided recurrences replaced."""
-    ia = _as_interval(a)
+    ia = _above_one(a)
     if size == 1:
         return Interval.point(1)
     inv = ia.inverse()
@@ -344,7 +344,7 @@ def test_chain_holds_on_random_nonneg_vectors(xs, a):
 def _reference_chain_check(a, xs, tighten=QQ(1)) -> ChainCheckResult:
     """The O(n^2) interval sums over the powers of 1/a: the route the Horner
     recurrences replaced."""
-    ia = _as_interval(a)
+    ia = _above_one(a)
     xs = [QQ(x) for x in xs]
     n = len(xs)
     inv = ia.inverse()
@@ -400,7 +400,7 @@ def test_chain_on_the_empty_vector(tighten):
 def test_chain_on_near_extremal_vectors_equals_the_quadratic_sums(tighten):
     # the tight cases: a wrong endpoint shows first where lhs nearly meets rhs
     for a in _CHAIN_AS:
-        near = _near_extremal(float(_as_interval(a).mid), 40)
+        near = _near_extremal(float(_above_one(a).mid), 40)
         got = orientation_chain_check(a, near, tighten)
         assert got == _reference_chain_check(a, near, tighten)
 
@@ -419,7 +419,7 @@ def test_chain_at_the_exact_boundary_of_a_one_entry_vector():
     # on [1] both tests read 1 <= tighten / (1 - inv.lo): the grid's lower end of 1/a lies
     # below inv.lo, so at the boundary only the exact ends can pass the check
     golden = a_param(QQ(3)).interval
-    boundary = 1 - _as_interval(golden).inverse().lo
+    boundary = 1 - _above_one(golden).inverse().lo
     for tighten, ok in ((boundary, True), (boundary - QQ(1, 2**100), False)):
         got = orientation_chain_check(golden, [QQ(1)], tighten)
         assert got == ChainCheckResult(ok, [ok], ok)

@@ -15,14 +15,11 @@ from qcayley.fusion import (
     TRIVIAL,
     a_param,
     ao_dims,
-    ao_irrep,
-    au_word,
     au_word_dim,
     format_irrep,
     format_spec,
     fuse_generator,
     growth_floor,
-    irrep_length,
     parse_spec,
     quantum_dim,
 )
@@ -32,6 +29,8 @@ from qcayley.aunitary import cg_bounds_closed, cn_lower
 from qcayley.estimates import nonuni_norm_sq, rd_norm_sq
 from qcayley.qctree import e2_inverse_ao, fixed_vector, gram, gram_bound
 from qcayley.scalars import QQ, Interval, Radical
+
+from _oracles import ao_irrep, au_word, irrep_length
 
 
 # -- spec grammar ------------------------------------------------------------
